@@ -6,7 +6,7 @@ separate center weight, so the field can grow exponentially while the
 parameter count stays at levels_r * levels_theta + 1 per channel pair.
 Two interchangeable evaluation paths are provided and checked against
 each other: a direct region-weighted reference and a fast realization via
-log-polar pooling plus one conventional convolution.
+log-polar pooling into region channels plus one 1x1 convolution.
 """
 
 from .analysis import CostReport, RfReport, count_costs, estimate_rf, visualize_kernel
@@ -25,14 +25,12 @@ from .geometry import (
     LogPolarMask,
     LpscConfig,
     build_mask,
-    build_mask_elliptical,
     mask_to_pgm,
     mask_to_text,
     region_radii,
 )
 from .lpsc import (
     LpscWeights,
-    PooledMap,
     load_lpsc_weights,
     log_polar_pool,
     lpsc_backward,
@@ -52,6 +50,6 @@ from .network import (
     save_checkpoint,
     train,
 )
-from .tensor import Tensor, load_tensor, save_tensor, tensor
+from .tensor import load_tensor, save_tensor, tensor
 
 __version__ = "0.1.0"

@@ -7,8 +7,9 @@ helpers here only orchestrate running both and measuring disagreement.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,26 +154,8 @@ def sum_mean_identity_sweep(seed=0, full=True, inputs_per_config=2, hw=16, cin=3
         seen.add(key)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            mean_cfg = LpscConfig(
-                kernel_size=config.kernel_size,
-                levels_r=config.levels_r,
-                levels_theta=config.levels_theta,
-                growth=config.growth,
-                stride=config.stride,
-                padding=config.padding,
-                pooling_mode="mean",
-                center_conv=config.center_conv,
-            )
-            sum_cfg = LpscConfig(
-                kernel_size=config.kernel_size,
-                levels_r=config.levels_r,
-                levels_theta=config.levels_theta,
-                growth=config.growth,
-                stride=config.stride,
-                padding=config.padding,
-                pooling_mode="sum",
-                center_conv=config.center_conv,
-            )
+            mean_cfg = replace(config, pooling_mode="mean")
+            sum_cfg = replace(config, pooling_mode="sum")
         rng = np.random.default_rng(seed + 7000 + idx)
         weights = _random_weights(config, cin, cout, rng)
         mask = build_mask(mean_cfg)
@@ -214,40 +197,38 @@ def _finite_difference(f, x, eps=1e-5):
 def gradient_checks(seed=0, hw=8, cin=2, cout=2):
     """Finite-difference probes of the operator backward in every mode."""
     results = []
-    for mode in ("mean", "sum", "max"):
-        for center in (True, False):
-            config = LpscConfig(
-                kernel_size=5,
-                levels_r=2,
-                levels_theta=6,
-                growth=2,
-                stride=2,
-                padding=2,
-                pooling_mode=mode,
-                center_conv=center,
-            )
-            rng = np.random.default_rng(seed + hash((mode, center)) % 1000)
-            x = rng.uniform(0.1, 1.0, size=(hw, hw, cin))
-            weights = _random_weights(config, cin, cout, rng)
-            out = lpsc_forward_fast(x, config, weights)
-            probe = rng.normal(size=out.shape)
-            gx, gw = lpsc_backward(x, config, weights, probe)
+    pairs = itertools.product(("mean", "sum", "max"), (True, False))
+    for idx, (mode, center) in enumerate(pairs):
+        config = LpscConfig(
+            kernel_size=5,
+            levels_r=2,
+            levels_theta=6,
+            growth=2,
+            stride=2,
+            padding=2,
+            pooling_mode=mode,
+            center_conv=center,
+        )
+        rng = np.random.default_rng(seed + idx)
+        x = rng.uniform(0.1, 1.0, size=(hw, hw, cin))
+        weights = _random_weights(config, cin, cout, rng)
+        out = lpsc_forward_fast(x, config, weights)
+        probe = rng.normal(size=out.shape)
+        gx, gw = lpsc_backward(x, config, weights, probe)
 
-            fx = _finite_difference(
-                lambda v: float(np.sum(lpsc_forward_fast(v, config, weights) * probe)), x
-            )
-            fregions = _finite_difference(
-                lambda v: float(
-                    np.sum(
-                        lpsc_forward_fast(
-                            x, config, LpscWeights(weights.center, v, weights.bias)
-                        )
-                        * probe
-                    )
-                ),
-                weights.regions,
-            )
-            worst = max(_rel_error(gx, fx), _rel_error(gw.regions, fregions))
-            name = f"gradient {mode} {'center' if center else 'nocenter'}"
-            results.append(CheckResult(name=name, value=worst, threshold=GRADIENT_TOL))
+        fx = _finite_difference(
+            lambda v: float(np.sum(lpsc_forward_fast(v, config, weights) * probe)), x
+        )
+        fregions = _finite_difference(
+            lambda v: float(
+                np.sum(
+                    lpsc_forward_fast(x, config, LpscWeights(weights.center, v, weights.bias))
+                    * probe
+                )
+            ),
+            weights.regions,
+        )
+        worst = max(_rel_error(gx, fx), _rel_error(gw.regions, fregions))
+        name = f"gradient {mode} {'center' if center else 'nocenter'}"
+        results.append(CheckResult(name=name, value=worst, threshold=GRADIENT_TOL))
     return results

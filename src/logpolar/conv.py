@@ -30,6 +30,7 @@ __all__ = [
     "conv2d_raw_backward",
     "as_pair",
     "ensure_batched",
+    "out_extent",
 ]
 
 
@@ -87,14 +88,12 @@ class ConvKernel:
         return self.weights.shape[3]
 
 
-def _out_extent(size, k, stride, pad, dilation, axis):
-    eff = (k - 1) * dilation + 1
+def out_extent(size, extent, stride, pad) -> int:
+    """Output positions along one axis for a window spanning *extent* cells."""
     padded = size + 2 * pad
-    if padded < eff:
-        raise ValueError(
-            f"{axis}: padded extent {padded} is smaller than the kernel extent {eff}"
-        )
-    return (padded - eff) // stride + 1
+    if padded < extent:
+        raise ValueError(f"kernel extent {extent} larger than padded input extent {padded}")
+    return (padded - extent) // stride + 1
 
 
 def _check_geometry(stride, padding, dilation):
@@ -140,8 +139,8 @@ def _prepare(x, weights, stride, padding, dilation):
     dilation = as_pair(dilation, "dilation")
     _check_geometry(stride, padding, dilation)
     kh, kw = w.shape[:2]
-    ho = _out_extent(xb.shape[1], kh, stride[0], padding[0], dilation[0], "rows")
-    wo = _out_extent(xb.shape[2], kw, stride[1], padding[1], dilation[1], "cols")
+    ho = out_extent(xb.shape[1], (kh - 1) * dilation[0] + 1, stride[0], padding[0])
+    wo = out_extent(xb.shape[2], (kw - 1) * dilation[1] + 1, stride[1], padding[1])
     xp = np.pad(xb, ((0, 0), (padding[0], padding[0]), (padding[1], padding[1]), (0, 0)))
     return xb, batched, w, xp, stride, dilation, (ho, wo)
 
@@ -150,7 +149,7 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
     """Convolve channels-last data with a plain rank-4 weight array.
 
     No restriction on the kernel's spatial size; used directly by the
-    pooled-map convolution (even-sized block kernels) and the baselines.
+    log-polar region convolution (1x1) and the baselines.
     """
     _, batched, w, xp, stride, dilation, out_hw = _prepare(
         x, weights, stride, padding, dilation

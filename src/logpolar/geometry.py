@@ -47,7 +47,6 @@ __all__ = [
     "LogPolarMask",
     "region_radii",
     "build_mask",
-    "build_mask_elliptical",
     "mask_to_text",
     "mask_to_pgm",
 ]
@@ -243,11 +242,6 @@ def _build_mask_cached(config: LpscConfig) -> LogPolarMask:
 def build_mask(config: LpscConfig) -> LogPolarMask:
     """Construct (or fetch the cached) region mask for *config*."""
     return _build_mask_cached(config)
-
-
-# With eccentricity 0 and alpha 0 the elliptical construction degenerates
-# to the circular one, so a single implementation serves both entry points.
-build_mask_elliptical = build_mask
 
 
 def mask_to_text(mask: LogPolarMask) -> str:

@@ -7,17 +7,15 @@ Two evaluation paths compute the same linear map:
   region's pooled cells through that region's weight, scaled by 1/N in
   mean mode (N = region population in the mask, padding cells included).
 * ``lpsc_forward_fast`` realizes the operator with ordinary machinery:
-  log-polar pooling rewrites each window as a (2*levels_r, levels_theta/2)
-  block inside an upsampled map, a single conventional convolution with
-  kernel size and stride equal to the block shape produces the context
-  response, and a separate 1x1 convolution over the window centers adds
-  the center-pixel response.
+  log-polar pooling stacks every window's pooled regions into channels,
+  a single conventional 1x1 convolution over those region channels
+  produces the context response, and a separate 1x1 convolution over the
+  window centers adds the center-pixel response.
 
-Block layout (fixed bijection; any fixed choice is equivalent because the
-block kernel has one free weight per cell): column c holds the direction
-pair (m = c+1, m' = levels_theta - c); rows 0..levels_r-1 hold shells of m
-from outermost to innermost; rows levels_r..2*levels_r-1 hold shells of m'
-from innermost to outermost, mirroring the radial adjacency of the disk.
+Region channels: region k = (level-1)*levels_theta + (sector-1) fills
+pooled channels k*C_in ... (k+1)*C_in - 1, the C order of
+``LpscWeights.regions``, so the 1x1 kernel is the region weights reshaped
+to (1, 1, levels_r*levels_theta*C_in, C_out).
 
 Pooling modes: ``mean`` divides each region sum by its mask population
 (empty regions stay 0 and never contribute), ``sum`` skips the division,
@@ -42,13 +40,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import as_pair, conv2d_raw, conv2d_raw_backward, ensure_batched
+from .conv import conv2d_raw, conv2d_raw_backward, ensure_batched, out_extent
 from .geometry import LogPolarMask, LpscConfig, build_mask
 
 __all__ = [
     "LpscWeights",
-    "PooledMap",
-    "block_layout",
     "region_offsets",
     "log_polar_pool",
     "lpsc_forward_fast",
@@ -101,78 +97,24 @@ class LpscWeights:
         return self.regions.shape[0] * self.regions.shape[1] + 1
 
 
-@dataclass
-class PooledMap:
-    """Upsampled map after log-polar pooling.
-
-    ``data`` has spatial shape (grid_h * 2*levels_r, grid_w *
-    levels_theta/2); block (i, j) holds the pooled regions of window
-    position (i, j).
-    """
-
-    data: np.ndarray
-    grid_h: int
-    grid_w: int
-    levels_r: int
-    levels_theta: int
-
-    @property
-    def block_shape(self) -> tuple[int, int]:
-        return (2 * self.levels_r, self.levels_theta // 2)
-
-
-def block_layout(levels_r: int, levels_theta: int) -> np.ndarray:
-    """(2*levels_r, levels_theta/2, 2) array of 1-based (level, sector)."""
-    lt2 = levels_theta // 2
-    lay = np.empty((2 * levels_r, lt2, 2), dtype=np.int64)
-    for c in range(lt2):
-        for r in range(levels_r):
-            lay[r, c] = (levels_r - r, c + 1)
-            lay[levels_r + r, c] = (r + 1, levels_theta - c)
-    return lay
-
-
 def region_offsets(mask: LogPolarMask) -> list[np.ndarray]:
     """Per region k (1-based), the (n_k, 2) cell offsets in row-major order."""
     n_regions = mask.levels_r * mask.levels_theta
-    offsets: list[list[tuple[int, int]]] = [[] for _ in range(n_regions)]
-    radius = mask.radius
-    for i in range(mask.size):
-        for j in range(mask.size):
-            k = mask.index_grid[i, j]
-            if k > 0:
-                offsets[k - 1].append((i - radius, j - radius))
-    return [np.array(cells, dtype=np.int64).reshape(-1, 2) for cells in offsets]
+    return [np.argwhere(mask.index_grid == k) - mask.radius for k in range(1, n_regions + 1)]
 
 
 @lru_cache(maxsize=None)
 def _plan(config: LpscConfig):
-    """Mask, per-region offsets, block layout, and layout inverse for a config."""
+    """Mask and per-region cell offsets for a config."""
     mask = build_mask(config)
-    offsets = region_offsets(mask)
-    lay = block_layout(config.levels_r, config.levels_theta)
-    inverse = {}
-    for r in range(lay.shape[0]):
-        for c in range(lay.shape[1]):
-            level, sector = lay[r, c]
-            inverse[(int(level), int(sector))] = (r, c)
-    return mask, offsets, lay, inverse
-
-
-def _grid_extent(size, k, stride, pad):
-    padded = size + 2 * pad
-    if padded < k:
-        raise ValueError(f"mask of size {k} larger than padded input extent {padded}")
-    return (padded - k) // stride + 1
+    return mask, region_offsets(mask)
 
 
 def lpsc_output_shape(input_hw, config: LpscConfig) -> tuple[int, int]:
     """(grid_h, grid_w) of window positions for the given input extent."""
-    sh, sw = config.stride
-    ph, pw = config.padding
-    gh = _grid_extent(input_hw[0], config.kernel_size, sh, ph)
-    gw = _grid_extent(input_hw[1], config.kernel_size, sw, pw)
-    return gh, gw
+    k = config.kernel_size
+    (sh, sw), (ph, pw) = config.stride, config.padding
+    return out_extent(input_hw[0], k, sh, ph), out_extent(input_hw[1], k, sw, pw)
 
 
 def _pad(xb, padding):
@@ -189,56 +131,35 @@ def _cell_slice(xp, radius, dr, dc, stride, grid_hw):
     return xp[:, r0 : r0 + (gh - 1) * sh + 1 : sh, c0 : c0 + (gw - 1) * sw + 1 : sw, :]
 
 
-def _pooled_regions(xp, mask, offsets, stride, grid_hw, mode):
-    """Pooled value per region: (n_regions, N, grid_h, grid_w, C)."""
-    n, _, _, c = xp.shape
-    gh, gw = grid_hw
-    out = np.zeros((len(offsets), n, gh, gw, c), dtype=np.float64)
+def log_polar_pool(input, config: LpscConfig):
+    """Pool every window's regions into channels.
+
+    Returns (N, grid_h, grid_w, levels_r*levels_theta*C_in), without the
+    N axis for an unbatched input. Region k = (level-1)*levels_theta +
+    (sector-1) fills channels k*C_in ... (k+1)*C_in - 1; empty regions
+    stay 0.
+    """
+    xb, batched = ensure_batched(input)
+    mask, offsets = _plan(config)
+    grid_hw = lpsc_output_shape(xb.shape[1:3], config)
+    xp = _pad(xb, config.padding)
+    n, c = xb.shape[0], xb.shape[3]
+    pooled = np.zeros((n, *grid_hw, len(offsets), c), dtype=np.float64)
+    acc = np.empty((n, *grid_hw, c), dtype=np.float64)  # contiguous, so the adds stay fast
+    combine = np.maximum if config.pooling_mode == "max" else np.add
     counts = mask.counts.ravel()
     for k, cells in enumerate(offsets):
         if len(cells) == 0:
             continue
-        if mode == "max":
-            out[k] = _cell_slice(xp, mask.radius, cells[0][0], cells[0][1], stride, grid_hw)
-            for dr, dc in cells[1:]:
-                np.maximum(out[k], _cell_slice(xp, mask.radius, dr, dc, stride, grid_hw), out=out[k])
-        else:
-            acc = out[k]
-            for dr, dc in cells:
-                acc += _cell_slice(xp, mask.radius, dr, dc, stride, grid_hw)
-            if mode == "mean":
-                acc /= max(int(counts[k]), 1)
-    return out
-
-
-def log_polar_pool(input, mask: LogPolarMask, stride=(1, 1), padding=(0, 0), mode="mean") -> PooledMap:
-    """Pool every window's regions and rearrange them into the block map."""
-    if mode not in ("mean", "sum", "max"):
-        raise ValueError(f"unknown pooling mode {mode!r}")
-    xb, batched = ensure_batched(input)
-    stride = as_pair(stride, "stride")
-    padding = as_pair(padding, "padding")
-    gh = _grid_extent(xb.shape[1], mask.size, stride[0], padding[0])
-    gw = _grid_extent(xb.shape[2], mask.size, stride[1], padding[1])
-    xp = _pad(xb, padding)
-    offsets = region_offsets(mask)
-    pooled = _pooled_regions(xp, mask, offsets, stride, (gh, gw), mode)
-    lr, lt = mask.levels_r, mask.levels_theta
-    lt2 = lt // 2
-    lay = block_layout(lr, lt)
-    data = np.zeros((xb.shape[0], gh * 2 * lr, gw * lt2, xb.shape[3]), dtype=np.float64)
-    for r in range(2 * lr):
-        for c in range(lt2):
-            level, sector = lay[r, c]
-            k = (level - 1) * lt + sector
-            data[:, r :: 2 * lr, c::lt2, :] = pooled[k - 1]
-    return PooledMap(
-        data=data if batched else data[0],
-        grid_h=gh,
-        grid_w=gw,
-        levels_r=lr,
-        levels_theta=lt,
-    )
+        slices = (_cell_slice(xp, mask.radius, dr, dc, config.stride, grid_hw) for dr, dc in cells)
+        acc[...] = next(slices)
+        for sl in slices:
+            combine(acc, sl, out=acc)
+        if config.pooling_mode == "mean":
+            acc /= counts[k]
+        pooled[:, :, :, k] = acc
+    pooled = pooled.reshape(n, *grid_hw, -1)
+    return pooled if batched else pooled[0]
 
 
 def _check_weights(config: LpscConfig, weights: LpscWeights, channels: int):
@@ -253,24 +174,21 @@ def _check_weights(config: LpscConfig, weights: LpscWeights, channels: int):
         )
 
 
-def _block_kernel(weights: LpscWeights, lay: np.ndarray) -> np.ndarray:
-    return weights.regions[lay[:, :, 0] - 1, lay[:, :, 1] - 1]
+def _region_kernel(weights: LpscWeights) -> np.ndarray:
+    """The region weights as a 1x1 kernel over the pooled region channels."""
+    return weights.regions.reshape(1, 1, -1, weights.out_channels)
 
 
 def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights):
-    """Pooling + block convolution + separate center convolution."""
+    """Pooling + 1x1 region convolution + separate center convolution."""
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
-    mask, _, lay, _ = _plan(config)
-    pm = log_polar_pool(xb, mask, config.stride, config.padding, config.pooling_mode)
-    kernel = _block_kernel(weights, lay)
-    out = conv2d_raw(pm.data, kernel, stride=pm.block_shape, padding=(0, 0))
+    pooled = log_polar_pool(xb, config)
+    out = conv2d_raw(pooled, _region_kernel(weights), bias=weights.bias)
     if config.center_conv:
         xp = _pad(xb, config.padding)
-        centers = _cell_slice(xp, mask.radius, 0, 0, config.stride, (pm.grid_h, pm.grid_w))
-        out = out + np.einsum("nijc,cd->nijd", centers, weights.center)
-    if weights.bias is not None:
-        out = out + weights.bias
+        centers = _cell_slice(xp, config.radius, 0, 0, config.stride, out.shape[1:3])
+        out += np.einsum("nijc,cd->nijd", centers, weights.center)
     return out if batched else out[0]
 
 
@@ -278,7 +196,7 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
     """Direct evaluation of the region-weighted definition, cell by cell."""
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
-    mask, offsets, _, _ = _plan(config)
+    mask, offsets = _plan(config)
     grid_hw = lpsc_output_shape(xb.shape[1:3], config)
     xp = _pad(xb, config.padding)
     lt = config.levels_theta
@@ -315,39 +233,34 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
 def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output):
     """Exact adjoints of the forward map: (grad_input, LpscWeights grads).
 
-    Computed against the fast path: block-convolution adjoint, then the
-    pooling adjoint scatters back through each region's cells.
+    Computed against the fast path: the 1x1 region-convolution adjoint,
+    then the pooling adjoint scatters each region channel back through
+    that region's cells.
     """
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
-    mask, offsets, lay, inverse = _plan(config)
+    mask, offsets = _plan(config)
     grid_hw = lpsc_output_shape(xb.shape[1:3], config)
     g, _ = ensure_batched(grad_output)
     expected = (xb.shape[0], grid_hw[0], grid_hw[1], weights.out_channels)
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
 
-    pm = log_polar_pool(xb, mask, config.stride, config.padding, config.pooling_mode)
-    kernel = _block_kernel(weights, lay)
-    grad_pm, grad_kernel, _ = conv2d_raw_backward(
-        pm.data, kernel, g, stride=pm.block_shape, padding=(0, 0)
+    pooled = log_polar_pool(xb, config)
+    grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
+        pooled, _region_kernel(weights), g, has_bias=weights.bias is not None
     )
-
-    grad_regions = np.zeros_like(weights.regions)
-    grad_regions[lay[:, :, 0] - 1, lay[:, :, 1] - 1] = grad_kernel
+    grad_regions = grad_kernel.reshape(weights.regions.shape)
+    grad_pooled = grad_pooled.reshape(*g.shape[:3], len(offsets), xb.shape[3])
 
     xp = _pad(xb, config.padding)
     grad_xp = np.zeros_like(xp)
-    lr, lt = config.levels_r, config.levels_theta
-    lt2 = lt // 2
     counts = mask.counts.ravel()
     stride = config.stride
     for k, cells in enumerate(offsets):
         if len(cells) == 0:
             continue
-        level, sector = k // lt + 1, k % lt + 1
-        r, c = inverse[(level, sector)]
-        gk = grad_pm[:, r :: 2 * lr, c::lt2, :]
+        gk = grad_pooled[:, :, :, k]
         if config.pooling_mode == "max":
             stack = np.stack(
                 [_cell_slice(xp, mask.radius, dr, dc, stride, grid_hw) for dr, dc in cells]
@@ -372,7 +285,6 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output):
 
     ph, pw = config.padding
     grad_input = grad_xp[:, ph : ph + xb.shape[1], pw : pw + xb.shape[2], :]
-    grad_bias = g.sum(axis=(0, 1, 2)) if weights.bias is not None else None
     if not batched:
         grad_input = grad_input[0]
     return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=grad_bias)

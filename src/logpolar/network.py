@@ -42,6 +42,9 @@ Network spec files are INI-style text::
     epochs = 200
     seed = 1
 
+A key that its section does not know is an error, naming the section
+and the key.
+
 Checkpoints are a directory with a ``manifest.txt`` (one ``<layer-index>
 <kind> <param> <filename>`` line per stored array) plus TNSR tensor files
 and LPSCW weight files.
@@ -65,7 +68,7 @@ from .baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
-from .conv import ConvKernel, as_pair, conv2d_raw, conv2d_raw_backward
+from .conv import ConvKernel, as_pair, conv2d_raw, conv2d_raw_backward, out_extent
 from .geometry import LpscConfig
 from .lpsc import (
     LpscWeights,
@@ -153,18 +156,22 @@ def _glorot(rng, shape, fan_in, fan_out):
 
 
 def _opt(options, key, default=None, cast=None):
-    value = options.get(key, default)
+    value = options.pop(key, default)
     if value is None:
         raise ValueError(f"missing required option {key!r}")
     return cast(value) if cast is not None else value
 
 
 class _Layer:
-    """Shared plumbing: parameter registry and shape bookkeeping."""
+    """Shared plumbing: parameter registry and shape bookkeeping.
+
+    Constructors pop the options they read; build_network rejects any
+    option left over.
+    """
 
     kind = "?"
 
-    def __init__(self, index):
+    def __init__(self, index, options=None):
         self.index = index
         self.name = f"layer.{index}"
 
@@ -193,6 +200,17 @@ def _need_spatial(layer, in_shape):
     return in_shape
 
 
+def _conv_out_shape(layer, in_shape, extent, stride, padding):
+    """Output shape of a conv-like layer whose window spans *extent* cells."""
+    h, w, _ = _need_spatial(layer, in_shape)
+    try:
+        ho = out_extent(h, extent, stride[0], padding[0])
+        wo = out_extent(w, extent, stride[1], padding[1])
+    except ValueError as exc:
+        raise ValueError(f"{layer.describe()}: {exc}") from None
+    return (ho, wo, layer.out_channels)
+
+
 class ConvLayer(_Layer):
     kind = "conv"
 
@@ -200,18 +218,14 @@ class ConvLayer(_Layer):
         super().__init__(index)
         self.out_channels = _opt(options, "out_channels", cast=int)
         self.kernel_size = _opt(options, "kernel_size", cast=int)
-        self.stride = as_pair(options.get("stride", 1), "stride")
-        self.padding = as_pair(options.get("padding", 0), "padding")
-        self.use_bias = bool(options.get("bias", True))
+        self.stride = as_pair(options.pop("stride", 1), "stride")
+        self.padding = as_pair(options.pop("padding", 0), "padding")
+        self.use_bias = bool(options.pop("bias", True))
         self.weights = None
         self.bias = None
 
     def out_shape(self, in_shape):
-        h, w, c = _need_spatial(self, in_shape)
-        k, (sh, sw), (ph, pw) = self.kernel_size, self.stride, self.padding
-        if h + 2 * ph < k or w + 2 * pw < k:
-            raise ValueError(f"{self.describe()}: kernel {k} exceeds padded input {in_shape}")
-        return ((h + 2 * ph - k) // sh + 1, (w + 2 * pw - k) // sw + 1, self.out_channels)
+        return _conv_out_shape(self, in_shape, self.kernel_size, self.stride, self.padding)
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -247,28 +261,24 @@ class LpscLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
         self.out_channels = _opt(options, "out_channels", cast=int)
-        self.use_bias = bool(options.get("bias", True))
+        self.use_bias = bool(options.pop("bias", True))
         self.config = LpscConfig(
             kernel_size=_opt(options, "size", cast=int),
             levels_r=_opt(options, "levels_r", cast=int),
             levels_theta=_opt(options, "levels_theta", cast=int),
             growth=_opt(options, "growth", cast=float),
-            alpha=float(options.get("alpha", 0.0)),
-            eccentricity=float(options.get("eccentricity", 0.0)),
-            stride=as_pair(options.get("stride", 1), "stride"),
-            padding=as_pair(options.get("padding", 0), "padding"),
-            pooling_mode=str(options.get("pooling", "mean")),
-            center_conv=bool(options.get("center_conv", True)),
+            alpha=float(options.pop("alpha", 0.0)),
+            eccentricity=float(options.pop("eccentricity", 0.0)),
+            stride=as_pair(options.pop("stride", 1), "stride"),
+            padding=as_pair(options.pop("padding", 0), "padding"),
+            pooling_mode=str(options.pop("pooling", "mean")),
+            center_conv=bool(options.pop("center_conv", True)),
         )
         self.weights: LpscWeights | None = None
 
     def out_shape(self, in_shape):
-        h, w, c = _need_spatial(self, in_shape)
-        k = self.config.kernel_size
-        (sh, sw), (ph, pw) = self.config.stride, self.config.padding
-        if h + 2 * ph < k or w + 2 * pw < k:
-            raise ValueError(f"{self.describe()}: kernel {k} exceeds padded input {in_shape}")
-        return ((h + 2 * ph - k) // sh + 1, (w + 2 * pw - k) // sw + 1, self.out_channels)
+        cfg = self.config
+        return _conv_out_shape(self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding)
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -308,24 +318,18 @@ class DilatedLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
         self.out_channels = _opt(options, "out_channels", cast=int)
-        self.use_bias = bool(options.get("bias", True))
+        self.use_bias = bool(options.pop("bias", True))
         self.config = DilatedConfig(
             kernel_size=_opt(options, "kernel_size", cast=int),
-            dilation=int(options.get("dilation", 1)),
-            stride=as_pair(options.get("stride", 1), "stride"),
-            padding=as_pair(options.get("padding", 0), "padding"),
+            dilation=int(options.pop("dilation", 1)),
+            stride=as_pair(options.pop("stride", 1), "stride"),
+            padding=as_pair(options.pop("padding", 0), "padding"),
         )
         self.kernel: ConvKernel | None = None
 
     def out_shape(self, in_shape):
-        h, w, c = _need_spatial(self, in_shape)
-        eff = self.config.effective_extent
-        (sh, sw), (ph, pw) = self.config.stride, self.config.padding
-        if h + 2 * ph < eff or w + 2 * pw < eff:
-            raise ValueError(
-                f"{self.describe()}: effective extent {eff} exceeds padded input {in_shape}"
-            )
-        return ((h + 2 * ph - eff) // sh + 1, (w + 2 * pw - eff) // sw + 1, self.out_channels)
+        cfg = self.config
+        return _conv_out_shape(self, in_shape, cfg.effective_extent, cfg.stride, cfg.padding)
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -358,23 +362,19 @@ class SquareShareLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
         self.out_channels = _opt(options, "out_channels", cast=int)
-        self.use_bias = bool(options.get("bias", True))
+        self.use_bias = bool(options.pop("bias", True))
         self.config = SquareShareConfig(
             kernel_size=_opt(options, "kernel_size", cast=int),
-            pool_size=int(options.get("pool_size", 1)),
-            stride=as_pair(options.get("stride", 1), "stride"),
-            padding=as_pair(options.get("padding", 0), "padding"),
+            pool_size=int(options.pop("pool_size", 1)),
+            stride=as_pair(options.pop("stride", 1), "stride"),
+            padding=as_pair(options.pop("padding", 0), "padding"),
         )
         self.regions = None
         self.bias = None
 
     def out_shape(self, in_shape):
-        h, w, c = _need_spatial(self, in_shape)
-        k = self.config.kernel_size
-        (sh, sw), (ph, pw) = self.config.stride, self.config.padding
-        if h + 2 * ph < k or w + 2 * pw < k:
-            raise ValueError(f"{self.describe()}: kernel {k} exceeds padded input {in_shape}")
-        return ((h + 2 * ph - k) // sh + 1, (w + 2 * pw - k) // sw + 1, self.out_channels)
+        cfg = self.config
+        return _conv_out_shape(self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding)
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -406,11 +406,6 @@ class SquareShareLayer(_Layer):
 class ReluLayer(_Layer):
     kind = "relu"
 
-    def __init__(self, index, options):
-        super().__init__(index)
-        if options:
-            raise ValueError(f"{self.describe()}: takes no options, got {sorted(options)}")
-
     def out_shape(self, in_shape):
         return in_shape
 
@@ -424,8 +419,8 @@ class ReluLayer(_Layer):
 class _PoolLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
-        self.size = int(options.get("size", 2))
-        self.stride = int(options.get("stride", self.size))
+        self.size = int(options.pop("size", 2))
+        self.stride = int(options.pop("stride", self.size))
         if self.size < 1 or self.stride < 1:
             raise ValueError(f"{self.describe()}: size and stride must be positive")
 
@@ -459,11 +454,6 @@ class MeanPoolLayer(_PoolLayer):
 class FlattenLayer(_Layer):
     kind = "flatten"
 
-    def __init__(self, index, options):
-        super().__init__(index)
-        if options:
-            raise ValueError(f"{self.describe()}: takes no options, got {sorted(options)}")
-
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
@@ -480,7 +470,7 @@ class DenseLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
         self.units = _opt(options, "units", cast=int)
-        self.use_bias = bool(options.get("bias", True))
+        self.use_bias = bool(options.pop("bias", True))
         self.weights = None
         self.bias = None
 
@@ -595,8 +585,10 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
     shapes = [tuple(spec.input_shape)]
     shape = tuple(spec.input_shape)
     for i, layer_spec in enumerate(spec.layers, start=1):
-        cls = _LAYER_CLASSES[layer_spec.kind]
-        layer = cls(i, dict(layer_spec.options))
+        options = dict(layer_spec.options)
+        layer = _LAYER_CLASSES[layer_spec.kind](i, options)
+        if options:
+            raise ValueError(f"{layer.describe()}: unknown options {sorted(options)}")
         out = layer.out_shape(shape)
         layer.init_params(shape, rng)
         layers.append(layer)

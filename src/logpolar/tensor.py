@@ -17,11 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "tensor", "save_tensor", "load_tensor"]
-
-# The universal value carrier. Kept as an alias: numpy arrays already
-# guarantee shape/data consistency; finiteness is checked at the borders.
-Tensor = np.ndarray
+__all__ = ["tensor", "save_tensor", "load_tensor"]
 
 
 def tensor(data, shape=None) -> np.ndarray:

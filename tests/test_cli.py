@@ -1,8 +1,14 @@
 """CLI subcommands: output formats, exit codes, file artifacts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import logpolar
 from logpolar.cli import main
 from logpolar.data import load_idx
 
@@ -118,6 +124,24 @@ class TestCheck:
         assert main(["check", "--weights", str(path)]) == 1
         assert "broken.lpscw" in capsys.readouterr().err
 
+    def test_gradient_checks_identical_across_hash_seeds(self):
+        # str hashes are salted per process, so the check's seeds must not use them
+        script = (
+            "from logpolar.checks import gradient_checks\n"
+            "for r in gradient_checks():\n"
+            "    print(r.name, repr(r.value))\n"
+        )
+        src = str(Path(logpolar.__file__).resolve().parent.parent)
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(run.stdout)
+        assert outputs[0].count("gradient") == 6
+        assert outputs[0] == outputs[1]
+
 
 class TestTrainEval:
     def test_train_writes_history_and_checkpoint(self, tmp_path, lpsc_cfg, capsys):
@@ -211,6 +235,13 @@ class TestCount:
         lpsc_row = next(line for line in out.splitlines() if "lpsc" in line)
         # (levels_r * levels_theta + 1) * C_in * C_out + bias
         assert str((2 * 6 + 1) * 1 * 4 + 4) in lpsc_row
+
+    def test_unknown_layer_option_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(LPSC_CFG.replace("padding = 2", "pading = 2"))
+        assert main(["count", "--net", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "layer.1 (lpsc)" in err and "pading" in err
 
     def test_csv_output(self, tmp_path, lpsc_cfg):
         csv = tmp_path / "costs.csv"

@@ -12,7 +12,6 @@ from logpolar.geometry import (
     DegenerateGeometryWarning,
     LpscConfig,
     build_mask,
-    build_mask_elliptical,
     direction_sector,
     mask_to_pgm,
     mask_to_text,
@@ -165,14 +164,14 @@ class TestDirections:
 class TestElliptical:
     def test_zero_settings_identical_to_circular(self):
         a = build_mask(cfg(5, 2, 8, 2))
-        b = build_mask_elliptical(cfg(5, 2, 8, 2, alpha=0.0, eccentricity=0.0))
+        b = build_mask(cfg(5, 2, 8, 2, alpha=0.0, eccentricity=0.0))
         assert np.array_equal(a.index_grid, b.index_grid)
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.radii, b.radii)
 
     def test_alpha_shifts_sectors_one_bin(self):
         base = build_mask(cfg(5, 2, 8, 2))
-        rot = build_mask_elliptical(cfg(5, 2, 8, 2, alpha=math.pi / 4))
+        rot = build_mask(cfg(5, 2, 8, 2, alpha=math.pi / 4))
         lt = 8
         for i in range(5):
             for j in range(5):
@@ -188,7 +187,7 @@ class TestElliptical:
     def test_high_eccentricity_squeezes_minor_axis(self):
         # the major axis lies along alpha = 0, i.e. the row direction of
         # the reference vector (0, 1): (0, R) stays, (R, 0) drops out
-        mask = build_mask_elliptical(cfg(5, 2, 8, 2, eccentricity=0.9))
+        mask = build_mask(cfg(5, 2, 8, 2, eccentricity=0.9))
         assert mask.index_grid[2, 4] > 0  # offset (0, R)
         assert mask.index_grid[4, 2] == 0  # offset (R, 0)
         assert squared_cell_distance(2, 0, 0.0, 0.9) > 4.0

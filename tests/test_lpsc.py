@@ -1,12 +1,17 @@
-"""The log-polar operator: pooling layout, path equivalence, adjoints."""
+"""The log-polar operator: region-channel pooling, path equivalence, adjoints."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logpolar.geometry import LpscConfig, build_mask
+from logpolar.checks import EQUIVALENCE_TOL
+from logpolar.geometry import POOLING_MODES, DegenerateGeometryWarning, LpscConfig, build_mask
 from logpolar.lpsc import (
     LpscWeights,
-    block_layout,
     load_lpsc_weights,
     log_polar_pool,
     lpsc_backward,
@@ -77,57 +82,41 @@ def make_weights(config, cin, cout, rng, bias=True):
     )
 
 
-class TestBlockLayout:
-    def test_bijection_covers_all_regions(self):
-        lay = block_layout(3, 8)
-        assert lay.shape == (6, 4, 2)
-        seen = {(int(l), int(m)) for l, m in lay.reshape(-1, 2)}
-        assert seen == {(l, m) for l in range(1, 4) for m in range(1, 9)}
-
-    def test_radial_ordering(self):
-        lay = block_layout(2, 8)
-        # upper half: outermost shell first; lower half: innermost first
-        assert list(lay[:, 0, 0]) == [2, 1, 1, 2]
-        assert list(lay[:, 0, 1]) == [1, 1, 8, 8]
-        assert list(lay[:, 3, 1]) == [4, 4, 5, 5]
-
-
 class TestLogPolarPool:
-    def test_upsampled_shape(self):
+    def test_region_channel_shape(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2, padding=(2, 2))
         x = RNG.normal(size=(8, 8, 3))
-        pm = log_polar_pool(x, build_mask(c), c.stride, c.padding, "mean")
-        assert (pm.grid_h, pm.grid_w) == (8, 8)
-        assert pm.data.shape == (2 * 8 * 2, 8 * 3, 3)  # 32 x 24
+        assert log_polar_pool(x, c).shape == (8, 8, 2 * 6 * 3)
+        assert log_polar_pool(x[None], c).shape == (1, 8, 8, 2 * 6 * 3)
 
-    def test_constant_input_mean_block(self):
+    def test_constant_input_mean(self):
         # levels_theta=4 leaves no region empty on the size-5 kernel, so a
-        # constant input pools to that constant everywhere in the block
+        # constant input pools to that constant in every region channel
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2)
         x = np.full((7, 7, 1), 3.25)
-        pm = log_polar_pool(x, build_mask(c), (1, 1), (0, 0), "mean")
-        block = pm.data[1 * 4 : 2 * 4, 1 * 2 : 2 * 2, 0]
-        assert np.array_equal(block, np.full((4, 2), 3.25))
+        assert np.array_equal(log_polar_pool(x, c), np.full((3, 3, 8), 3.25))
 
     def test_single_location_sum_mode_outer_shell(self):
-        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
-        x = RNG.normal(size=(5, 5, 1))
-        pm = log_polar_pool(x, build_mask(c), (1, 1), (0, 0), "sum")
-        assert (pm.grid_h, pm.grid_w) == (1, 1)
-        block = pm.data[:, :, 0]  # (4, 4)
-        # outer shell of sectors 1..4 sits in row 0, of sectors 8..5 in row 3
-        assert block[0, 0] == x[2, 4, 0]  # shell 2, sector 1 = offset (0, 2)
-        assert block[0, 2] == x[0, 2, 0]  # sector 3 = offset (-2, 0)
-        assert block[3, 3] == x[2, 0, 0]  # sector 5 = offset (0, -2)
-        assert block[3, 1] == x[4, 2, 0]  # sector 7 = offset (2, 0)
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, pooling_mode="sum")
+        mask = build_mask(c)
+        x = RNG.normal(size=(5, 5, 2))
+        pooled = log_polar_pool(x, c)
+        assert pooled.shape == (1, 1, 16 * 2)
+        slots = pooled[0, 0].reshape(16, 2)  # region k = (level-1)*8 + sector-1, then channel
+        for k in range(16):
+            np.testing.assert_allclose(slots[k], x[mask.index_grid == k + 1].sum(axis=0), rtol=1e-14)
+        # the outer shell holds one cell on each axis
+        assert np.array_equal(slots[8], x[2, 4])  # shell 2, sector 1 = offset (0, 2)
+        assert np.array_equal(slots[10], x[0, 2])  # sector 3 = offset (-2, 0)
+        assert np.array_equal(slots[12], x[2, 0])  # sector 5 = offset (0, -2)
+        assert np.array_equal(slots[14], x[4, 2])  # sector 7 = offset (2, 0)
         # empty outer sectors (diagonals fall outside) pool to zero
-        assert block[0, 1] == 0.0 and block[0, 3] == 0.0
-        assert block[3, 0] == 0.0 and block[3, 2] == 0.0
+        assert not slots[[9, 11, 13, 15]].any()
 
     def test_mask_larger_than_padded_input(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
         with pytest.raises(ValueError, match="larger than padded input"):
-            log_polar_pool(np.ones((3, 3, 1)), build_mask(c), (1, 1), (0, 0), "mean")
+            log_polar_pool(np.ones((3, 3, 1)), c)
 
 
 class TestForward:
@@ -454,3 +443,69 @@ class TestRegionOffsets:
         assert all(len(o) == mask.counts.ravel()[k] for k, o in enumerate(offs))
         # row-major: sector 2 of shell 1 is the single cell (-1, 1)
         assert offs[1].tolist() == [[-1, 1]]
+
+
+@st.composite
+def operator_cases(draw):
+    """A random configuration from the whole space, with input and weights."""
+    radius = draw(st.integers(1, 4))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (draw(st.integers(0, radius)), draw(st.integers(0, radius)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateGeometryWarning)
+        config = LpscConfig(
+            kernel_size=2 * radius + 1,
+            levels_r=draw(st.integers(1, 3)),
+            levels_theta=draw(st.sampled_from([2, 4, 6, 8])),
+            growth=draw(st.sampled_from([1.5, 2.0, 3.0])),
+            alpha=draw(st.floats(0.0, 2 * math.pi)),
+            eccentricity=draw(st.floats(0.0, 0.9)),
+            stride=stride,
+            padding=padding,
+            pooling_mode=draw(st.sampled_from(POOLING_MODES)),
+            center_conv=draw(st.booleans()),
+        )
+    k = config.kernel_size
+    h = draw(st.integers(k - 2 * padding[0], k + 4))
+    w = draw(st.integers(k - 2 * padding[1], k + 4))
+    cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(draw(st.integers(1, 2)), h, w, cin))
+    return config, x, make_weights(config, cin, cout, rng), rng
+
+
+def _adjoint_gap(lhs, rhs, scale):
+    return abs(lhs - rhs) / max(scale, 1e-300)
+
+
+class TestProperties:
+    """Fast path against the reference and the adjoint identities, drawn
+    over alpha, eccentricity, every pooling mode, and non-square stride,
+    padding and input extents."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_cases())
+    def test_fast_matches_reference(self, case):
+        config, x, weights, _ = case
+        got = lpsc_forward_fast(x, config, weights)
+        want = lpsc_forward_reference(x, config, weights)
+        assert got.shape == want.shape
+        assert max_rel_error(got, want) < EQUIVALENCE_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_cases())
+    def test_adjoint_identities(self, case):
+        # <f(x), g> == <x, f^T g> and == <w, d/dw> with the bias left out;
+        # max mode is piecewise linear, so the identities hold there too
+        config, x, weights, rng = case
+        weights = LpscWeights(center=weights.center, regions=weights.regions)
+        out = lpsc_forward_fast(x, config, weights)
+        g = rng.normal(size=out.shape)
+        grad_x, grad_w = lpsc_backward(x, config, weights, g)
+        lhs = float(np.vdot(out, g))
+        scale = float(np.vdot(np.abs(out), np.abs(g)))
+        rhs_x = float(np.vdot(x, grad_x))
+        rhs_w = float(np.vdot(weights.center, grad_w.center) + np.vdot(weights.regions, grad_w.regions))
+        assert _adjoint_gap(lhs, rhs_x, scale) < EQUIVALENCE_TOL
+        assert _adjoint_gap(lhs, rhs_w, scale) < EQUIVALENCE_TOL
+        assert grad_w.bias is None

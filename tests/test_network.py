@@ -117,6 +117,22 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"layer\.1 \(conv\)"):
             build_network(spec)
 
+    @pytest.mark.parametrize(
+        "kind, options, bad",
+        [
+            ("relu", {"size": 2}, "size"),
+            ("conv", {"out_channels": 2, "kernel_size": 3, "pading": 1}, "pading"),
+        ],
+    )
+    def test_unknown_option_names_layer_and_key(self, kind, options, bad):
+        spec = NetSpec(
+            layers=[LayerSpec(kind, options), LayerSpec("flatten"), LayerSpec("dense", {"units": 2})],
+            input_shape=(4, 4, 1),
+            num_classes=2,
+        )
+        with pytest.raises(ValueError, match=rf"layer\.1 \({kind}\): unknown options \['{bad}'\]"):
+            build_network(spec)
+
     def test_parameter_counts_match_formulas(self):
         spec = NetSpec(
             layers=[
