@@ -3,7 +3,7 @@
 Subcommands: mask, check, train, eval, erf, viz, count, gen-data. Every
 command is deterministic given its flags and --seed. Exit codes: 0 on
 success, 1 on validation errors (bad flags, bad configs, bad files), 2 on
-numerical check failures.
+numerical failures (a failed check, a non-finite training loss).
 
 All file outputs land under explicit --out paths; nothing writes to the
 working directory implicitly.
@@ -336,6 +336,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"lpsc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except FloatingPointError as exc:
+        print(f"lpsc: numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Conventional 2-D convolution and its exact adjoints.
 
 Kernels are rank-4 ``(kh, kw, C_in, C_out)`` over channels-last data.
-Evaluation is im2col plus one tensor contraction. ``dilation`` spaces the
-kernel taps (used by the dilated-convolution baseline); padding is always
-zero-padding. Output extents follow
+``windows`` is the one window primitive of the package: a single strided
+view ``(N, Ho, Wo, kh, kw, C)`` of every window of a padded batch. The
+convolution contracts that view with the kernel in one tensor
+contraction, and its adjoint adds each tap of the gradient back through
+a writeable view; the ``ops`` pools and the ``lpsc`` cells read the same
+view. ``dilation`` spaces the kernel taps (used by the dilated-convolution
+baseline); padding is always zero-padding. Output extents follow
 
     out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
 
@@ -31,6 +35,9 @@ __all__ = [
     "as_pair",
     "ensure_batched",
     "out_extent",
+    "pad",
+    "unpad",
+    "windows",
 ]
 
 
@@ -96,6 +103,36 @@ def out_extent(size, extent, stride, pad) -> int:
     return (padded - extent) // stride + 1
 
 
+def pad(x, padding):
+    """(N, H, W, C) *x* zero-padded by (ph, pw) on both sides; *x* itself if both are 0."""
+    ph, pw = padding
+    if ph == 0 and pw == 0:
+        return x
+    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+
+
+def unpad(xp, padding):
+    """The view of *xp* that ``pad(x, padding)`` filled from *x*."""
+    ph, pw = padding
+    return xp[:, ph : xp.shape[1] - ph, pw : xp.shape[2] - pw]
+
+
+def windows(xp, size, stride, dilation=(1, 1), writeable=False):
+    """Every window of the padded batch *xp* as one (N, Ho, Wo, kh, kw, C) view.
+
+    Element [n, i, j, a, b, c] is xp[n, i*sh + a*dh, j*sw + b*dw, c]; no
+    data is copied. Overlapping windows share memory, so write through a
+    ``writeable`` view one tap [:, :, :, a, b] at a time.
+    """
+    (kh, kw), (sh, sw), (dh, dw) = size, stride, dilation
+    n, h, w, c = xp.shape
+    ho = out_extent(h, (kh - 1) * dh + 1, sh, 0)
+    wo = out_extent(w, (kw - 1) * dw + 1, sw, 0)
+    s_n, s_h, s_w, s_c = xp.strides
+    strides = (s_n, s_h * sh, s_w * sw, s_h * dh, s_w * dw, s_c)
+    return np.lib.stride_tricks.as_strided(xp, (n, ho, wo, kh, kw, c), strides, writeable=writeable)
+
+
 def _check_geometry(stride, padding, dilation):
     sh, sw = stride
     ph, pw = padding
@@ -108,24 +145,8 @@ def _check_geometry(stride, padding, dilation):
         raise ValueError(f"dilation must be >= 1, got {dilation}")
 
 
-def _im2col(xp, kh, kw, stride, dilation, out_hw):
-    """Gather sliding windows: (N, Ho, Wo, kh, kw, C)."""
-    n, _, _, c = xp.shape
-    ho, wo = out_hw
-    sh, sw = stride
-    dh, dw = dilation
-    cols = np.empty((n, ho, wo, kh, kw, c), dtype=np.float64)
-    for a in range(kh):
-        ra = a * dh
-        for b in range(kw):
-            cb = b * dw
-            cols[:, :, :, a, b, :] = xp[
-                :, ra : ra + (ho - 1) * sh + 1 : sh, cb : cb + (wo - 1) * sw + 1 : sw, :
-            ]
-    return cols
-
-
 def _prepare(x, weights, stride, padding, dilation):
+    """(batched x, had batch dim, weights, padded x, padding, windows' geometry)."""
     xb, batched = ensure_batched(x)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 4:
@@ -138,11 +159,7 @@ def _prepare(x, weights, stride, padding, dilation):
     padding = as_pair(padding, "padding")
     dilation = as_pair(dilation, "dilation")
     _check_geometry(stride, padding, dilation)
-    kh, kw = w.shape[:2]
-    ho = out_extent(xb.shape[1], (kh - 1) * dilation[0] + 1, stride[0], padding[0])
-    wo = out_extent(xb.shape[2], (kw - 1) * dilation[1] + 1, stride[1], padding[1])
-    xp = np.pad(xb, ((0, 0), (padding[0], padding[0]), (padding[1], padding[1]), (0, 0)))
-    return xb, batched, w, xp, stride, dilation, (ho, wo)
+    return xb, batched, w, pad(xb, padding), padding, (w.shape[:2], stride, dilation)
 
 
 def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None):
@@ -151,11 +168,8 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
     No restriction on the kernel's spatial size; used directly by the
     log-polar region convolution (1x1) and the baselines.
     """
-    _, batched, w, xp, stride, dilation, out_hw = _prepare(
-        x, weights, stride, padding, dilation
-    )
-    cols = _im2col(xp, w.shape[0], w.shape[1], stride, dilation, out_hw)
-    out = np.tensordot(cols, w, axes=([3, 4, 5], [0, 1, 2]))
+    _, batched, w, xp, _, geometry = _prepare(x, weights, stride, padding, dilation)
+    out = np.tensordot(windows(xp, *geometry), w, axes=([3, 4, 5], [0, 1, 2]))
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float64)
     return out if batched else out[0]
@@ -172,30 +186,19 @@ def conv2d_raw_backward(
     x, weights, grad_output, stride=(1, 1), padding=(0, 0), dilation=(1, 1), has_bias=False
 ):
     """Adjoints of conv2d_raw: (grad_input, grad_weights, grad_bias)."""
-    xb, batched, w, xp, stride, dilation, out_hw = _prepare(
-        x, weights, stride, padding, dilation
-    )
-    g, g_batched = ensure_batched(grad_output)
-    expected = (xb.shape[0], out_hw[0], out_hw[1], w.shape[3])
+    xb, batched, w, xp, padding, geometry = _prepare(x, weights, stride, padding, dilation)
+    cols = windows(xp, *geometry)
+    g, _ = ensure_batched(grad_output)
+    expected = (*cols.shape[:3], w.shape[3])
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
-    kh, kw = w.shape[:2]
-    sh, sw = stride
-    dh, dw = dilation
-    ho, wo = out_hw
-    cols = _im2col(xp, kh, kw, stride, dilation, out_hw)
     grad_w = np.tensordot(cols, g, axes=([0, 1, 2], [0, 1, 2]))
     grad_cols = np.tensordot(g, w, axes=([3], [3]))  # (N, Ho, Wo, kh, kw, C_in)
     grad_xp = np.zeros_like(xp)
-    for a in range(kh):
-        ra = a * dh
-        for b in range(kw):
-            cb = b * dw
-            grad_xp[
-                :, ra : ra + (ho - 1) * sh + 1 : sh, cb : cb + (wo - 1) * sw + 1 : sw, :
-            ] += grad_cols[:, :, :, a, b, :]
-    ph, pw = as_pair(padding, "padding")
-    grad_x = grad_xp[:, ph : ph + xb.shape[1], pw : pw + xb.shape[2], :]
+    grad_windows = windows(grad_xp, *geometry, writeable=True)
+    for a, b in np.ndindex(*w.shape[:2]):
+        grad_windows[:, :, :, a, b] += grad_cols[:, :, :, a, b]
+    grad_x = unpad(grad_xp, padding)
     grad_b = g.sum(axis=(0, 1, 2)) if has_bias else None
     if not batched:
         grad_x = grad_x[0]

@@ -12,6 +12,11 @@ Two evaluation paths compute the same linear map:
   produces the context response, and a separate 1x1 convolution over the
   window centers adds the center-pixel response.
 
+Every cell read goes through ``conv.windows``, the one window primitive:
+``windows(xp, (k, k), stride)[:, :, :, r + dr, r + dc]`` is mask cell
+(dr, dc) of every window position of the padded input ``xp``, and the
+same index on a writeable view of the gradient adds into it.
+
 Region channels: region k = (level-1)*levels_theta + (sector-1) fills
 pooled channels k*C_in ... (k+1)*C_in - 1, the C order of
 ``LpscWeights.regions``, so the 1x1 kernel is the region weights reshaped
@@ -40,7 +45,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import conv2d_raw, conv2d_raw_backward, ensure_batched, out_extent
+from .conv import (
+    conv2d_raw,
+    conv2d_raw_backward,
+    ensure_batched,
+    out_extent,
+    pad,
+    unpad,
+    windows,
+)
 from .geometry import LogPolarMask, LpscConfig, build_mask
 
 __all__ = [
@@ -117,20 +130,6 @@ def lpsc_output_shape(input_hw, config: LpscConfig) -> tuple[int, int]:
     return out_extent(input_hw[0], k, sh, ph), out_extent(input_hw[1], k, sw, pw)
 
 
-def _pad(xb, padding):
-    ph, pw = padding
-    return np.pad(xb, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-
-
-def _cell_slice(xp, radius, dr, dc, stride, grid_hw):
-    """Strided view of a single mask cell across all window positions."""
-    sh, sw = stride
-    gh, gw = grid_hw
-    r0 = radius + dr
-    c0 = radius + dc
-    return xp[:, r0 : r0 + (gh - 1) * sh + 1 : sh, c0 : c0 + (gw - 1) * sw + 1 : sw, :]
-
-
 def log_polar_pool(input, config: LpscConfig):
     """Pool every window's regions into channels.
 
@@ -141,9 +140,10 @@ def log_polar_pool(input, config: LpscConfig):
     """
     xb, batched = ensure_batched(input)
     mask, offsets = _plan(config)
-    grid_hw = lpsc_output_shape(xb.shape[1:3], config)
-    xp = _pad(xb, config.padding)
+    r, size = config.radius, config.kernel_size
+    win = windows(pad(xb, config.padding), (size, size), config.stride)
     n, c = xb.shape[0], xb.shape[3]
+    grid_hw = win.shape[1:3]
     pooled = np.zeros((n, *grid_hw, len(offsets), c), dtype=np.float64)
     acc = np.empty((n, *grid_hw, c), dtype=np.float64)  # contiguous, so the adds stay fast
     combine = np.maximum if config.pooling_mode == "max" else np.add
@@ -151,7 +151,7 @@ def log_polar_pool(input, config: LpscConfig):
     for k, cells in enumerate(offsets):
         if len(cells) == 0:
             continue
-        slices = (_cell_slice(xp, mask.radius, dr, dc, config.stride, grid_hw) for dr, dc in cells)
+        slices = (win[:, :, :, r + dr, r + dc] for dr, dc in cells)
         acc[...] = next(slices)
         for sl in slices:
             combine(acc, sl, out=acc)
@@ -186,8 +186,8 @@ def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights):
     pooled = log_polar_pool(xb, config)
     out = conv2d_raw(pooled, _region_kernel(weights), bias=weights.bias)
     if config.center_conv:
-        xp = _pad(xb, config.padding)
-        centers = _cell_slice(xp, config.radius, 0, 0, config.stride, out.shape[1:3])
+        r, size = config.radius, config.kernel_size
+        centers = windows(pad(xb, config.padding), (size, size), config.stride)[:, :, :, r, r]
         out += np.einsum("nijc,cd->nijd", centers, weights.center)
     return out if batched else out[0]
 
@@ -197,8 +197,9 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
     mask, offsets = _plan(config)
-    grid_hw = lpsc_output_shape(xb.shape[1:3], config)
-    xp = _pad(xb, config.padding)
+    r, size = config.radius, config.kernel_size
+    win = windows(pad(xb, config.padding), (size, size), config.stride)
+    grid_hw = win.shape[1:3]
     lt = config.levels_theta
     counts = mask.counts.ravel()
     out = np.zeros(
@@ -210,21 +211,17 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
         level, sector = k // lt, k % lt
         w = weights.regions[level, sector]
         if config.pooling_mode == "max":
-            best = _cell_slice(xp, mask.radius, cells[0][0], cells[0][1], config.stride, grid_hw)
+            best = win[:, :, :, r + cells[0][0], r + cells[0][1]]
             for dr, dc in cells[1:]:
-                best = np.maximum(
-                    best, _cell_slice(xp, mask.radius, dr, dc, config.stride, grid_hw)
-                )
+                best = np.maximum(best, win[:, :, :, r + dr, r + dc])
             out += np.einsum("nijc,cd->nijd", best, w)
         else:
             if config.pooling_mode == "mean":
                 w = w / max(int(counts[k]), 1)
             for dr, dc in cells:
-                sl = _cell_slice(xp, mask.radius, dr, dc, config.stride, grid_hw)
-                out += np.einsum("nijc,cd->nijd", sl, w)
+                out += np.einsum("nijc,cd->nijd", win[:, :, :, r + dr, r + dc], w)
     if config.center_conv:
-        centers = _cell_slice(xp, mask.radius, 0, 0, config.stride, grid_hw)
-        out += np.einsum("nijc,cd->nijd", centers, weights.center)
+        out += np.einsum("nijc,cd->nijd", win[:, :, :, r, r], weights.center)
     if weights.bias is not None:
         out += weights.bias
     return out if batched else out[0]
@@ -253,54 +250,50 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output):
     grad_regions = grad_kernel.reshape(weights.regions.shape)
     grad_pooled = grad_pooled.reshape(*g.shape[:3], len(offsets), xb.shape[3])
 
-    xp = _pad(xb, config.padding)
+    r, size = config.radius, config.kernel_size
+    xp = pad(xb, config.padding)
+    win = windows(xp, (size, size), config.stride)
     grad_xp = np.zeros_like(xp)
+    grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
     counts = mask.counts.ravel()
-    stride = config.stride
     for k, cells in enumerate(offsets):
         if len(cells) == 0:
             continue
         gk = grad_pooled[:, :, :, k]
         if config.pooling_mode == "max":
-            stack = np.stack(
-                [_cell_slice(xp, mask.radius, dr, dc, stride, grid_hw) for dr, dc in cells]
-            )
+            stack = np.stack([win[:, :, :, r + dr, r + dc] for dr, dc in cells])
             winner = stack.argmax(axis=0)  # first maximal cell wins ties
             for t, (dr, dc) in enumerate(cells):
-                _cell_slice(grad_xp, mask.radius, dr, dc, stride, grid_hw)[...] += gk * (
-                    winner == t
-                )
+                grad_win[:, :, :, r + dr, r + dc] += gk * (winner == t)
         else:
             share = gk / max(int(counts[k]), 1) if config.pooling_mode == "mean" else gk
             for dr, dc in cells:
-                _cell_slice(grad_xp, mask.radius, dr, dc, stride, grid_hw)[...] += share
+                grad_win[:, :, :, r + dr, r + dc] += share
 
     grad_center = np.zeros_like(weights.center)
     if config.center_conv:
-        centers = _cell_slice(xp, mask.radius, 0, 0, stride, grid_hw)
-        grad_center += np.einsum("nijc,nijd->cd", centers, g)
-        _cell_slice(grad_xp, mask.radius, 0, 0, stride, grid_hw)[...] += np.einsum(
-            "nijd,cd->nijc", g, weights.center
-        )
+        grad_center += np.einsum("nijc,nijd->cd", win[:, :, :, r, r], g)
+        grad_win[:, :, :, r, r] += np.einsum("nijd,cd->nijc", g, weights.center)
 
-    ph, pw = config.padding
-    grad_input = grad_xp[:, ph : ph + xb.shape[1], pw : pw + xb.shape[2], :]
+    grad_input = unpad(grad_xp, config.padding)
     if not batched:
         grad_input = grad_input[0]
     return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=grad_bias)
 
 
 def save_lpsc_weights(path, weights: LpscWeights) -> None:
-    """Write weights to *path* in LPSCW v1 format."""
+    """Write weights to *path* in LPSCW v1 format; NaN or Inf raises before the file opens."""
     lr, lt, cin, cout = weights.regions.shape
-    has_bias = 1 if weights.bias is not None else 0
-    header = f"LPSCW v1 {lr} {lt} {cin} {cout} {has_bias}\n"
+    blocks = [weights.center, weights.regions]
+    if weights.bias is not None:
+        blocks.append(weights.bias)
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise ValueError(f"{path}: refusing to write NaN or Inf")
+    header = f"LPSCW v1 {lr} {lt} {cin} {cout} {int(weights.bias is not None)}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(weights.center.astype("<f8").tobytes(order="C"))
-        fh.write(weights.regions.astype("<f8").tobytes(order="C"))
-        if weights.bias is not None:
-            fh.write(weights.bias.astype("<f8").tobytes(order="C"))
+        for block in blocks:
+            fh.write(block.astype("<f8").tobytes(order="C"))
 
 
 def load_lpsc_weights(path) -> LpscWeights:

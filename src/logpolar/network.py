@@ -43,7 +43,8 @@ Network spec files are INI-style text::
     seed = 1
 
 A key that its section does not know is an error, naming the section
-and the key.
+and the key; so is a flag (``bias``, ``center_conv``) whose value is not
+true/false (yes/no, on/off).
 
 Checkpoints are a directory with a ``manifest.txt`` (one ``<layer-index>
 <kind> <param> <filename>`` line per stored array) plus TNSR tensor files
@@ -155,10 +156,13 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _opt(options, key, default=None, cast=None):
+def _opt(layer, options, key, default=None, cast=None):
+    """Pop option *key*; ``cast=bool`` accepts only a real bool."""
     value = options.pop(key, default)
     if value is None:
-        raise ValueError(f"missing required option {key!r}")
+        raise ValueError(f"{layer.describe()}: missing required option {key!r}")
+    if cast is bool and not isinstance(value, bool):
+        raise ValueError(f"{layer.describe()}: option {key!r} must be true or false, got {value!r}")
     return cast(value) if cast is not None else value
 
 
@@ -200,15 +204,15 @@ def _need_spatial(layer, in_shape):
     return in_shape
 
 
-def _conv_out_shape(layer, in_shape, extent, stride, padding):
-    """Output shape of a conv-like layer whose window spans *extent* cells."""
+def _conv_out_shape(layer, in_shape, extent, stride, padding, channels):
+    """(Ho, Wo, channels) of a windowed layer whose window spans *extent* cells."""
     h, w, _ = _need_spatial(layer, in_shape)
     try:
         ho = out_extent(h, extent, stride[0], padding[0])
         wo = out_extent(w, extent, stride[1], padding[1])
     except ValueError as exc:
         raise ValueError(f"{layer.describe()}: {exc}") from None
-    return (ho, wo, layer.out_channels)
+    return (ho, wo, channels)
 
 
 class ConvLayer(_Layer):
@@ -216,16 +220,18 @@ class ConvLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(options, "out_channels", cast=int)
-        self.kernel_size = _opt(options, "kernel_size", cast=int)
+        self.out_channels = _opt(self, options, "out_channels", cast=int)
+        self.kernel_size = _opt(self, options, "kernel_size", cast=int)
         self.stride = as_pair(options.pop("stride", 1), "stride")
         self.padding = as_pair(options.pop("padding", 0), "padding")
-        self.use_bias = bool(options.pop("bias", True))
+        self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.weights = None
         self.bias = None
 
     def out_shape(self, in_shape):
-        return _conv_out_shape(self, in_shape, self.kernel_size, self.stride, self.padding)
+        return _conv_out_shape(
+            self, in_shape, self.kernel_size, self.stride, self.padding, self.out_channels
+        )
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -260,25 +266,27 @@ class LpscLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(options, "out_channels", cast=int)
-        self.use_bias = bool(options.pop("bias", True))
+        self.out_channels = _opt(self, options, "out_channels", cast=int)
+        self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.config = LpscConfig(
-            kernel_size=_opt(options, "size", cast=int),
-            levels_r=_opt(options, "levels_r", cast=int),
-            levels_theta=_opt(options, "levels_theta", cast=int),
-            growth=_opt(options, "growth", cast=float),
+            kernel_size=_opt(self, options, "size", cast=int),
+            levels_r=_opt(self, options, "levels_r", cast=int),
+            levels_theta=_opt(self, options, "levels_theta", cast=int),
+            growth=_opt(self, options, "growth", cast=float),
             alpha=float(options.pop("alpha", 0.0)),
             eccentricity=float(options.pop("eccentricity", 0.0)),
             stride=as_pair(options.pop("stride", 1), "stride"),
             padding=as_pair(options.pop("padding", 0), "padding"),
             pooling_mode=str(options.pop("pooling", "mean")),
-            center_conv=bool(options.pop("center_conv", True)),
+            center_conv=_opt(self, options, "center_conv", True, cast=bool),
         )
         self.weights: LpscWeights | None = None
 
     def out_shape(self, in_shape):
         cfg = self.config
-        return _conv_out_shape(self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding)
+        return _conv_out_shape(
+            self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding, self.out_channels
+        )
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -317,10 +325,10 @@ class DilatedLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(options, "out_channels", cast=int)
-        self.use_bias = bool(options.pop("bias", True))
+        self.out_channels = _opt(self, options, "out_channels", cast=int)
+        self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.config = DilatedConfig(
-            kernel_size=_opt(options, "kernel_size", cast=int),
+            kernel_size=_opt(self, options, "kernel_size", cast=int),
             dilation=int(options.pop("dilation", 1)),
             stride=as_pair(options.pop("stride", 1), "stride"),
             padding=as_pair(options.pop("padding", 0), "padding"),
@@ -329,7 +337,9 @@ class DilatedLayer(_Layer):
 
     def out_shape(self, in_shape):
         cfg = self.config
-        return _conv_out_shape(self, in_shape, cfg.effective_extent, cfg.stride, cfg.padding)
+        return _conv_out_shape(
+            self, in_shape, cfg.effective_extent, cfg.stride, cfg.padding, self.out_channels
+        )
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -361,10 +371,10 @@ class SquareShareLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(options, "out_channels", cast=int)
-        self.use_bias = bool(options.pop("bias", True))
+        self.out_channels = _opt(self, options, "out_channels", cast=int)
+        self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.config = SquareShareConfig(
-            kernel_size=_opt(options, "kernel_size", cast=int),
+            kernel_size=_opt(self, options, "kernel_size", cast=int),
             pool_size=int(options.pop("pool_size", 1)),
             stride=as_pair(options.pop("stride", 1), "stride"),
             padding=as_pair(options.pop("padding", 0), "padding"),
@@ -374,7 +384,9 @@ class SquareShareLayer(_Layer):
 
     def out_shape(self, in_shape):
         cfg = self.config
-        return _conv_out_shape(self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding)
+        return _conv_out_shape(
+            self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding, self.out_channels
+        )
 
     def init_params(self, in_shape, rng):
         c = in_shape[2]
@@ -425,10 +437,8 @@ class _PoolLayer(_Layer):
             raise ValueError(f"{self.describe()}: size and stride must be positive")
 
     def out_shape(self, in_shape):
-        h, w, c = _need_spatial(self, in_shape)
-        if h < self.size or w < self.size:
-            raise ValueError(f"{self.describe()}: window {self.size} exceeds input {in_shape}")
-        return ((h - self.size) // self.stride + 1, (w - self.size) // self.stride + 1, c)
+        stride = (self.stride, self.stride)
+        return _conv_out_shape(self, in_shape, self.size, stride, (0, 0), in_shape[-1])
 
 
 class MaxPoolLayer(_PoolLayer):
@@ -469,8 +479,8 @@ class DenseLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.units = _opt(options, "units", cast=int)
-        self.use_bias = bool(options.pop("bias", True))
+        self.units = _opt(self, options, "units", cast=int)
+        self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.weights = None
         self.bias = None
 
@@ -605,7 +615,9 @@ def train(network: Network, dataset, cfg: TrainConfig, val=None):
     """Fixed-order minibatch SGD.
 
     Returns [(epoch, mean_loss, accuracy)], with a fourth val-accuracy
-    entry per row when a validation dataset is supplied.
+    entry per row when a validation dataset is supplied. Raises
+    FloatingPointError at the first batch whose loss is not finite,
+    before that batch updates any parameter.
     """
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
@@ -616,11 +628,13 @@ def train(network: Network, dataset, cfg: TrainConfig, val=None):
     for epoch in range(1, cfg.epochs + 1):
         total_loss = 0.0
         correct = 0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size), start=1):
             xb = images[start : start + cfg.batch_size]
             yb = labels[start : start + cfg.batch_size]
             logits = network.forward(xb)
             loss = ops.softmax_cross_entropy(logits, yb)
+            if not math.isfinite(loss):
+                raise FloatingPointError(f"loss is {loss} at epoch {epoch}, batch {batch}")
             _, grads = network.backward(ops.softmax_cross_entropy_backward(logits, yb))
             network.sgd_step(grads, cfg)
             total_loss += loss * len(xb)

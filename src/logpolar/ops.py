@@ -1,15 +1,17 @@
 """Pointwise, pooling, dense, and loss primitives with exact adjoints.
 
 Window pooling is non-overlapping by default (stride = window) with floor
-semantics and no padding. Max-pool ties route the gradient to the first
-window cell in row-major order; relu'(0) = 0.
+semantics and no padding. The pools reduce ``conv.windows``, the one
+window primitive, and their adjoints add into a writeable windows view of
+the input gradient, one window cell at a time. Max-pool ties route the
+gradient to the first window cell in row-major order; relu'(0) = 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conv import _im2col, as_pair, ensure_batched
+from .conv import as_pair, ensure_batched, windows
 
 __all__ = [
     "relu",
@@ -39,61 +41,51 @@ def relu_backward(x, grad_output):
 
 
 def _pool_setup(x, size, stride):
+    """(batched x, had batch dim, size, stride, windows view of x)."""
     xb, batched = ensure_batched(x)
-    kh, kw = as_pair(size, "pool size")
-    sh, sw = as_pair(size if stride is None else stride, "pool stride")
-    if kh < 1 or kw < 1 or sh < 1 or sw < 1:
+    size = as_pair(size, "pool size")
+    stride = as_pair(size if stride is None else stride, "pool stride")
+    if min(*size, *stride) < 1:
         raise ValueError("pool size and stride must be positive")
-    if xb.shape[1] < kh or xb.shape[2] < kw:
-        raise ValueError(
-            f"pool window {kh}x{kw} larger than input {xb.shape[1]}x{xb.shape[2]}"
-        )
-    ho = (xb.shape[1] - kh) // sh + 1
-    wo = (xb.shape[2] - kw) // sw + 1
-    return xb, batched, (kh, kw), (sh, sw), (ho, wo)
+    return xb, batched, size, stride, windows(xb, size, stride)
 
 
 def max_pool(x, size, stride=None):
-    xb, batched, (kh, kw), s, out_hw = _pool_setup(x, size, stride)
-    cols = _im2col(xb, kh, kw, s, (1, 1), out_hw)
+    _, batched, _, _, cols = _pool_setup(x, size, stride)
     out = cols.max(axis=(3, 4))
     return out if batched else out[0]
 
 
 def max_pool_backward(x, grad_output, size, stride=None):
-    xb, batched, (kh, kw), (sh, sw), (ho, wo) = _pool_setup(x, size, stride)
+    xb, batched, size, stride, cols = _pool_setup(x, size, stride)
     g, _ = ensure_batched(grad_output)
-    if g.shape != (xb.shape[0], ho, wo, xb.shape[3]):
+    if g.shape != (*cols.shape[:3], cols.shape[5]):
         raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
-    cols = _im2col(xb, kh, kw, (sh, sw), (1, 1), (ho, wo))
-    flat = cols.reshape(xb.shape[0], ho, wo, kh * kw, xb.shape[3])
-    winner = flat.argmax(axis=3)  # first max in row-major window order
+    n, ho, wo, kh, kw, c = cols.shape
+    winner = cols.reshape(n, ho, wo, kh * kw, c).argmax(axis=3)  # first max, row-major
     grad_x = np.zeros_like(xb)
-    for t in range(kh * kw):
-        a, b = divmod(t, kw)
-        grad_x[:, a : a + (ho - 1) * sh + 1 : sh, b : b + (wo - 1) * sw + 1 : sw, :] += (
-            g * (winner == t)
-        )
+    grad_windows = windows(grad_x, size, stride, writeable=True)
+    for t, (a, b) in enumerate(np.ndindex(kh, kw)):
+        grad_windows[:, :, :, a, b] += g * (winner == t)
     return grad_x if batched else grad_x[0]
 
 
 def mean_pool(x, size, stride=None):
-    xb, batched, (kh, kw), s, out_hw = _pool_setup(x, size, stride)
-    cols = _im2col(xb, kh, kw, s, (1, 1), out_hw)
+    _, batched, _, _, cols = _pool_setup(x, size, stride)
     out = cols.mean(axis=(3, 4))
     return out if batched else out[0]
 
 
 def mean_pool_backward(x, grad_output, size, stride=None):
-    xb, batched, (kh, kw), (sh, sw), (ho, wo) = _pool_setup(x, size, stride)
+    xb, batched, size, stride, cols = _pool_setup(x, size, stride)
     g, _ = ensure_batched(grad_output)
-    if g.shape != (xb.shape[0], ho, wo, xb.shape[3]):
+    if g.shape != (*cols.shape[:3], cols.shape[5]):
         raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
-    share = g / (kh * kw)
+    share = g / (size[0] * size[1])
     grad_x = np.zeros_like(xb)
-    for a in range(kh):
-        for b in range(kw):
-            grad_x[:, a : a + (ho - 1) * sh + 1 : sh, b : b + (wo - 1) * sw + 1 : sw, :] += share
+    grad_windows = windows(grad_x, size, stride, writeable=True)
+    for a, b in np.ndindex(*size):
+        grad_windows[:, :, :, a, b] += share
     return grad_x if batched else grad_x[0]
 
 

@@ -31,8 +31,10 @@ def tensor(data, shape=None) -> np.ndarray:
 
 
 def save_tensor(path, arr) -> None:
-    """Write *arr* to *path* in TNSR v1 format."""
+    """Write *arr* to *path* in TNSR v1 format; NaN or Inf raises before the file opens."""
     arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: refusing to write NaN or Inf")
     dims = " ".join(str(d) for d in arr.shape)
     header = f"TNSR v1 {arr.ndim}{' ' if dims else ''}{dims}\n"
     with open(path, "wb") as fh:

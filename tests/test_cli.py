@@ -11,6 +11,9 @@ import pytest
 import logpolar
 from logpolar.cli import main
 from logpolar.data import load_idx
+from logpolar.network import parse_net_file
+
+NETS = sorted((Path(__file__).resolve().parent.parent / "nets").glob("*.cfg"))
 
 LPSC_CFG = """\
 [net]
@@ -197,6 +200,18 @@ class TestTrainEval:
         final_acc = float(last.split(",")[2])
         assert final_acc >= 0.90
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_2_without_checkpoint(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(LPSC_CFG.replace("learning_rate = 0.05", "learning_rate = 1e300"))
+        out = tmp_path / "run"
+        code = main(["train", "--net", str(cfg), "--out", str(out), "--data", "edges",
+                     "--n-per-class", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "epoch" in err and "batch" in err
+        assert not (out / "checkpoint" / "manifest.txt").exists()
+
     def test_val_fraction_column(self, tmp_path, lpsc_cfg):
         out = tmp_path / "run"
         main(
@@ -242,6 +257,22 @@ class TestCount:
         assert main(["count", "--net", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "layer.1 (lpsc)" in err and "pading" in err
+
+    def test_non_bool_flag_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text(LPSC_CFG.replace("padding = 2", "padding = 2\nbias = nope"))
+        assert main(["count", "--net", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "layer.1 (lpsc): option 'bias' must be true or false, got 'nope'" in err
+
+    @pytest.mark.parametrize("net", NETS, ids=lambda p: p.name)
+    def test_shipped_specs_parse_and_count(self, net, capsys):
+        spec, train_cfg = parse_net_file(net)
+        assert spec.input_shape == (16, 16, 1) and train_cfg is not None
+        assert main(["count", "--net", str(net)]) == 0
+
+    def test_shipped_specs_present(self):
+        assert [p.name for p in NETS] == ["edges_conv3x3.cfg", "edges_linear.cfg", "edges_lpsc.cfg"]
 
     def test_csv_output(self, tmp_path, lpsc_cfg):
         csv = tmp_path / "costs.csv"

@@ -421,6 +421,16 @@ class TestWeightFile:
         save_lpsc_weights(p, w)
         assert load_lpsc_weights(p).bias is None
 
+    @pytest.mark.parametrize("block", ["center", "regions", "bias"])
+    def test_save_refuses_non_finite(self, tmp_path, block):
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2)
+        w = make_weights(c, 2, 3, RNG)
+        getattr(w, block).flat[-1] = np.nan
+        p = tmp_path / "nan.lpscw"
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            save_lpsc_weights(p, w)
+        assert not p.exists()
+
     def test_corrupted_header(self, tmp_path):
         p = tmp_path / "bad.lpscw"
         p.write_bytes(b"LPSCW v2 1 1 1 1 0\n" + b"\x00" * 16)

@@ -133,6 +133,41 @@ class TestBuild:
         with pytest.raises(ValueError, match=rf"layer\.1 \({kind}\): unknown options \['{bad}'\]"):
             build_network(spec)
 
+    @pytest.mark.parametrize(
+        "kind, options, key",
+        [
+            ("conv", {"out_channels": 2, "kernel_size": 3}, "bias"),
+            ("dilated", {"out_channels": 2, "kernel_size": 3}, "bias"),
+            ("square_share", {"out_channels": 2, "kernel_size": 2, "pool_size": 2}, "bias"),
+            ("lpsc", {"out_channels": 2, "size": 3, "levels_r": 1, "levels_theta": 4,
+                      "growth": 2}, "bias"),
+            ("lpsc", {"out_channels": 2, "size": 3, "levels_r": 1, "levels_theta": 4,
+                      "growth": 2}, "center_conv"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nope", 1])
+    def test_flag_must_be_bool(self, kind, options, key, value):
+        spec = NetSpec(
+            layers=[LayerSpec(kind, {**options, key: value}), LayerSpec("flatten"),
+                    LayerSpec("dense", {"units": 2})],
+            input_shape=(4, 4, 1),
+            num_classes=2,
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"layer\.1 \({kind}\): option '{key}' must be true or false, got {value!r}",
+        ):
+            build_network(spec)
+
+    def test_dense_flag_must_be_bool(self):
+        spec = NetSpec(
+            layers=[LayerSpec("flatten"), LayerSpec("dense", {"units": 2, "bias": "nope"})],
+            input_shape=(4, 4, 1),
+            num_classes=2,
+        )
+        with pytest.raises(ValueError, match=r"layer\.2 \(dense\): option 'bias' must be"):
+            build_network(spec)
+
     def test_parameter_counts_match_formulas(self):
         spec = NetSpec(
             layers=[
@@ -265,6 +300,18 @@ class TestTraining:
         h1 = train(build_network(dense_only_spec(), seed=9), ds, cfg)
         h2 = train(build_network(dense_only_spec(), seed=9), ds, cfg)
         assert h1 == h2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_stops_before_the_update(self):
+        net = build_network(dense_only_spec(), seed=1)
+        net.layers[1].weights[0, 0] = np.inf
+        before = [p.copy() for p in net.layers[1].params().values()]
+        ds = random_dataset(n=8, h=4, w=4, seed=4)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=4)
+        with pytest.raises(FloatingPointError, match="epoch 1, batch 1"):
+            train(net, ds, cfg)
+        after = list(net.layers[1].params().values())
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_empty_dataset_rejected(self):
         # the Dataset type itself refuses zero samples; the training loop

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from logpolar import ConvKernel, conv2d, conv2d_backward, conv2d_raw, load_tensor, save_tensor, tensor
 from logpolar import ops
+from logpolar.conv import pad, unpad, windows
 
 from oracles import finite_difference, loop_conv2d, max_rel_error
 
@@ -50,6 +52,70 @@ class TestTensor:
         p.write_bytes(b"TNSR v1 1 4\n" + b"\x00" * 16)
         with pytest.raises(ValueError, match="payload"):
             load_tensor(p)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite(self, tmp_path, bad):
+        p = tmp_path / "bad.tnsr"
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            save_tensor(p, np.array([[1.0, bad]]))
+        assert not p.exists()
+
+
+@st.composite
+def window_cases(draw):
+    """(shape, size, stride, dilation); the input is at least one window tall and wide."""
+    size = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    dilation = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    extent = [(k - 1) * d + 1 for k, d in zip(size, dilation)]
+    h = extent[0] + draw(st.integers(0, 5))
+    w = extent[1] + draw(st.integers(0, 5))
+    shape = (draw(st.integers(1, 2)), h, w, draw(st.integers(1, 3)))
+    return shape, size, stride, dilation
+
+
+class TestWindows:
+    @settings(max_examples=80, deadline=None)
+    @given(case=window_cases(), seed=st.integers(0, 2**16))
+    @example(case=((2, 7, 5, 3), (3, 2), (2, 3), (3, 4)), seed=0)  # window = whole input
+    def test_view_matches_oracles(self, case, seed):
+        shape, (kh, kw), (sh, sw), (dh, dw) = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        extent = ((kh - 1) * dh + 1, (kw - 1) * dw + 1)
+
+        # reading: an independent sliding_window_view oracle
+        view = windows(x, (kh, kw), (sh, sw), (dh, dw))
+        oracle = sliding_window_view(x, extent, axis=(1, 2))[:, ::sh, ::sw, :, ::dh, ::dw]
+        np.testing.assert_array_equal(view, oracle.transpose(0, 1, 2, 4, 5, 3))
+        assert not view.flags.writeable and np.shares_memory(view, x)
+
+        # writing one tap at a time: an np.add.at scatter oracle (integer
+        # values, so the two summation orders give the same sums)
+        g = rng.integers(-9, 10, size=view.shape).astype(np.float64)
+        got = np.zeros(shape)
+        grad_view = windows(got, (kh, kw), (sh, sw), (dh, dw), writeable=True)
+        for a, b in np.ndindex(kh, kw):
+            grad_view[:, :, :, a, b] += g[:, :, :, a, b]
+        n, i, j, a, b, c = np.indices(g.shape)
+        want = np.zeros(shape)
+        np.add.at(want, (n, i * sh + a * dh, j * sw + b * dw, c), g)
+        np.testing.assert_array_equal(got, want)
+
+        # an oversized window raises instead of reaching past the input
+        with pytest.raises(ValueError, match="kernel extent"):
+            windows(x[:, : extent[0] - 1], (kh, kw), (sh, sw), (dh, dw))
+        with pytest.raises(ValueError, match="kernel extent"):
+            windows(x[:, :, : extent[1] - 1], (kh, kw), (sh, sw), (dh, dw))
+
+    def test_pad_unpad(self):
+        x = RNG.normal(size=(2, 3, 4, 2))
+        assert pad(x, (0, 0)) is x
+        xp = pad(x, (2, 1))
+        assert xp.shape == (2, 7, 6, 2)
+        assert np.array_equal(unpad(xp, (2, 1)), x)
+        assert np.count_nonzero(xp) == np.count_nonzero(x)  # the border is zero
 
 
 class TestConv2d:
