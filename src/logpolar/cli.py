@@ -109,14 +109,20 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(args, default_size):
+def _load_dataset(args, spec):
+    """The --data images, which must have the spec's input shape."""
     if args.data == "edges":
-        return make_oriented_edges(args.n_per_class, size=default_size, seed=args.seed)
-    if args.data == "idx":
+        dataset = make_oriented_edges(args.n_per_class, size=spec.input_shape[0], seed=args.seed)
+    elif args.data == "idx":
         if not args.images or not args.labels:
             raise ValueError("--data idx needs --images and --labels")
-        return load_idx(args.images, args.labels)
-    raise ValueError(f"unknown --data source {args.data!r}")
+        dataset = load_idx(args.images, args.labels)
+    else:
+        raise ValueError(f"unknown --data source {args.data!r}")
+    if dataset.images.shape[1:] != spec.input_shape:
+        got, want = ("x".join(map(str, s)) for s in (dataset.images.shape[1:], spec.input_shape))
+        raise ValueError(f"--data {args.data} images are {got} but the spec's input is {want}")
+    return dataset
 
 
 def _write_history(path, history):
@@ -137,7 +143,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     args.seed = cfg.seed
-    dataset = _load_dataset(args, spec.input_shape[0])
+    dataset = _load_dataset(args, spec)
     val = None
     if args.val_fraction > 0:
         n_val = max(1, int(len(dataset) * args.val_fraction))
@@ -167,7 +173,7 @@ def cmd_eval(args) -> int:
     spec, cfg = parse_net_file(args.net)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
     args.seed = seed
-    dataset = _load_dataset(args, spec.input_shape[0])
+    dataset = _load_dataset(args, spec)
     network = build_network(spec, seed=seed)
     load_checkpoint(network, args.checkpoint)
     loss, acc = evaluate(network, dataset)

@@ -6,8 +6,11 @@ view ``(N, Ho, Wo, kh, kw, C)`` of every window of a padded batch. The
 convolution contracts that view with the kernel in one tensor
 contraction, and its adjoint adds each tap of the gradient back through
 a writeable view; the ``ops`` pools and the ``lpsc`` cells read the same
-view. ``dilation`` spaces the kernel taps (used by the dilated-convolution
-baseline); padding is always zero-padding. Output extents follow
+view. A 1x1 kernel at unit stride maps its windows one-to-one onto the
+padded pixels, so there the input adjoint is the contracted gradient
+itself, with no zero-filled buffer and no scatter. ``dilation`` spaces
+the kernel taps (used by the dilated-convolution baseline); padding is
+always zero-padding. Output extents follow
 
     out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
 
@@ -194,10 +197,13 @@ def conv2d_raw_backward(
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
     grad_w = np.tensordot(cols, g, axes=([0, 1, 2], [0, 1, 2]))
     grad_cols = np.tensordot(g, w, axes=([3], [3]))  # (N, Ho, Wo, kh, kw, C_in)
-    grad_xp = np.zeros_like(xp)
-    grad_windows = windows(grad_xp, *geometry, writeable=True)
-    for a, b in np.ndindex(*w.shape[:2]):
-        grad_windows[:, :, :, a, b] += grad_cols[:, :, :, a, b]
+    if w.shape[:2] == (1, 1) and geometry[1] == (1, 1):
+        grad_xp = grad_cols[:, :, :, 0, 0]  # one window per padded pixel
+    else:
+        grad_xp = np.zeros_like(xp)
+        grad_windows = windows(grad_xp, *geometry, writeable=True)
+        for a, b in np.ndindex(*w.shape[:2]):
+            grad_windows[:, :, :, a, b] += grad_cols[:, :, :, a, b]
     grad_x = unpad(grad_xp, padding)
     grad_b = g.sum(axis=(0, 1, 2)) if has_bias else None
     if not batched:

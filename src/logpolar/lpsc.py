@@ -12,6 +12,11 @@ Two evaluation paths compute the same linear map:
   produces the context response, and a separate 1x1 convolution over the
   window centers adds the center-pixel response.
 
+``lpsc_backward`` differentiates the fast path. The pooled tensor is the
+input of the region convolution's adjoint; the forward pass hands it
+over (``return_pooled``/``pooled``), so a training step pools each input
+once. Given no pooled tensor, the backward pools the input itself.
+
 Every cell read goes through ``conv.windows``, the one window primitive:
 ``windows(xp, (k, k), stride)[:, :, :, r + dr, r + dc]`` is mask cell
 (dr, dc) of every window position of the padded input ``xp``, and the
@@ -179,8 +184,12 @@ def _region_kernel(weights: LpscWeights) -> np.ndarray:
     return weights.regions.reshape(1, 1, -1, weights.out_channels)
 
 
-def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights):
-    """Pooling + 1x1 region convolution + separate center convolution."""
+def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights, *, return_pooled=False):
+    """Pooling + 1x1 region convolution + separate center convolution.
+
+    With ``return_pooled`` returns (output, pooled), pooled as
+    ``log_polar_pool`` gives it, for ``lpsc_backward`` to reuse.
+    """
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
     pooled = log_polar_pool(xb, config)
@@ -189,7 +198,9 @@ def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights):
         r, size = config.radius, config.kernel_size
         centers = windows(pad(xb, config.padding), (size, size), config.stride)[:, :, :, r, r]
         out += np.einsum("nijc,cd->nijd", centers, weights.center)
-    return out if batched else out[0]
+    if not batched:
+        out, pooled = out[0], pooled[0]
+    return (out, pooled) if return_pooled else out
 
 
 def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
@@ -227,12 +238,14 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
     return out if batched else out[0]
 
 
-def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output):
+def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, *, pooled=None):
     """Exact adjoints of the forward map: (grad_input, LpscWeights grads).
 
     Computed against the fast path: the 1x1 region-convolution adjoint,
     then the pooling adjoint scatters each region channel back through
-    that region's cells.
+    that region's cells. *pooled* is the forward pass's pooled tensor
+    (``lpsc_forward_fast(..., return_pooled=True)``); without it the
+    input is pooled again.
     """
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
@@ -243,7 +256,12 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output):
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
 
-    pooled = log_polar_pool(xb, config)
+    if pooled is None:
+        pooled = log_polar_pool(xb, config)
+    else:
+        pooled, _ = ensure_batched(pooled)
+        if pooled.shape != (*expected[:3], len(offsets) * xb.shape[3]):
+            raise ValueError(f"pooled shape {pooled.shape} does not match input {xb.shape}")
     grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
         pooled, _region_kernel(weights), g, has_bias=weights.bias is not None
     )

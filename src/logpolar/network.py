@@ -310,10 +310,12 @@ class LpscLayer(_Layer):
         return p
 
     def forward(self, x):
-        return lpsc_forward_fast(x, self.config, self.weights), x
+        out, pooled = lpsc_forward_fast(x, self.config, self.weights, return_pooled=True)
+        return out, (x, pooled)
 
     def backward(self, grad, cache):
-        gx, gw = lpsc_backward(cache, self.config, self.weights, grad)
+        x, pooled = cache
+        gx, gw = lpsc_backward(x, self.config, self.weights, grad, pooled=pooled)
         grads = {"center": gw.center, "regions": gw.regions}
         if self.use_bias:
             grads["bias"] = gw.bias

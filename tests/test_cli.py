@@ -212,6 +212,27 @@ class TestTrainEval:
         assert "epoch" in err and "batch" in err
         assert not (out / "checkpoint" / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "data,spec_input,images",
+        [("edges", "16x20x1", "16x16x1"), ("edges", "16x16x3", "16x16x1"),
+         ("idx", "12x12x1", "16x16x1")],
+    )
+    def test_data_shape_must_match_spec(self, tmp_path, capsys, command, data, spec_input, images):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(LPSC_CFG.replace("input = 16x16x1", f"input = {spec_input}"))
+        out = tmp_path / "run"
+        argv = [command, "--net", str(cfg), "--data", data, "--n-per-class", "4"]
+        argv += ["--out", str(out)] if command == "train" else ["--checkpoint", str(out)]
+        if data == "idx":
+            main(["gen-data", "--n-per-class", "4", "--size", "16", "--out", str(tmp_path)])
+            argv += ["--images", str(tmp_path / "images.idx"), "--labels", str(tmp_path / "labels.idx")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"images are {images}" in err and f"input is {spec_input}" in err
+        assert not out.exists()
+
     def test_val_fraction_column(self, tmp_path, lpsc_cfg):
         out = tmp_path / "run"
         main(

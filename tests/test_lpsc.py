@@ -399,6 +399,21 @@ class TestBackward:
         with pytest.raises(ValueError, match="grad_output"):
             lpsc_backward(x, c, w, np.zeros((3, 3, 2)))
 
+    def test_forward_pooled_tensor_reused(self):
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2, stride=(1, 2))
+        x = RNG.normal(size=(7, 8, 2))  # unbatched
+        w = make_weights(c, 2, 3, RNG)
+        out, pooled = lpsc_forward_fast(x, c, w, return_pooled=True)
+        assert np.array_equal(out, lpsc_forward_fast(x, c, w))
+        assert np.array_equal(pooled, log_polar_pool(x, c))
+        g = RNG.normal(size=out.shape)
+        gx, gws = lpsc_backward(x, c, w, g, pooled=pooled)
+        want_gx, want = lpsc_backward(x, c, w, g)
+        assert np.array_equal(gx, want_gx)
+        assert np.array_equal(gws.regions, want.regions) and np.array_equal(gws.bias, want.bias)
+        with pytest.raises(ValueError, match="pooled shape"):
+            lpsc_backward(x, c, w, g, pooled=pooled[:, :-1])
+
 
 class TestWeightFile:
     def test_roundtrip_bitwise(self, tmp_path):

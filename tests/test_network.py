@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import logpolar.lpsc
 from logpolar import ops
 from logpolar.data import Dataset
+from logpolar.lpsc import lpsc_backward, lpsc_forward_fast
 from logpolar.network import (
     LayerSpec,
     NetSpec,
@@ -283,6 +285,56 @@ class TestGradients:
 
         want_in = finite_difference(loss_wrt_input, ds.images)
         assert max_rel_error(grad_in, want_in) < 1e-4
+
+
+def lpsc_spec(pooling="mean", center_conv=True, bias=True):
+    lpsc = {
+        "out_channels": 3, "size": 5, "levels_r": 2, "levels_theta": 4, "growth": 2,
+        "stride": (2, 1), "padding": (2, 1), "pooling": pooling,
+        "center_conv": center_conv, "bias": bias,
+    }
+    return NetSpec(
+        layers=[LayerSpec("lpsc", lpsc), LayerSpec("flatten"), LayerSpec("dense", {"units": 2})],
+        input_shape=(7, 6, 2),
+        num_classes=2,
+    )
+
+
+class TestLpscLayerPath:
+    """The layer hands the forward's pooled tensor to the backward."""
+
+    @pytest.mark.parametrize("pooling", ["mean", "sum", "max"])
+    @pytest.mark.parametrize("center_conv", [True, False])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_layer_matches_public_calls_bitwise(self, pooling, center_conv, bias):
+        layer = build_network(lpsc_spec(pooling, center_conv, bias), seed=5).layers[0]
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 7, 6, 2))
+        out, cache = layer.forward(x)
+        assert np.array_equal(out, lpsc_forward_fast(x, layer.config, layer.weights))
+        g = rng.normal(size=out.shape)
+        gx, grads = layer.backward(g, cache)
+        want_gx, want = lpsc_backward(x, layer.config, layer.weights, g)
+        assert np.array_equal(gx, want_gx)
+        assert sorted(grads) == sorted(layer.params())
+        assert np.array_equal(grads["center"], want.center)
+        assert np.array_equal(grads["regions"], want.regions)
+        if bias:
+            assert np.array_equal(grads["bias"], want.bias)
+
+    def test_train_step_pools_once(self, monkeypatch):
+        calls = []
+        pool = logpolar.lpsc.log_polar_pool
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(logpolar.lpsc, "log_polar_pool", counted)
+        net = build_network(lpsc_spec(), seed=5)
+        ds = random_dataset(n=4, h=7, w=6, c=2, seed=6)
+        train(net, ds, TrainConfig(epochs=1, batch_size=4))
+        assert len(calls) == 1
 
 
 class TestTraining:

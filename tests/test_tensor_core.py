@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from logpolar import ConvKernel, conv2d, conv2d_backward, conv2d_raw, load_tensor, save_tensor, tensor
 from logpolar import ops
-from logpolar.conv import pad, unpad, windows
+from logpolar.conv import conv2d_raw_backward, pad, unpad, windows
 
 from oracles import finite_difference, loop_conv2d, max_rel_error
 
@@ -251,6 +251,35 @@ class TestConvBackward:
         k = ConvKernel(weights=RNG.normal(size=(3, 3, 1, 1)))
         with pytest.raises(ValueError, match="grad_output"):
             conv2d_backward(x, k, np.zeros((5, 5, 1)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3)]),
+        padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        dilation=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        extra=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        seed=st.integers(0, 2**16),
+    )
+    # 1x1 at unit stride takes the one-to-one adjoint; at (2, 1) the scatter
+    @example(size=(1, 1), stride=(1, 1), padding=(1, 2), dilation=(2, 1), extra=(4, 5), seed=0)
+    @example(size=(1, 1), stride=(2, 1), padding=(1, 0), dilation=(1, 1), extra=(4, 3), seed=0)
+    def test_adjoint_identities(self, size, stride, padding, dilation, extra, seed):
+        rng = np.random.default_rng(seed)
+        extent = [(k - 1) * d + 1 for k, d in zip(size, dilation)]
+        h, w = (max(1, e - 2 * p + x) for e, p, x in zip(extent, padding, extra))
+        x = rng.normal(size=(2, h, w, 3))
+        k = rng.normal(size=(*size, 3, 2))
+        geometry = dict(stride=stride, padding=padding, dilation=dilation)
+        out = conv2d_raw(x, k, **geometry)
+        g = rng.normal(size=out.shape)
+        gx, gk, _ = conv2d_raw_backward(x, k, g, **geometry)
+        lhs = float(np.vdot(out, g))
+        scale = float(np.abs(out).ravel() @ np.abs(g).ravel()) + 1e-300
+        assert gx.shape == x.shape and gk.shape == k.shape
+        assert abs(lhs - float(np.vdot(x, gx))) <= 1e-12 * scale
+        assert abs(lhs - float(np.vdot(k, gk))) <= 1e-12 * scale
+
 
 
 class TestOps:
