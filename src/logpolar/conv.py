@@ -89,14 +89,6 @@ class ConvKernel:
                     f"bias shape {self.bias.shape} does not match {self.weights.shape[3]} output channels"
                 )
 
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[2]
-
-    @property
-    def out_channels(self) -> int:
-        return self.weights.shape[3]
-
 
 def out_extent(size, extent, stride, pad) -> int:
     """Output positions along one axis for a window spanning *extent* cells."""

@@ -110,10 +110,6 @@ class LpscWeights:
     def out_channels(self) -> int:
         return self.center.shape[1]
 
-    @property
-    def weights_per_pair(self) -> int:
-        return self.regions.shape[0] * self.regions.shape[1] + 1
-
 
 def region_offsets(mask: LogPolarMask) -> list[np.ndarray]:
     """Per region k (1-based), the (n_k, 2) cell offsets in row-major order."""

@@ -43,12 +43,17 @@ Network spec files are INI-style text::
     seed = 1
 
 A key that its section does not know is an error, naming the section
-and the key; so is a flag (``bias``, ``center_conv``) whose value is not
-true/false (yes/no, on/off).
+and the key; so is a value of the wrong type: integer options take
+integers only, ``growth``/``alpha``/``eccentricity`` numbers, ``pooling``
+a word, ``stride``/``padding`` an integer or a pair, and a flag (``bias``,
+``center_conv``) true/false (yes/no, on/off).
 
+A layer's ``params()`` names each of its arrays once (an absent bias is
+left out); its ``backward`` returns the gradients under the same names.
 Checkpoints are a directory with a ``manifest.txt`` (one ``<layer-index>
-<kind> <param> <filename>`` line per stored array) plus TNSR tensor files
-and LPSCW weight files.
+<kind> <param> <filename>`` line per file): an lpsc layer is one LPSCW
+file, every other array a TNSR file. Loading restores every parameter
+exactly once, in place, or raises naming the manifest.
 """
 
 from __future__ import annotations
@@ -156,14 +161,33 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _opt(layer, options, key, default=None, cast=None):
-    """Pop option *key*; ``cast=bool`` accepts only a real bool."""
+_INTS = (int, np.integer)
+_OPTION_TYPES = {  # cast -> (what the value must be, the types it may have)
+    int: ("an integer", _INTS),
+    float: ("a number", (*_INTS, float, np.floating)),
+    str: ("a string", str),
+    bool: ("true or false", bool),
+    as_pair: ("an integer or a pair of integers", _INTS),
+}
+
+
+def _opt(layer, options, key, default=None, cast=int):
+    """Pop option *key* and convert it with *cast*; a value of another type is an error."""
     value = options.pop(key, default)
     if value is None:
         raise ValueError(f"{layer.describe()}: missing required option {key!r}")
-    if cast is bool and not isinstance(value, bool):
-        raise ValueError(f"{layer.describe()}: option {key!r} must be true or false, got {value!r}")
-    return cast(value) if cast is not None else value
+    what, types = _OPTION_TYPES[cast]
+    pair = cast is as_pair and isinstance(value, (tuple, list)) and len(value) == 2
+    # bool is an int subclass: only a flag may be one
+    if not all(isinstance(v, types) and isinstance(v, bool) == (cast is bool)
+               for v in (value if pair else (value,))):
+        raise ValueError(f"{layer.describe()}: option {key!r} must be {what}, got {value!r}")
+    return cast(value)
+
+
+def _named(**arrays):
+    """A layer's arrays (or their gradients) by name, leaving out an absent bias."""
+    return {name: a for name, a in arrays.items() if a is not None}
 
 
 class _Layer:
@@ -220,10 +244,10 @@ class ConvLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels", cast=int)
-        self.kernel_size = _opt(self, options, "kernel_size", cast=int)
-        self.stride = as_pair(options.pop("stride", 1), "stride")
-        self.padding = as_pair(options.pop("padding", 0), "padding")
+        self.out_channels = _opt(self, options, "out_channels")
+        self.kernel_size = _opt(self, options, "kernel_size")
+        self.stride = _opt(self, options, "stride", 1, cast=as_pair)
+        self.padding = _opt(self, options, "padding", 0, cast=as_pair)
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.weights = None
         self.bias = None
@@ -242,10 +266,7 @@ class ConvLayer(_Layer):
         self.bias = np.zeros(self.out_channels) if self.use_bias else None
 
     def params(self):
-        p = {"kernel": self.weights}
-        if self.bias is not None:
-            p["bias"] = self.bias
-        return p
+        return _named(kernel=self.weights, bias=self.bias)
 
     def forward(self, x):
         out = conv2d_raw(x, self.weights, self.stride, self.padding, bias=self.bias)
@@ -255,10 +276,7 @@ class ConvLayer(_Layer):
         gx, gw, gb = conv2d_raw_backward(
             cache, self.weights, grad, self.stride, self.padding, has_bias=self.use_bias
         )
-        grads = {"kernel": gw}
-        if self.use_bias:
-            grads["bias"] = gb
-        return gx, grads
+        return gx, _named(kernel=gw, bias=gb)
 
 
 class LpscLayer(_Layer):
@@ -266,18 +284,18 @@ class LpscLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels", cast=int)
+        self.out_channels = _opt(self, options, "out_channels")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.config = LpscConfig(
-            kernel_size=_opt(self, options, "size", cast=int),
-            levels_r=_opt(self, options, "levels_r", cast=int),
-            levels_theta=_opt(self, options, "levels_theta", cast=int),
+            kernel_size=_opt(self, options, "size"),
+            levels_r=_opt(self, options, "levels_r"),
+            levels_theta=_opt(self, options, "levels_theta"),
             growth=_opt(self, options, "growth", cast=float),
-            alpha=float(options.pop("alpha", 0.0)),
-            eccentricity=float(options.pop("eccentricity", 0.0)),
-            stride=as_pair(options.pop("stride", 1), "stride"),
-            padding=as_pair(options.pop("padding", 0), "padding"),
-            pooling_mode=str(options.pop("pooling", "mean")),
+            alpha=_opt(self, options, "alpha", 0.0, cast=float),
+            eccentricity=_opt(self, options, "eccentricity", 0.0, cast=float),
+            stride=_opt(self, options, "stride", 1, cast=as_pair),
+            padding=_opt(self, options, "padding", 0, cast=as_pair),
+            pooling_mode=_opt(self, options, "pooling", "mean", cast=str),
             center_conv=_opt(self, options, "center_conv", True, cast=bool),
         )
         self.weights: LpscWeights | None = None
@@ -304,10 +322,7 @@ class LpscLayer(_Layer):
         self.weights = LpscWeights(center=center, regions=regions, bias=bias)
 
     def params(self):
-        p = {"center": self.weights.center, "regions": self.weights.regions}
-        if self.weights.bias is not None:
-            p["bias"] = self.weights.bias
-        return p
+        return _named(**vars(self.weights))
 
     def forward(self, x):
         out, pooled = lpsc_forward_fast(x, self.config, self.weights, return_pooled=True)
@@ -316,10 +331,7 @@ class LpscLayer(_Layer):
     def backward(self, grad, cache):
         x, pooled = cache
         gx, gw = lpsc_backward(x, self.config, self.weights, grad, pooled=pooled)
-        grads = {"center": gw.center, "regions": gw.regions}
-        if self.use_bias:
-            grads["bias"] = gw.bias
-        return gx, grads
+        return gx, _named(**vars(gw))
 
 
 class DilatedLayer(_Layer):
@@ -327,13 +339,13 @@ class DilatedLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels", cast=int)
+        self.out_channels = _opt(self, options, "out_channels")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.config = DilatedConfig(
-            kernel_size=_opt(self, options, "kernel_size", cast=int),
-            dilation=int(options.pop("dilation", 1)),
-            stride=as_pair(options.pop("stride", 1), "stride"),
-            padding=as_pair(options.pop("padding", 0), "padding"),
+            kernel_size=_opt(self, options, "kernel_size"),
+            dilation=_opt(self, options, "dilation", 1),
+            stride=_opt(self, options, "stride", 1, cast=as_pair),
+            padding=_opt(self, options, "padding", 0, cast=as_pair),
         )
         self.kernel: ConvKernel | None = None
 
@@ -352,20 +364,14 @@ class DilatedLayer(_Layer):
         )
 
     def params(self):
-        p = {"kernel": self.kernel.weights}
-        if self.kernel.bias is not None:
-            p["bias"] = self.kernel.bias
-        return p
+        return _named(kernel=self.kernel.weights, bias=self.kernel.bias)
 
     def forward(self, x):
         return dilated_conv2d(x, self.kernel, self.config), x
 
     def backward(self, grad, cache):
         gx, gk = dilated_conv2d_backward(cache, self.kernel, self.config, grad)
-        grads = {"kernel": gk.weights}
-        if self.use_bias:
-            grads["bias"] = gk.bias
-        return gx, grads
+        return gx, _named(kernel=gk.weights, bias=gk.bias)
 
 
 class SquareShareLayer(_Layer):
@@ -373,13 +379,13 @@ class SquareShareLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels", cast=int)
+        self.out_channels = _opt(self, options, "out_channels")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.config = SquareShareConfig(
-            kernel_size=_opt(self, options, "kernel_size", cast=int),
-            pool_size=int(options.pop("pool_size", 1)),
-            stride=as_pair(options.pop("stride", 1), "stride"),
-            padding=as_pair(options.pop("padding", 0), "padding"),
+            kernel_size=_opt(self, options, "kernel_size"),
+            pool_size=_opt(self, options, "pool_size", 1),
+            stride=_opt(self, options, "stride", 1, cast=as_pair),
+            padding=_opt(self, options, "padding", 0, cast=as_pair),
         )
         self.regions = None
         self.bias = None
@@ -399,10 +405,7 @@ class SquareShareLayer(_Layer):
         self.bias = np.zeros(self.out_channels) if self.use_bias else None
 
     def params(self):
-        p = {"regions": self.regions}
-        if self.bias is not None:
-            p["bias"] = self.bias
-        return p
+        return _named(regions=self.regions, bias=self.bias)
 
     def forward(self, x):
         return square_share_conv2d(x, self.regions, self.config, bias=self.bias), x
@@ -411,10 +414,7 @@ class SquareShareLayer(_Layer):
         gx, gw, gb = square_share_conv2d_backward(
             cache, self.regions, self.config, grad, has_bias=self.use_bias
         )
-        grads = {"regions": gw}
-        if self.use_bias:
-            grads["bias"] = gb
-        return gx, grads
+        return gx, _named(regions=gw, bias=gb)
 
 
 class ReluLayer(_Layer):
@@ -433,8 +433,8 @@ class ReluLayer(_Layer):
 class _PoolLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
-        self.size = int(options.pop("size", 2))
-        self.stride = int(options.pop("stride", self.size))
+        self.size = _opt(self, options, "size", 2)
+        self.stride = _opt(self, options, "stride", self.size)
         if self.size < 1 or self.stride < 1:
             raise ValueError(f"{self.describe()}: size and stride must be positive")
 
@@ -481,7 +481,7 @@ class DenseLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.units = _opt(self, options, "units", cast=int)
+        self.units = _opt(self, options, "units")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
         self.weights = None
         self.bias = None
@@ -499,20 +499,14 @@ class DenseLayer(_Layer):
         self.bias = np.zeros(self.units) if self.use_bias else None
 
     def params(self):
-        p = {"weights": self.weights}
-        if self.bias is not None:
-            p["bias"] = self.bias
-        return p
+        return _named(weights=self.weights, bias=self.bias)
 
     def forward(self, x):
         return ops.dense(x, self.weights, self.bias), x
 
     def backward(self, grad, cache):
         gx, gw, gb = ops.dense_backward(cache, self.weights, grad, has_bias=self.use_bias)
-        grads = {"weights": gw}
-        if self.use_bias:
-            grads["bias"] = gb
-        return gx, grads
+        return gx, _named(weights=gw, bias=gb)
 
 
 _LAYER_CLASSES = {
@@ -679,7 +673,10 @@ def _parse_value(raw: str):
     if lowered in ("false", "no", "off"):
         return False
     if "," in text:
-        return tuple(int(p) for p in text.split(","))
+        try:
+            return tuple(int(p) for p in text.split(","))
+        except ValueError:
+            return text  # the layer that reads it names the key
     try:
         return int(text)
     except ValueError:
@@ -771,7 +768,11 @@ def save_checkpoint(network: Network, directory):
 
 
 def load_checkpoint(network: Network, directory):
-    """Restore parameters saved by save_checkpoint into *network*."""
+    """Restore parameters saved by save_checkpoint into *network*, in place.
+
+    Every parameter must be stored exactly once; otherwise ValueError names
+    the manifest and *network* is left unchanged.
+    """
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     if not manifest.exists():
@@ -779,7 +780,10 @@ def load_checkpoint(network: Network, directory):
     lines = manifest.read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != "NETCKPT v1":
         raise ValueError(f"{manifest}: not a NETCKPT v1 manifest")
-    by_index = {layer.index: layer for layer in network.layers}
+    by_index = {str(layer.index): layer for layer in network.layers}
+    wanted = {f"{layer.name}.{name}": param for layer in network.layers
+              for name, param in layer.params().items()}
+    stored = {}
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -787,22 +791,22 @@ def load_checkpoint(network: Network, directory):
             idx_s, kind, pname, fname = line.split()
         except ValueError:
             raise ValueError(f"{manifest}: malformed line {line!r}") from None
-        layer = by_index.get(int(idx_s))
+        layer = by_index.get(idx_s)
         if layer is None or layer.kind != kind:
             raise ValueError(f"{manifest}: no {kind} layer at index {idx_s}")
         if kind == "lpsc":
-            loaded = load_lpsc_weights(directory / fname)
-            have = layer.weights
-            if loaded.regions.shape != have.regions.shape or (loaded.bias is None) != (
-                have.bias is None
-            ):
-                raise ValueError(f"{manifest}: stored shapes do not match layer {idx_s}")
-            layer.weights = loaded
+            arrays = _named(**vars(load_lpsc_weights(directory / fname)))
         else:
-            arr = load_tensor(directory / fname)
-            params = layer.params()
-            if pname not in params or params[pname].shape != arr.shape:
-                raise ValueError(
-                    f"{manifest}: stored {pname} does not match layer {idx_s} shape"
-                )
-            params[pname][...] = arr
+            arrays = {pname: load_tensor(directory / fname)}
+        for name, arr in arrays.items():
+            key = f"{layer.name}.{name}"
+            if key in stored:
+                raise ValueError(f"{manifest}: {key} is restored twice")
+            if key not in wanted or wanted[key].shape != arr.shape:
+                raise ValueError(f"{manifest}: stored {name} does not match {layer.describe()}")
+            stored[key] = arr
+    missing = [key for key in wanted if key not in stored]
+    if missing:
+        raise ValueError(f"{manifest}: no stored value for {', '.join(missing)}")
+    for key, arr in stored.items():
+        wanted[key][...] = arr

@@ -184,6 +184,24 @@ class TestTrainEval:
         assert code == 0
         assert "accuracy=" in capsys.readouterr().out
 
+    def test_eval_refuses_partial_checkpoint(self, tmp_path, lpsc_cfg, capsys):
+        out = tmp_path / "run"
+        main(
+            ["train", "--net", str(lpsc_cfg), "--out", str(out), "--data", "edges",
+             "--n-per-class", "8", "--epochs", "1", "--seed", "1"]
+        )
+        manifest = out / "checkpoint" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("".join(f"{line}\n" for line in lines if " lpsc " not in line))
+        capsys.readouterr()
+        code = main(
+            ["eval", "--net", str(lpsc_cfg), "--checkpoint", str(out / "checkpoint"),
+             "--data", "edges", "--n-per-class", "8", "--seed", "1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "manifest.txt" in captured.err and "accuracy=" not in captured.out
+
     def test_missing_net_file(self, tmp_path, capsys):
         assert main(["train", "--net", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 1
 
@@ -285,6 +303,24 @@ class TestCount:
         assert main(["count", "--net", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "layer.1 (lpsc): option 'bias' must be true or false, got 'nope'" in err
+
+    @pytest.mark.parametrize(
+        "old, new, layer, key",
+        [
+            ("units = 2", "units = 2.9", "layer.5 (dense)", "units"),
+            ("out_channels = 4", "out_channels = on", "layer.1 (lpsc)", "out_channels"),
+            ("padding = 2", "padding = 2\nstride = 1.5", "layer.1 (lpsc)", "stride"),
+            ("size = 5", "size = five", "layer.1 (lpsc)", "size"),
+            ("growth = 2", "growth = fast", "layer.1 (lpsc)", "growth"),
+            ("padding = 2", "padding = 2,x", "layer.1 (lpsc)", "padding"),
+        ],
+        ids=["units", "out_channels", "stride", "size", "growth", "pair"],
+    )
+    def test_option_of_wrong_type_rejected(self, tmp_path, capsys, old, new, layer, key):
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text(LPSC_CFG.replace(old, new))
+        assert main(["count", "--net", str(cfg)]) == 1
+        assert f"{layer}: option '{key}' must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("net", NETS, ids=lambda p: p.name)
     def test_shipped_specs_parse_and_count(self, net, capsys):

@@ -472,3 +472,91 @@ class TestCheckpoints:
         net = build_network(dense_only_spec(), seed=1)
         with pytest.raises(ValueError, match="manifest"):
             load_checkpoint(net, tmp_path / "nowhere")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:1], "no stored value for layer.1.center"),
+            (lambda lines: [line for line in lines if " lpsc " not in line], "no stored value for layer.1"),
+            (lambda lines: [line for line in lines if " bias " not in line], "no stored value for layer.5.bias"),
+            (lambda lines: lines + lines[-1:], "layer.5.bias is restored twice"),
+            (lambda lines: lines + lines[1:2], "layer.1.center is restored twice"),
+        ],
+        ids=["header-only", "lpsc-line-removed", "bias-line-removed", "tnsr-twice", "lpscw-twice"],
+    )
+    def test_partial_or_repeated_manifest_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "net.cfg"
+        path.write_text(NET_CFG)
+        spec, _ = parse_net_file(path)
+        save_checkpoint(build_network(spec, seed=1), tmp_path / "ck")
+        manifest = tmp_path / "ck" / "manifest.txt"
+        manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
+        net = build_network(spec, seed=2)
+        x = RNG.uniform(0, 1, size=(2, 8, 8, 1))
+        before = net.forward(x)
+        with pytest.raises(ValueError, match=rf"manifest\.txt: {message}"):
+            load_checkpoint(net, tmp_path / "ck")
+        assert np.array_equal(net.forward(x), before)
+
+    @pytest.mark.parametrize("saved_bias", [True, False])
+    def test_lpscw_bias_presence_must_match(self, tmp_path, saved_bias):
+        save_checkpoint(build_network(kind_spec("lpsc", saved_bias), seed=1), tmp_path / "ck")
+        with pytest.raises(ValueError, match=r"manifest\.txt: .*bias"):
+            load_checkpoint(build_network(kind_spec("lpsc", not saved_bias), seed=1), tmp_path / "ck")
+
+
+KIND_OPTIONS = {
+    "conv": {"out_channels": 2, "kernel_size": 3, "padding": 1},
+    "lpsc": {"out_channels": 2, "size": 5, "levels_r": 2, "levels_theta": 4, "growth": 2,
+             "padding": 2},
+    "dilated": {"out_channels": 2, "kernel_size": 3, "dilation": 2, "padding": 2},
+    "square_share": {"out_channels": 2, "kernel_size": 4, "pool_size": 2, "padding": 2},
+    "dense": None,
+}
+
+
+def kind_spec(kind, bias):
+    """One layer of *kind* (dense: the head alone) before a dense head, bias on or off."""
+    first = [] if kind == "dense" else [LayerSpec(kind, {**KIND_OPTIONS[kind], "bias": bias})]
+    return NetSpec(
+        layers=[*first, LayerSpec("flatten"), LayerSpec("dense", {"units": 2, "bias": bias})],
+        input_shape=(6, 6, 2),
+        num_classes=2,
+    )
+
+
+@pytest.mark.parametrize("kind", list(KIND_OPTIONS))
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+class TestParameterContract:
+    """Every parameterised layer names its arrays once, for SGD and checkpoints alike."""
+
+    def test_gradients_named_like_params(self, kind, bias):
+        net = build_network(kind_spec(kind, bias), seed=1)
+        logits = net.forward(RNG.uniform(0, 1, size=(3, 6, 6, 2)))
+        _, grads = net.backward(np.ones_like(logits))
+        for layer, layer_grads in zip(net.layers, grads):
+            assert list(layer_grads) == list(layer.params())
+            for name, g in layer_grads.items():
+                assert g.shape == layer.params()[name].shape
+        assert all(("bias" in layer.params()) == bias for layer in net.layers if layer.params())
+
+    def test_checkpoint_restores_in_place(self, kind, bias, tmp_path):
+        spec = kind_spec(kind, bias)
+        trained = build_network(spec, seed=1)
+        train(trained, random_dataset(n=4, h=6, w=6, c=2), TrainConfig(epochs=1, batch_size=4))
+        save_checkpoint(trained, tmp_path / "a")
+
+        fresh = build_network(spec, seed=2)
+        held = [(getattr(layer, "weights", None), dict(layer.params())) for layer in fresh.layers]
+        load_checkpoint(fresh, tmp_path / "a")
+        for layer, (weights, params) in zip(fresh.layers, held):
+            assert getattr(layer, "weights", None) is weights
+            assert all(layer.params()[name] is arr for name, arr in params.items())
+        x = RNG.uniform(0, 1, size=(2, 6, 6, 2))
+        assert np.array_equal(fresh.forward(x), trained.forward(x))
+
+        save_checkpoint(fresh, tmp_path / "b")
+        files = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert files == sorted(f.name for f in (tmp_path / "b").iterdir())
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
