@@ -5,13 +5,15 @@ Counting rules, applied exactly (not asymptotically):
 * one multiply and one add per kernel-tap/channel contribution, so a
   k x k convolution over C_in -> C_out costs H'*W'*k*k*C_in*C_out of each;
 * the bias adds one addition per output element;
-* log-polar layers split into the 1x1 convolution over the pooled region
-  channels (H'*W'*levels_r*levels_theta*C_in*C_out), the 1x1 center
-  convolution (H'*W'*C_in*C_out, when enabled), and pooling: one add per
+* log-polar layers split into the region terms of the 1x1 convolution
+  over the pooled slots (H'*W'*levels_r*levels_theta*C_in*C_out), its
+  center term (H'*W'*C_in*C_out, when enabled), and pooling: one add per
   gathered window cell (H'*W'*n_cells*C_in) plus, in mean mode, one
   multiply per region and channel for the 1/N scaling
-  (H'*W'*levels_r*levels_theta*C_in);
-* the pooled tensor occupies H'*W'*levels_r*levels_theta*C_in cells;
+  (H'*W'*levels_r*levels_theta*C_in); copying the center cell into its
+  slot is free;
+* the pooled tensor occupies H'*W'*(levels_r*levels_theta + 1)*C_in
+  cells with the center slot, H'*W'*levels_r*levels_theta*C_in without;
 * dilated convolution touches only its k*k real taps (holes are free);
   square-shared convolution executes its expanded k x k kernel;
 * mean pooling over a p x p window costs p*p adds plus one multiply per
@@ -162,7 +164,7 @@ def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
         adds = conv_mults + center_mults + pool_adds
         if layer.use_bias:
             adds += locations * cout
-        pooled = locations * regions * cin
+        pooled = locations * (regions + cfg.center_conv) * cin
         detail = {
             "conv_mults": conv_mults,
             "center_mults": center_mults,

@@ -83,29 +83,14 @@ def sweep_configs(full: bool = True):
     visits configurations with empty outer shells.
     """
     grid = FULL_SWEEP if full else QUICK_SWEEP
-    configs = []
+    axes = ("radii", "levels_r", "levels_theta", "growth", "modes", "center", "strides")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateGeometryWarning)
-        for r in grid["radii"]:
-            for lr in grid["levels_r"]:
-                for lt in grid["levels_theta"]:
-                    for g in grid["growth"]:
-                        for mode in grid["modes"]:
-                            for center in grid["center"]:
-                                for s in grid["strides"]:
-                                    configs.append(
-                                        LpscConfig(
-                                            kernel_size=2 * r + 1,
-                                            levels_r=lr,
-                                            levels_theta=lt,
-                                            growth=g,
-                                            stride=s,
-                                            padding=r,
-                                            pooling_mode=mode,
-                                            center_conv=center,
-                                        )
-                                    )
-    return configs
+        return [
+            LpscConfig(kernel_size=2 * r + 1, levels_r=lr, levels_theta=lt, growth=g, stride=s,
+                       padding=r, pooling_mode=mode, center_conv=center)
+            for r, lr, lt, g, mode, center, s in itertools.product(*(grid[a] for a in axes))
+        ]
 
 
 def _config_name(config: LpscConfig) -> str:

@@ -6,31 +6,31 @@ Two evaluation paths compute the same linear map:
   position it mixes the center pixel through the center weight and every
   region's pooled cells through that region's weight, scaled by 1/N in
   mean mode (N = region population in the mask, padding cells included).
-* ``lpsc_forward_fast`` realizes the operator with ordinary machinery:
-  log-polar pooling stacks every window's pooled regions into channels,
-  a single conventional 1x1 convolution over those region channels
-  produces the context response, and a separate 1x1 convolution over the
-  window centers adds the center-pixel response.
+* ``lpsc_forward_fast`` is log-polar pooling, then one conventional 1x1
+  convolution. The center pixel is a region of one cell: it is pooled
+  into one more slot, and its weight is one more block of the kernel.
 
-``lpsc_backward`` differentiates the fast path. The pooled tensor is the
-input of the region convolution's adjoint; the forward pass hands it
-over (``return_pooled``/``pooled``), so a training step pools each input
-once. Given no pooled tensor, the backward pools the input itself.
+``lpsc_backward`` differentiates the fast path: the 1x1 convolution's
+adjoint, then the pooling adjoint. The forward pass hands over its pooled
+tensor (``return_pooled``/``pooled``), so a training step pools each
+input once.
 
 Every cell read goes through ``conv.windows``, the one window primitive:
 ``windows(xp, (k, k), stride)[:, :, :, r + dr, r + dc]`` is mask cell
 (dr, dc) of every window position of the padded input ``xp``, and the
 same index on a writeable view of the gradient adds into it.
 
-Region channels: region k = (level-1)*levels_theta + (sector-1) fills
-pooled channels k*C_in ... (k+1)*C_in - 1, the C order of
-``LpscWeights.regions``, so the 1x1 kernel is the region weights reshaped
-to (1, 1, levels_r*levels_theta*C_in, C_out).
+Pooled slots: region k = (level-1)*levels_theta + (sector-1) fills
+channels k*C_in ... (k+1)*C_in - 1, the C order of ``LpscWeights.regions``;
+with ``center_conv`` the window-center cell fills the last C_in channels.
+The 1x1 kernel is the region weights reshaped to
+(levels_r*levels_theta*C_in, C_out), stacked over the center block.
 
 Pooling modes: ``mean`` divides each region sum by its mask population
 (empty regions stay 0 and never contribute), ``sum`` skips the division,
 ``max`` takes the region maximum over the zero-padded window; max-mode
-gradients route to the first maximal cell in row-major mask order.
+gradients route to the first cell, in row-major mask order, that equals
+the pooled maximum.
 
 LPSCW v1 weight file: ASCII header line
 
@@ -60,6 +60,7 @@ from .conv import (
     windows,
 )
 from .geometry import LogPolarMask, LpscConfig, build_mask
+from .ops import add_to_first_max
 
 __all__ = [
     "LpscWeights",
@@ -119,9 +120,12 @@ def region_offsets(mask: LogPolarMask) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _plan(config: LpscConfig):
-    """Mask and per-region cell offsets for a config."""
+    """Mask, per-region cell offsets, and the cell offsets of each pooled
+    slot: the regions, then the center cell when ``center_conv`` is set."""
     mask = build_mask(config)
-    return mask, region_offsets(mask)
+    offsets = region_offsets(mask)
+    center = [np.zeros((1, 2), dtype=np.int64)] if config.center_conv else []
+    return mask, offsets, offsets + center
 
 
 def lpsc_output_shape(input_hw, config: LpscConfig) -> tuple[int, int]:
@@ -132,32 +136,31 @@ def lpsc_output_shape(input_hw, config: LpscConfig) -> tuple[int, int]:
 
 
 def log_polar_pool(input, config: LpscConfig):
-    """Pool every window's regions into channels.
+    """Pool every window's regions, then its center cell, into channels.
 
-    Returns (N, grid_h, grid_w, levels_r*levels_theta*C_in), without the
-    N axis for an unbatched input. Region k = (level-1)*levels_theta +
-    (sector-1) fills channels k*C_in ... (k+1)*C_in - 1; empty regions
-    stay 0.
+    Returns (N, grid_h, grid_w, slots*C_in), without the N axis for an
+    unbatched input, in the slot layout of the module docstring; empty
+    regions hold 0.
     """
     xb, batched = ensure_batched(input)
-    mask, offsets = _plan(config)
+    _, _, slots = _plan(config)
     r, size = config.radius, config.kernel_size
     win = windows(pad(xb, config.padding), (size, size), config.stride)
     n, c = xb.shape[0], xb.shape[3]
     grid_hw = win.shape[1:3]
-    pooled = np.zeros((n, *grid_hw, len(offsets), c), dtype=np.float64)
+    pooled = np.empty((n, *grid_hw, len(slots), c), dtype=np.float64)
     acc = np.empty((n, *grid_hw, c), dtype=np.float64)  # contiguous, so the adds stay fast
     combine = np.maximum if config.pooling_mode == "max" else np.add
-    counts = mask.counts.ravel()
-    for k, cells in enumerate(offsets):
+    for k, cells in enumerate(slots):
         if len(cells) == 0:
+            pooled[:, :, :, k] = 0.0
             continue
         slices = (win[:, :, :, r + dr, r + dc] for dr, dc in cells)
         acc[...] = next(slices)
         for sl in slices:
             combine(acc, sl, out=acc)
         if config.pooling_mode == "mean":
-            acc /= counts[k]
+            acc /= len(cells)
         pooled[:, :, :, k] = acc
     pooled = pooled.reshape(n, *grid_hw, -1)
     return pooled if batched else pooled[0]
@@ -175,13 +178,16 @@ def _check_weights(config: LpscConfig, weights: LpscWeights, channels: int):
         )
 
 
-def _region_kernel(weights: LpscWeights) -> np.ndarray:
-    """The region weights as a 1x1 kernel over the pooled region channels."""
-    return weights.regions.reshape(1, 1, -1, weights.out_channels)
+def _region_kernel(config: LpscConfig, weights: LpscWeights) -> np.ndarray:
+    """The 1x1 kernel over the pooled slots: the region weights, then the center's."""
+    rows = weights.regions.reshape(-1, weights.out_channels)
+    if config.center_conv:
+        rows = np.concatenate([rows, weights.center])
+    return rows.reshape(1, 1, -1, weights.out_channels)
 
 
 def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights, *, return_pooled=False):
-    """Pooling + 1x1 region convolution + separate center convolution.
+    """Log-polar pooling, then one 1x1 convolution over the pooled slots.
 
     With ``return_pooled`` returns (output, pooled), pooled as
     ``log_polar_pool`` gives it, for ``lpsc_backward`` to reuse.
@@ -189,11 +195,7 @@ def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights, *, return
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
     pooled = log_polar_pool(xb, config)
-    out = conv2d_raw(pooled, _region_kernel(weights), bias=weights.bias)
-    if config.center_conv:
-        r, size = config.radius, config.kernel_size
-        centers = windows(pad(xb, config.padding), (size, size), config.stride)[:, :, :, r, r]
-        out += np.einsum("nijc,cd->nijd", centers, weights.center)
+    out = conv2d_raw(pooled, _region_kernel(config, weights), bias=weights.bias)
     if not batched:
         out, pooled = out[0], pooled[0]
     return (out, pooled) if return_pooled else out
@@ -203,7 +205,7 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
     """Direct evaluation of the region-weighted definition, cell by cell."""
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
-    mask, offsets = _plan(config)
+    mask, offsets, _ = _plan(config)
     r, size = config.radius, config.kernel_size
     win = windows(pad(xb, config.padding), (size, size), config.stride)
     grid_hw = win.shape[1:3]
@@ -237,18 +239,18 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
 def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, *, pooled=None):
     """Exact adjoints of the forward map: (grad_input, LpscWeights grads).
 
-    Computed against the fast path: the 1x1 region-convolution adjoint,
-    then the pooling adjoint scatters each region channel back through
-    that region's cells. *pooled* is the forward pass's pooled tensor
-    (``lpsc_forward_fast(..., return_pooled=True)``); without it the
-    input is pooled again.
+    Computed against the fast path: the 1x1 convolution's adjoint, then
+    the pooling adjoint scatters each slot back through its cells. *pooled*
+    is the forward pass's pooled tensor (``lpsc_forward_fast(...,
+    return_pooled=True)``), which max mode compares cells against; without
+    it the input is pooled again.
     """
     xb, batched = ensure_batched(input)
     _check_weights(config, weights, xb.shape[3])
-    mask, offsets = _plan(config)
-    grid_hw = lpsc_output_shape(xb.shape[1:3], config)
+    _, offsets, slots = _plan(config)
+    n, h, w, c = xb.shape
     g, _ = ensure_batched(grad_output)
-    expected = (xb.shape[0], grid_hw[0], grid_hw[1], weights.out_channels)
+    expected = (n, *lpsc_output_shape((h, w), config), weights.out_channels)
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
 
@@ -256,38 +258,34 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
         pooled = log_polar_pool(xb, config)
     else:
         pooled, _ = ensure_batched(pooled)
-        if pooled.shape != (*expected[:3], len(offsets) * xb.shape[3]):
+        if pooled.shape != (*expected[:3], len(slots) * c):
             raise ValueError(f"pooled shape {pooled.shape} does not match input {xb.shape}")
     grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
-        pooled, _region_kernel(weights), g, has_bias=weights.bias is not None
+        pooled, _region_kernel(config, weights), g, has_bias=weights.bias is not None
     )
-    grad_regions = grad_kernel.reshape(weights.regions.shape)
-    grad_pooled = grad_pooled.reshape(*g.shape[:3], len(offsets), xb.shape[3])
+    grad_kernel = grad_kernel.reshape(len(slots), c, -1)
+    grad_regions = grad_kernel[: len(offsets)].reshape(weights.regions.shape)
+    grad_center = grad_kernel[len(offsets) :].sum(axis=0)  # the center slot's rows, or zeros
+    grad_pooled = grad_pooled.reshape(*expected[:3], len(slots), c)
 
-    r, size = config.radius, config.kernel_size
-    xp = pad(xb, config.padding)
-    win = windows(xp, (size, size), config.stride)
-    grad_xp = np.zeros_like(xp)
+    r, size, (ph, pw) = config.radius, config.kernel_size, config.padding
+    grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float64)
     grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
-    counts = mask.counts.ravel()
-    for k, cells in enumerate(offsets):
+    if config.pooling_mode == "max":
+        win = windows(pad(xb, config.padding), (size, size), config.stride)
+        best = pooled.reshape(*expected[:3], len(slots), c)
+    for k, cells in enumerate(slots):
         if len(cells) == 0:
             continue
         gk = grad_pooled[:, :, :, k]
-        if config.pooling_mode == "max":
-            stack = np.stack([win[:, :, :, r + dr, r + dc] for dr, dc in cells])
-            winner = stack.argmax(axis=0)  # first maximal cell wins ties
-            for t, (dr, dc) in enumerate(cells):
-                grad_win[:, :, :, r + dr, r + dc] += gk * (winner == t)
+        if config.pooling_mode == "max" and len(cells) > 1:  # one cell is its own maximum
+            taps = ((win[:, :, :, r + dr, r + dc], grad_win[:, :, :, r + dr, r + dc])
+                    for dr, dc in cells)
+            add_to_first_max(taps, best[:, :, :, k], gk)
         else:
-            share = gk / max(int(counts[k]), 1) if config.pooling_mode == "mean" else gk
+            share = gk / len(cells) if config.pooling_mode == "mean" else gk
             for dr, dc in cells:
                 grad_win[:, :, :, r + dr, r + dc] += share
-
-    grad_center = np.zeros_like(weights.center)
-    if config.center_conv:
-        grad_center += np.einsum("nijc,nijd->cd", win[:, :, :, r, r], g)
-        grad_win[:, :, :, r, r] += np.einsum("nijd,cd->nijc", g, weights.center)
 
     grad_input = unpad(grad_xp, config.padding)
     if not batched:

@@ -46,21 +46,23 @@ A key that its section does not know is an error, naming the section
 and the key; so is a value of the wrong type: integer options take
 integers only, ``growth``/``alpha``/``eccentricity`` numbers, ``pooling``
 a word, ``stride``/``padding`` an integer or a pair, and a flag (``bias``,
-``center_conv``) true/false (yes/no, on/off).
+``center_conv``) true/false (yes/no, on/off). In ``[net]`` and
+``[train]``, ``classes`` (>= 2), ``batch_size`` and ``epochs`` (>= 1)
+and ``seed`` (>= 0) take integers, and the rates finite numbers >= 0.
 
 A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
 Checkpoints are a directory with a ``manifest.txt`` (one ``<layer-index>
 <kind> <param> <filename>`` line per file): an lpsc layer is one LPSCW
-file, every other array a TNSR file. Loading restores every parameter
-exactly once, in place, or raises naming the manifest.
+file (param ``weights``), every other array a TNSR file. Loading restores
+every parameter exactly once, in place, or raises naming the manifest.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,26 +101,13 @@ __all__ = [
     "load_checkpoint",
 ]
 
-LAYER_KINDS = (
-    "conv",
-    "lpsc",
-    "dilated",
-    "square_share",
-    "relu",
-    "maxpool",
-    "meanpool",
-    "flatten",
-    "dense",
-)
-
-
 @dataclass
 class LayerSpec:
     kind: str
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in _LAYER_CLASSES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
 
 
@@ -146,14 +135,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for key in ("learning_rate", "weight_decay"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -172,16 +161,18 @@ _OPTION_TYPES = {  # cast -> (what the value must be, the types it may have)
 
 
 def _opt(layer, options, key, default=None, cast=int):
-    """Pop option *key* and convert it with *cast*; a value of another type is an error."""
+    """Pop option *key* of *layer* (or of a spec section, named as text) and
+    convert it with *cast*; a value of another type is an error."""
+    where = layer if isinstance(layer, str) else layer.describe()
     value = options.pop(key, default)
     if value is None:
-        raise ValueError(f"{layer.describe()}: missing required option {key!r}")
+        raise ValueError(f"{where}: missing required option {key!r}")
     what, types = _OPTION_TYPES[cast]
     pair = cast is as_pair and isinstance(value, (tuple, list)) and len(value) == 2
     # bool is an int subclass: only a flag may be one
     if not all(isinstance(v, types) and isinstance(v, bool) == (cast is bool)
                for v in (value if pair else (value,))):
-        raise ValueError(f"{layer.describe()}: option {key!r} must be {what}, got {value!r}")
+        raise ValueError(f"{where}: option {key!r} must be {what}, got {value!r}")
     return cast(value)
 
 
@@ -509,17 +500,10 @@ class DenseLayer(_Layer):
         return gx, _named(weights=gw, bias=gb)
 
 
-_LAYER_CLASSES = {
-    "conv": ConvLayer,
-    "lpsc": LpscLayer,
-    "dilated": DilatedLayer,
-    "square_share": SquareShareLayer,
-    "relu": ReluLayer,
-    "maxpool": MaxPoolLayer,
-    "meanpool": MeanPoolLayer,
-    "flatten": FlattenLayer,
-    "dense": DenseLayer,
-}
+_LAYER_CLASSES = {cls.kind: cls for cls in (
+    ConvLayer, LpscLayer, DilatedLayer, SquareShareLayer, ReluLayer,
+    MaxPoolLayer, MeanPoolLayer, FlattenLayer, DenseLayer,
+)}
 
 
 class Network:
@@ -702,12 +686,13 @@ def parse_net_file(path):
         raise ValueError(f"{path}: [net] input must look like 16x16x1") from None
     if len(dims) != 3:
         raise ValueError(f"{path}: [net] input must have three dims, got {net.get('input')!r}")
-    classes = net.getint("classes", fallback=None)
-    if classes is None:
-        raise ValueError(f"{path}: [net] classes is required")
     extra = set(net) - {"input", "classes"}
     if extra:
         raise ValueError(f"{path}: unknown [net] keys {sorted(extra)}")
+    options = {key: _parse_value(value) for key, value in net.items() if key != "input"}
+    classes = _opt(f"{path}: [net]", options, "classes")
+    if classes < 2:
+        raise ValueError(f"{path}: [net]: classes must be >= 2, got {classes}")
 
     layer_sections = []
     for section in parser.sections():
@@ -736,12 +721,17 @@ def parse_net_file(path):
 
     train_cfg = None
     if "train" in parser:
+        where = f"{path}: [train]"
         body = {key: _parse_value(value) for key, value in parser["train"].items()}
-        allowed = {"learning_rate", "momentum", "weight_decay", "batch_size", "epochs", "seed"}
-        extra = set(body) - allowed
-        if extra:
-            raise ValueError(f"{path}: unknown [train] keys {sorted(extra)}")
-        train_cfg = TrainConfig(**body)
+        # each key takes the type of its default: counts are ints, rates numbers
+        values = {f.name: _opt(where, body, f.name, f.default, type(f.default))
+                  for f in fields(TrainConfig)}
+        if body:
+            raise ValueError(f"{path}: unknown [train] keys {sorted(body)}")
+        try:
+            train_cfg = TrainConfig(**values)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return spec, train_cfg
 
 
@@ -795,6 +785,8 @@ def load_checkpoint(network: Network, directory):
         if layer is None or layer.kind != kind:
             raise ValueError(f"{manifest}: no {kind} layer at index {idx_s}")
         if kind == "lpsc":
+            if pname != "weights":
+                raise ValueError(f"{manifest}: lpsc line names {pname!r}, expected 'weights'")
             arrays = _named(**vars(load_lpsc_weights(directory / fname)))
         else:
             arrays = {pname: load_tensor(directory / fname)}

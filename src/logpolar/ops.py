@@ -2,9 +2,11 @@
 
 Window pooling is non-overlapping by default (stride = window) with floor
 semantics and no padding. The pools reduce ``conv.windows``, the one
-window primitive, and their adjoints add into a writeable windows view of
-the input gradient, one window cell at a time. Max-pool ties route the
-gradient to the first window cell in row-major order; relu'(0) = 0.
+window primitive, one window cell (tap) at a time: max pooling keeps a
+running maximum. The adjoints add into a writeable windows view of the
+input gradient, tap by tap. Max pooling's adjoint recomputes the maximum
+and routes the gradient to the first tap, in row-major order, that holds
+it (``add_to_first_max``, shared with log-polar max pooling); relu'(0) = 0.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .conv import as_pair, ensure_batched, windows
 __all__ = [
     "relu",
     "relu_backward",
+    "add_to_first_max",
     "max_pool",
     "max_pool_backward",
     "mean_pool",
@@ -50,9 +53,27 @@ def _pool_setup(x, size, stride):
     return xb, batched, size, stride, windows(xb, size, stride)
 
 
+def _tap_max(cols):
+    """Maximum over the window taps of *cols*, reduced one tap at a time."""
+    out = cols[:, :, :, 0, 0].copy()
+    for a, b in list(np.ndindex(*cols.shape[3:5]))[1:]:
+        np.maximum(out, cols[:, :, :, a, b], out=out)
+    return out
+
+
+def add_to_first_max(cells, best, grad):
+    """Add *grad*, element by element, through the first of the (values,
+    grad_view) pairs of *cells* whose values equal the maximum *best*."""
+    open_ = np.ones(best.shape, dtype=bool)  # no earlier cell has taken the gradient
+    for values, grad_view in cells:
+        hit = (values == best) & open_
+        open_ ^= hit
+        grad_view += grad * hit
+
+
 def max_pool(x, size, stride=None):
     _, batched, _, _, cols = _pool_setup(x, size, stride)
-    out = cols.max(axis=(3, 4))
+    out = _tap_max(cols)
     return out if batched else out[0]
 
 
@@ -61,12 +82,10 @@ def max_pool_backward(x, grad_output, size, stride=None):
     g, _ = ensure_batched(grad_output)
     if g.shape != (*cols.shape[:3], cols.shape[5]):
         raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
-    n, ho, wo, kh, kw, c = cols.shape
-    winner = cols.reshape(n, ho, wo, kh * kw, c).argmax(axis=3)  # first max, row-major
     grad_x = np.zeros_like(xb)
     grad_windows = windows(grad_x, size, stride, writeable=True)
-    for t, (a, b) in enumerate(np.ndindex(kh, kw)):
-        grad_windows[:, :, :, a, b] += g * (winner == t)
+    taps = ((cols[:, :, :, a, b], grad_windows[:, :, :, a, b]) for a, b in np.ndindex(*size))
+    add_to_first_max(taps, _tap_max(cols), g)
     return grad_x if batched else grad_x[0]
 
 

@@ -13,7 +13,7 @@ from logpolar.analysis import (
     visualize_kernel,
 )
 from logpolar.geometry import LpscConfig, build_mask
-from logpolar.lpsc import LpscWeights
+from logpolar.lpsc import LpscWeights, log_polar_pool
 from logpolar.network import LayerSpec, NetSpec, build_network
 
 RNG = np.random.default_rng(31)
@@ -95,8 +95,14 @@ class TestCounting:
         assert double.detail["conv_mults"] == 2 * base.detail["conv_mults"]
 
     def test_pooled_map_cells(self):
-        report = count_costs(lpsc_spec(5, 2, 6, 2, hw=8, cin=3))
-        assert report.layers[0].pooled_cells == 8 * 8 * 2 * 2 * 3 * 3
+        # 12 region slots plus the center slot, C_in = 3 cells each
+        for center, slots in ((True, 13), (False, 12)):
+            spec = lpsc_spec(5, 2, 6, 2, hw=8, cin=3, center_conv=center)
+            cells = count_costs(spec).layers[0].pooled_cells
+            assert cells == 8 * 8 * slots * 3
+            # the count is the size of the tensor the fast path pools into
+            config = build_network(spec, require_logits=False).layers[0].config
+            assert log_polar_pool(np.zeros((8, 8, 3)), config).size == cells
 
     def test_totals_sum_rows(self):
         spec = NetSpec(

@@ -251,6 +251,32 @@ class TestTrainEval:
         assert f"images are {images}" in err and f"input is {spec_input}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("batch_size = 16", "batch_size = 2.5", "[train]: option 'batch_size' must be an integer"),
+            ("epochs = 3", "epochs = true", "[train]: option 'epochs' must be an integer"),
+            ("epochs = 3", "epochs = 0", "[train]: epochs must be >= 1"),
+            ("seed = 1", "seed = 1.0", "[train]: option 'seed' must be an integer"),
+            ("learning_rate = 0.05", "learning_rate = fast", "[train]: option 'learning_rate' must be a number"),
+            ("learning_rate = 0.05", "learning_rate = inf", "[train]: learning_rate must be finite"),
+            ("weight_decay = 0.0005", "weight_decay = nan", "[train]: weight_decay must be finite"),
+            ("momentum = 0.9", "momentum = nan", "[train]: momentum must lie in [0, 1)"),
+            ("classes = 2", "classes = 2.5", "[net]: option 'classes' must be an integer"),
+            ("classes = 2", "classes = 1", "[net]: classes must be >= 2"),
+        ],
+        ids=["batch_size-float", "epochs-bool", "epochs-zero", "seed-float", "lr-word", "lr-inf",
+             "weight_decay-nan", "momentum-nan", "classes-float", "classes-one"],
+    )
+    def test_bad_net_or_train_value_exits_1(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(LPSC_CFG.replace(old, new))
+        out = tmp_path / "run"
+        argv = ["train", "--net", str(cfg), "--out", str(out), "--data", "edges", "--n-per-class", "4"]
+        assert main(argv) == 1
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_val_fraction_column(self, tmp_path, lpsc_cfg):
         out = tmp_path / "run"
         main(

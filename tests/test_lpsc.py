@@ -1,5 +1,6 @@
 """The log-polar operator: region-channel pooling, path equivalence, adjoints."""
 
+import dataclasses
 import math
 import warnings
 
@@ -74,6 +75,39 @@ def loop_lpsc(x, mask, weights, stride, padding, mode, center_conv):
     return out
 
 
+def loop_lpsc_max_grad_input(x, mask, weights, stride, padding, center_conv, g):
+    """Scalar-loop input gradient of max mode: each region's gradient goes to
+    its first maximal cell in row-major mask order."""
+    h, w_, cin = x.shape
+    gh, gw, cout = g.shape
+    (sh, sw), (ph, pw), radius = stride, padding, mask.radius
+    xp = np.zeros((h + 2 * ph, w_ + 2 * pw, cin))
+    xp[ph : ph + h, pw : pw + w_] = x
+    grad = np.zeros_like(xp)
+    for i in range(gh):
+        for j in range(gw):
+            cr, cc = i * sh + radius, j * sw + radius
+            for ci in range(cin):
+                if center_conv:
+                    grad[cr, cc, ci] += sum(g[i, j, co] * weights.center[ci, co] for co in range(cout))
+                for level in range(mask.levels_r):
+                    for sector in range(mask.levels_theta):
+                        k = level * mask.levels_theta + sector + 1
+                        cells = [
+                            (a - radius, b - radius)
+                            for a in range(mask.size)
+                            for b in range(mask.size)
+                            if mask.index_grid[a, b] == k
+                        ]
+                        if not cells:
+                            continue
+                        vals = [xp[cr + dr, cc + dc, ci] for dr, dc in cells]
+                        dr, dc = cells[vals.index(max(vals))]
+                        w = weights.regions[level, sector, ci]
+                        grad[cr + dr, cc + dc, ci] += sum(g[i, j, co] * w[co] for co in range(cout))
+    return grad[ph : ph + h, pw : pw + w_]
+
+
 def make_weights(config, cin, cout, rng, bias=True):
     return LpscWeights(
         center=rng.normal(size=(cin, cout)),
@@ -86,23 +120,32 @@ class TestLogPolarPool:
     def test_region_channel_shape(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2, padding=(2, 2))
         x = RNG.normal(size=(8, 8, 3))
-        assert log_polar_pool(x, c).shape == (8, 8, 2 * 6 * 3)
-        assert log_polar_pool(x[None], c).shape == (1, 8, 8, 2 * 6 * 3)
+        pooled = log_polar_pool(x, c)
+        # 12 region slots, then the center slot, each C_in = 3 channels wide
+        assert pooled.shape == (8, 8, (2 * 6 + 1) * 3)
+        assert log_polar_pool(x[None], c).shape == (1, 8, 8, (2 * 6 + 1) * 3)
+        # unit stride at padding r: the window centers are the input pixels
+        assert np.array_equal(pooled[:, :, 2 * 6 * 3 :], x)
+        no_center = dataclasses.replace(c, center_conv=False)
+        assert np.array_equal(log_polar_pool(x, no_center), pooled[:, :, : 2 * 6 * 3])
 
     def test_constant_input_mean(self):
         # levels_theta=4 leaves no region empty on the size-5 kernel, so a
         # constant input pools to that constant in every region channel
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2)
         x = np.full((7, 7, 1), 3.25)
-        assert np.array_equal(log_polar_pool(x, c), np.full((3, 3, 8), 3.25))
+        pooled = log_polar_pool(x, c)
+        assert np.array_equal(pooled, np.full((3, 3, 8 + 1), 3.25))
+        assert np.array_equal(pooled[:, :, 8:], x[2:5, 2:5])  # center slot: the window centers
 
     def test_single_location_sum_mode_outer_shell(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, pooling_mode="sum")
         mask = build_mask(c)
         x = RNG.normal(size=(5, 5, 2))
         pooled = log_polar_pool(x, c)
-        assert pooled.shape == (1, 1, 16 * 2)
-        slots = pooled[0, 0].reshape(16, 2)  # region k = (level-1)*8 + sector-1, then channel
+        assert pooled.shape == (1, 1, 17 * 2)
+        slots = pooled[0, 0].reshape(17, 2)  # region k = (level-1)*8 + sector-1, then channel
+        assert np.array_equal(slots[16], x[2, 2])  # the center slot, last
         for k in range(16):
             np.testing.assert_allclose(slots[k], x[mask.index_grid == k + 1].sum(axis=0), rtol=1e-14)
         # the outer shell holds one cell on each axis
@@ -516,6 +559,25 @@ class TestProperties:
         want = lpsc_forward_reference(x, config, weights)
         assert got.shape == want.shape
         assert max_rel_error(got, want) < EQUIVALENCE_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(operator_cases())
+    def test_max_mode_ties_route_to_first_cell(self, case):
+        # inputs in halves tie often; each region's gradient must reach its
+        # first maximal cell in row-major mask order
+        config, x, weights, rng = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGeometryWarning)
+            config = dataclasses.replace(config, pooling_mode="max")
+        x = np.round(x) / 2
+        g = rng.normal(size=lpsc_forward_fast(x, config, weights).shape)
+        grad_x, _ = lpsc_backward(x, config, weights, g)
+        mask = build_mask(config)
+        for n in range(len(x)):
+            want = loop_lpsc_max_grad_input(
+                x[n], mask, weights, config.stride, config.padding, config.center_conv, g[n]
+            )
+            assert max_rel_error(grad_x[n], want) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(operator_cases())

@@ -481,8 +481,11 @@ class TestCheckpoints:
             (lambda lines: [line for line in lines if " bias " not in line], "no stored value for layer.5.bias"),
             (lambda lines: lines + lines[-1:], "layer.5.bias is restored twice"),
             (lambda lines: lines + lines[1:2], "layer.1.center is restored twice"),
+            (lambda lines: [line.replace(" lpsc weights ", " lpsc anything ") for line in lines],
+             "lpsc line names 'anything', expected 'weights'"),
         ],
-        ids=["header-only", "lpsc-line-removed", "bias-line-removed", "tnsr-twice", "lpscw-twice"],
+        ids=["header-only", "lpsc-line-removed", "bias-line-removed", "tnsr-twice", "lpscw-twice",
+             "lpsc-param-renamed"],
     )
     def test_partial_or_repeated_manifest_rejected(self, tmp_path, edit, message):
         path = tmp_path / "net.cfg"

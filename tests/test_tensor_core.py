@@ -282,7 +282,43 @@ class TestConvBackward:
 
 
 
+@st.composite
+def tied_pool_cases(draw):
+    """Max-pool input in halves (ties are common), a gradient in quarters, and the geometry."""
+    size = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    h, w = draw(st.integers(size[0], size[0] + 5)), draw(st.integers(size[1], size[1] + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.round(rng.normal(size=(draw(st.integers(1, 2)), h, w, draw(st.integers(1, 3))))) / 2
+    ho, wo = (h - size[0]) // stride[0] + 1, (w - size[1]) // stride[1] + 1
+    g = rng.integers(-8, 9, size=(x.shape[0], ho, wo, x.shape[3])) / 4  # sums stay exact
+    return x, g, size, stride, draw(st.booleans())
+
+
+def max_pool_oracle(x, g, size, stride):
+    """Max pool and its adjoint from sliding_window_view, argmax and np.add.at."""
+    (kh, kw), (sh, sw) = size, stride
+    cells = sliding_window_view(x, size, axis=(1, 2))[:, ::sh, ::sw]  # (N, Ho, Wo, C, kh, kw)
+    cells = cells.reshape(*cells.shape[:4], kh * kw)
+    first = cells.argmax(axis=-1)  # the first maximal cell, row-major
+    n, i, j, c = np.indices(first.shape)
+    grad_x = np.zeros_like(x)
+    np.add.at(grad_x, (n, i * sh + first // kw, j * sw + first % kw, c), g)
+    return cells.max(axis=-1), grad_x
+
+
 class TestOps:
+    @settings(max_examples=120, deadline=None)
+    @given(tied_pool_cases())
+    def test_max_pool_ties_match_oracle(self, case):
+        # overlapping (stride < size), non-square and strided windows alike
+        x, g, size, stride, batched = case
+        want_out, want_grad = max_pool_oracle(x, g, size, stride)
+        if not batched:
+            x, g, want_out, want_grad = x[0], g[0], want_out[0], want_grad[0]
+        assert np.array_equal(ops.max_pool(x, size, stride), want_out)
+        assert np.array_equal(ops.max_pool_backward(x, g, size, stride), want_grad)
+
     def test_relu_values(self):
         assert np.array_equal(ops.relu(np.array([-1.0, 2.0])), [0.0, 2.0])
 
