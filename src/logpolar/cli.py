@@ -12,6 +12,7 @@ working directory implicitly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -45,6 +46,19 @@ class _Parser(argparse.ArgumentParser):
     def exit_with(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
+
+
+def _at_least(least):
+    """An argparse type: an integer >= *least*; argparse names the flag."""
+
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse words a non-integer as "invalid int value"
+    return parse
 
 
 def _fmt(value: float) -> str:
@@ -136,12 +150,9 @@ def _write_history(path, history):
 
 def cmd_train(args) -> int:
     spec, cfg = parse_net_file(args.net)
-    if cfg is None:
-        cfg = TrainConfig()
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.seed is not None:
-        cfg.seed = args.seed
+    overrides = {key: getattr(args, key) for key in ("epochs", "seed")
+                 if getattr(args, key) is not None}
+    cfg = dataclasses.replace(cfg or TrainConfig(), **overrides)  # runs TrainConfig's checks
     args.seed = cfg.seed
     dataset = _load_dataset(args, spec)
     val = None
@@ -278,7 +289,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_mask)
 
     p = sub.add_parser("check", help="run operator equivalence and gradient checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--full", action="store_true", help="run the full configuration sweep")
     p.add_argument("--weights", help="validate a LPSCW weight file instead")
     p.set_defaults(func=cmd_check)
@@ -286,8 +297,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a network from a spec file")
     p.add_argument("--net", required=True, help="network spec file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int, help="override [train] epochs")
-    p.add_argument("--seed", type=int, help="override [train] seed")
+    p.add_argument("--epochs", type=_at_least(1), help="override [train] epochs")
+    p.add_argument("--seed", type=_at_least(0), help="override [train] seed")
     p.add_argument("--val-fraction", type=float, default=0.0, help="tail fraction held out")
     _add_data_flags(p)
     p.set_defaults(func=cmd_train)
@@ -295,14 +306,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--net", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     _add_data_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("erf", help="estimate a receptive field by backpropagation")
     p.add_argument("--net", required=True)
     p.add_argument("--loc", default="center", help="'center' or 'I,J' output location")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", help="optional PGM of the gradient map")
     p.set_defaults(func=cmd_erf)
 
@@ -324,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--task", default="edges")
     p.add_argument("--n-per-class", type=int, default=64)
     p.add_argument("--size", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
 

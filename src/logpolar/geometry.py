@@ -40,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .conv import as_pair
+from .raster import pgm_bytes
 
 __all__ = [
     "DegenerateGeometryWarning",
@@ -272,5 +273,4 @@ def mask_to_pgm(mask: LogPolarMask) -> bytes:
     region = mask.index_grid > 0
     img[region] = np.rint(255.0 * mask.index_grid[region] / (n_regions + 1)).astype(np.uint8)
     img[mask.index_grid == -1] = 255
-    header = f"P5\n{mask.size} {mask.size}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    return pgm_bytes(img)

@@ -15,22 +15,17 @@ adjoint, then the pooling adjoint. The forward pass hands over its pooled
 tensor (``return_pooled``/``pooled``), so a training step pools each
 input once.
 
-Every cell read goes through ``conv.windows``, the one window primitive:
-``windows(xp, (k, k), stride)[:, :, :, r + dr, r + dc]`` is mask cell
-(dr, dc) of every window position of the padded input ``xp``, and the
-same index on a writeable view of the gradient adds into it.
-
-Pooled slots: region k = (level-1)*levels_theta + (sector-1) fills
+Log-polar pooling is ``ops.pool_cells`` over the ``conv.windows`` view
+of the padded input, and its adjoint is ``ops.pool_cells_backward``. A
+slot is a region's mask cells (dr, dc) in row-major order, as window taps
+(r + dr, r + dc). Region k = (level-1)*levels_theta + (sector-1) fills
 channels k*C_in ... (k+1)*C_in - 1, the C order of ``LpscWeights.regions``;
 with ``center_conv`` the window-center cell fills the last C_in channels.
 The 1x1 kernel is the region weights reshaped to
 (levels_r*levels_theta*C_in, C_out), stacked over the center block.
-
-Pooling modes: ``mean`` divides each region sum by its mask population
-(empty regions stay 0 and never contribute), ``sum`` skips the division,
-``max`` takes the region maximum over the zero-padded window; max-mode
-gradients route to the first cell, in row-major mask order, that equals
-the pooled maximum.
+``mean`` divides each region sum by its mask population, ``sum`` does
+not, ``max`` takes the maximum over the zero-padded window and sends its
+gradient to the region's first maximal cell; empty regions pool to 0.
 
 LPSCW v1 weight file: ASCII header line
 
@@ -60,7 +55,7 @@ from .conv import (
     windows,
 )
 from .geometry import LogPolarMask, LpscConfig, build_mask
-from .ops import add_to_first_max
+from .ops import pool_cells, pool_cells_backward
 
 __all__ = [
     "LpscWeights",
@@ -120,12 +115,13 @@ def region_offsets(mask: LogPolarMask) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _plan(config: LpscConfig):
-    """Mask, per-region cell offsets, and the cell offsets of each pooled
-    slot: the regions, then the center cell when ``center_conv`` is set."""
+    """Mask, per-region cell offsets, and the (a, b) window taps of each
+    pooled slot: the regions, then the center cell when ``center_conv`` is set."""
     mask = build_mask(config)
     offsets = region_offsets(mask)
-    center = [np.zeros((1, 2), dtype=np.int64)] if config.center_conv else []
-    return mask, offsets, offsets + center
+    r = config.radius
+    slots = [(cells + r).tolist() for cells in offsets]
+    return mask, offsets, slots + ([[(r, r)]] if config.center_conv else [])
 
 
 def lpsc_output_shape(input_hw, config: LpscConfig) -> tuple[int, int]:
@@ -144,25 +140,10 @@ def log_polar_pool(input, config: LpscConfig):
     """
     xb, batched = ensure_batched(input)
     _, _, slots = _plan(config)
-    r, size = config.radius, config.kernel_size
+    size = config.kernel_size
     win = windows(pad(xb, config.padding), (size, size), config.stride)
-    n, c = xb.shape[0], xb.shape[3]
-    grid_hw = win.shape[1:3]
-    pooled = np.empty((n, *grid_hw, len(slots), c), dtype=np.float64)
-    acc = np.empty((n, *grid_hw, c), dtype=np.float64)  # contiguous, so the adds stay fast
-    combine = np.maximum if config.pooling_mode == "max" else np.add
-    for k, cells in enumerate(slots):
-        if len(cells) == 0:
-            pooled[:, :, :, k] = 0.0
-            continue
-        slices = (win[:, :, :, r + dr, r + dc] for dr, dc in cells)
-        acc[...] = next(slices)
-        for sl in slices:
-            combine(acc, sl, out=acc)
-        if config.pooling_mode == "mean":
-            acc /= len(cells)
-        pooled[:, :, :, k] = acc
-    pooled = pooled.reshape(n, *grid_hw, -1)
+    pooled = pool_cells(win, slots, config.pooling_mode)
+    pooled = pooled.reshape(*pooled.shape[:3], -1)
     return pooled if batched else pooled[0]
 
 
@@ -240,7 +221,7 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     """Exact adjoints of the forward map: (grad_input, LpscWeights grads).
 
     Computed against the fast path: the 1x1 convolution's adjoint, then
-    the pooling adjoint scatters each slot back through its cells. *pooled*
+    the pooling adjoint adds each slot back through its cells. *pooled*
     is the forward pass's pooled tensor (``lpsc_forward_fast(...,
     return_pooled=True)``), which max mode compares cells against; without
     it the input is pooled again.
@@ -268,24 +249,11 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     grad_center = grad_kernel[len(offsets) :].sum(axis=0)  # the center slot's rows, or zeros
     grad_pooled = grad_pooled.reshape(*expected[:3], len(slots), c)
 
-    r, size, (ph, pw) = config.radius, config.kernel_size, config.padding
+    size, (ph, pw), mode = config.kernel_size, config.padding, config.pooling_mode
     grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float64)
     grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
-    if config.pooling_mode == "max":
-        win = windows(pad(xb, config.padding), (size, size), config.stride)
-        best = pooled.reshape(*expected[:3], len(slots), c)
-    for k, cells in enumerate(slots):
-        if len(cells) == 0:
-            continue
-        gk = grad_pooled[:, :, :, k]
-        if config.pooling_mode == "max" and len(cells) > 1:  # one cell is its own maximum
-            taps = ((win[:, :, :, r + dr, r + dc], grad_win[:, :, :, r + dr, r + dc])
-                    for dr, dc in cells)
-            add_to_first_max(taps, best[:, :, :, k], gk)
-        else:
-            share = gk / len(cells) if config.pooling_mode == "mean" else gk
-            for dr, dc in cells:
-                grad_win[:, :, :, r + dr, r + dc] += share
+    win = windows(pad(xb, config.padding), (size, size), config.stride) if mode == "max" else None
+    pool_cells_backward(win, grad_win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled)
 
     grad_input = unpad(grad_xp, config.padding)
     if not batched:

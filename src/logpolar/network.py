@@ -46,9 +46,12 @@ A key that its section does not know is an error, naming the section
 and the key; so is a value of the wrong type: integer options take
 integers only, ``growth``/``alpha``/``eccentricity`` numbers, ``pooling``
 a word, ``stride``/``padding`` an integer or a pair, and a flag (``bias``,
-``center_conv``) true/false (yes/no, on/off). In ``[net]`` and
-``[train]``, ``classes`` (>= 2), ``batch_size`` and ``epochs`` (>= 1)
-and ``seed`` (>= 0) take integers, and the rates finite numbers >= 0.
+``center_conv``) true/false (yes/no, on/off). A layer's integers count
+something and must be >= 1 (``padding`` >= 0), and its numbers must be
+finite. In ``[net]`` and ``[train]``, ``classes`` (>= 2), ``batch_size``
+and ``epochs`` (>= 1) and ``seed`` (>= 0) take integers, and the rates
+finite numbers >= 0. A file that is not INI (a key or a section given
+twice, a line that is not ``key = value``) is an error naming the file.
 
 A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
@@ -162,18 +165,34 @@ _OPTION_TYPES = {  # cast -> (what the value must be, the types it may have)
 
 def _opt(layer, options, key, default=None, cast=int):
     """Pop option *key* of *layer* (or of a spec section, named as text) and
-    convert it with *cast*; a value of another type is an error."""
+    convert it with *cast*; a value of another type is an error. A layer's
+    integers count something, so must be >= 1 (padding >= 0), and its
+    numbers must be finite; NetSpec and TrainConfig bound the sections'."""
     where = layer if isinstance(layer, str) else layer.describe()
     value = options.pop(key, default)
     if value is None:
         raise ValueError(f"{where}: missing required option {key!r}")
     what, types = _OPTION_TYPES[cast]
     pair = cast is as_pair and isinstance(value, (tuple, list)) and len(value) == 2
+    parts = value if pair else (value,)
     # bool is an int subclass: only a flag may be one
-    if not all(isinstance(v, types) and isinstance(v, bool) == (cast is bool)
-               for v in (value if pair else (value,))):
+    if not all(isinstance(v, types) and isinstance(v, bool) == (cast is bool) for v in parts):
         raise ValueError(f"{where}: option {key!r} must be {what}, got {value!r}")
+    if not isinstance(layer, str):
+        least = 0 if key == "padding" else 1
+        if cast in (int, as_pair) and min(parts) < least:
+            raise ValueError(f"{where}: option {key!r} must be >= {least}, got {value!r}")
+        if cast is float and not math.isfinite(value):
+            raise ValueError(f"{where}: option {key!r} must be finite, got {value!r}")
     return cast(value)
+
+
+def _config(layer, cls, **values):
+    """``cls(**values)``, a layer's configuration; its ValueError names *layer*."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{layer.describe()}: {exc}") from None
 
 
 def _named(**arrays):
@@ -277,7 +296,9 @@ class LpscLayer(_Layer):
         super().__init__(index)
         self.out_channels = _opt(self, options, "out_channels")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.config = LpscConfig(
+        self.config = _config(
+            self,
+            LpscConfig,
             kernel_size=_opt(self, options, "size"),
             levels_r=_opt(self, options, "levels_r"),
             levels_theta=_opt(self, options, "levels_theta"),
@@ -332,7 +353,9 @@ class DilatedLayer(_Layer):
         super().__init__(index)
         self.out_channels = _opt(self, options, "out_channels")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.config = DilatedConfig(
+        self.config = _config(
+            self,
+            DilatedConfig,
             kernel_size=_opt(self, options, "kernel_size"),
             dilation=_opt(self, options, "dilation", 1),
             stride=_opt(self, options, "stride", 1, cast=as_pair),
@@ -372,7 +395,9 @@ class SquareShareLayer(_Layer):
         super().__init__(index)
         self.out_channels = _opt(self, options, "out_channels")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.config = SquareShareConfig(
+        self.config = _config(
+            self,
+            SquareShareConfig,
             kernel_size=_opt(self, options, "kernel_size"),
             pool_size=_opt(self, options, "pool_size", 1),
             stride=_opt(self, options, "stride", 1, cast=as_pair),
@@ -426,8 +451,6 @@ class _PoolLayer(_Layer):
         super().__init__(index)
         self.size = _opt(self, options, "size", 2)
         self.stride = _opt(self, options, "stride", self.size)
-        if self.size < 1 or self.stride < 1:
-            raise ValueError(f"{self.describe()}: size and stride must be positive")
 
     def out_shape(self, in_shape):
         stride = (self.stride, self.stride)
@@ -673,8 +696,11 @@ def _parse_value(raw: str):
 
 def parse_net_file(path):
     """Read (NetSpec, TrainConfig | None) from an INI-style spec file."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: malformed spec: {' '.join(str(exc).split())}") from None
     if not read:
         raise ValueError(f"{path}: cannot read network spec")
     if "net" not in parser:
@@ -684,8 +710,8 @@ def parse_net_file(path):
         dims = tuple(int(d) for d in net.get("input", "").split("x"))
     except ValueError:
         raise ValueError(f"{path}: [net] input must look like 16x16x1") from None
-    if len(dims) != 3:
-        raise ValueError(f"{path}: [net] input must have three dims, got {net.get('input')!r}")
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"{path}: [net] input must be three dims >= 1, got {net.get('input')!r}")
     extra = set(net) - {"input", "classes"}
     if extra:
         raise ValueError(f"{path}: unknown [net] keys {sorted(extra)}")

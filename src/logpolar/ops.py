@@ -1,12 +1,13 @@
 """Pointwise, pooling, dense, and loss primitives with exact adjoints.
 
-Window pooling is non-overlapping by default (stride = window) with floor
-semantics and no padding. The pools reduce ``conv.windows``, the one
-window primitive, one window cell (tap) at a time: max pooling keeps a
-running maximum. The adjoints add into a writeable windows view of the
-input gradient, tap by tap. Max pooling's adjoint recomputes the maximum
-and routes the gradient to the first tap, in row-major order, that holds
-it (``add_to_first_max``, shared with log-polar max pooling); relu'(0) = 0.
+``pool_cells`` is the one pooling loop of the package: it combines the
+taps (window cells) of each slot of a ``conv.windows`` view one at a
+time, in the order given. ``pool_cells_backward``, its adjoint, adds into
+a writeable windows view of the input gradient. Log-polar pooling runs
+the pair with one slot per region, ``max_pool`` and ``mean_pool`` with
+one slot that holds every tap of the window in row-major order. Window
+pooling is non-overlapping by default (stride = window) with floor
+semantics and no padding; relu'(0) = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .conv import as_pair, ensure_batched, windows
 __all__ = [
     "relu",
     "relu_backward",
-    "add_to_first_max",
+    "pool_cells",
+    "pool_cells_backward",
     "max_pool",
     "max_pool_backward",
     "mean_pool",
@@ -43,69 +45,97 @@ def relu_backward(x, grad_output):
     return g * (x > 0.0)
 
 
+def pool_cells(win, slots, mode):
+    """Pool each slot, a sequence of (a, b) taps, of the windows view *win*
+    into (N, Ho, Wo, len(slots), C): the taps' sum, their mean (the sum over
+    the slot's population) or their running maximum; an empty slot is 0."""
+    n, ho, wo, _, _, c = win.shape
+    out = np.empty((n, ho, wo, len(slots), c))
+    # a contiguous buffer keeps the adds fast; a lone slot's output slice
+    # is one already (numpy skips assigning a slice to itself)
+    acc = out[:, :, :, 0] if len(slots) == 1 else np.empty((n, ho, wo, c))
+    combine = np.maximum if mode == "max" else np.add
+    for k, taps in enumerate(slots):
+        if len(taps) == 0:
+            out[:, :, :, k] = 0.0
+            continue
+        (a, b), *rest = taps
+        acc[...] = win[:, :, :, a, b]
+        for a, b in rest:
+            combine(acc, win[:, :, :, a, b], out=acc)
+        if mode == "mean":
+            acc /= len(taps)
+        out[:, :, :, k] = acc
+    return out
+
+
+def pool_cells_backward(win, grad_win, slots, mode, pooled, grad):
+    """Add the adjoint of ``pool_cells`` for the pooled gradient *grad* into
+    the writeable windows view *grad_win*. Max mode sends a slot's gradient
+    to its first tap whose *win* value equals the slot's *pooled* maximum
+    (no other mode reads those two); a one-tap slot takes it directly, mean
+    mode divides it by the population, and empty slots are skipped."""
+    for k, taps in enumerate(slots):
+        if len(taps) == 0:
+            continue
+        gk = grad[:, :, :, k]
+        if mode == "max" and len(taps) > 1:
+            best = pooled[:, :, :, k]
+            open_ = np.ones(best.shape, dtype=bool)  # no earlier tap has taken the gradient
+            for a, b in taps:
+                hit = (win[:, :, :, a, b] == best) & open_
+                open_ ^= hit
+                grad_win[:, :, :, a, b] += gk * hit
+        else:
+            share = gk / len(taps) if mode == "mean" else gk
+            for a, b in taps:
+                grad_win[:, :, :, a, b] += share
+
+
 def _pool_setup(x, size, stride):
-    """(batched x, had batch dim, size, stride, windows view of x)."""
+    """(batched x, had batch dim, size, stride, windows of x, a window's one slot)."""
     xb, batched = ensure_batched(x)
     size = as_pair(size, "pool size")
     stride = as_pair(size if stride is None else stride, "pool stride")
     if min(*size, *stride) < 1:
         raise ValueError("pool size and stride must be positive")
-    return xb, batched, size, stride, windows(xb, size, stride)
+    return xb, batched, size, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
 
 
-def _tap_max(cols):
-    """Maximum over the window taps of *cols*, reduced one tap at a time."""
-    out = cols[:, :, :, 0, 0].copy()
-    for a, b in list(np.ndindex(*cols.shape[3:5]))[1:]:
-        np.maximum(out, cols[:, :, :, a, b], out=out)
-    return out
+def _pool(x, size, stride, mode):
+    _, batched, _, _, cols, slots = _pool_setup(x, size, stride)
+    out = pool_cells(cols, slots, mode)[:, :, :, 0]
+    if mode == "mean":
+        out += 0.0  # a window of -0.0s pools to +0.0, as numpy's mean gives it
+    return out if batched else out[0]
 
 
-def add_to_first_max(cells, best, grad):
-    """Add *grad*, element by element, through the first of the (values,
-    grad_view) pairs of *cells* whose values equal the maximum *best*."""
-    open_ = np.ones(best.shape, dtype=bool)  # no earlier cell has taken the gradient
-    for values, grad_view in cells:
-        hit = (values == best) & open_
-        open_ ^= hit
-        grad_view += grad * hit
+def _pool_backward(x, grad_output, size, stride, mode):
+    xb, batched, size, stride, cols, slots = _pool_setup(x, size, stride)
+    g, _ = ensure_batched(grad_output)
+    if g.shape != (*cols.shape[:3], cols.shape[5]):
+        raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
+    pooled = pool_cells(cols, slots, mode) if mode == "max" else None
+    grad_x = np.zeros_like(xb)
+    grad_cols = windows(grad_x, size, stride, writeable=True)
+    pool_cells_backward(cols, grad_cols, slots, mode, pooled, g[:, :, :, None])
+    return grad_x if batched else grad_x[0]
 
 
 def max_pool(x, size, stride=None):
-    _, batched, _, _, cols = _pool_setup(x, size, stride)
-    out = _tap_max(cols)
-    return out if batched else out[0]
+    return _pool(x, size, stride, "max")
 
 
 def max_pool_backward(x, grad_output, size, stride=None):
-    xb, batched, size, stride, cols = _pool_setup(x, size, stride)
-    g, _ = ensure_batched(grad_output)
-    if g.shape != (*cols.shape[:3], cols.shape[5]):
-        raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
-    grad_x = np.zeros_like(xb)
-    grad_windows = windows(grad_x, size, stride, writeable=True)
-    taps = ((cols[:, :, :, a, b], grad_windows[:, :, :, a, b]) for a, b in np.ndindex(*size))
-    add_to_first_max(taps, _tap_max(cols), g)
-    return grad_x if batched else grad_x[0]
+    return _pool_backward(x, grad_output, size, stride, "max")
 
 
 def mean_pool(x, size, stride=None):
-    _, batched, _, _, cols = _pool_setup(x, size, stride)
-    out = cols.mean(axis=(3, 4))
-    return out if batched else out[0]
+    return _pool(x, size, stride, "mean")
 
 
 def mean_pool_backward(x, grad_output, size, stride=None):
-    xb, batched, size, stride, cols = _pool_setup(x, size, stride)
-    g, _ = ensure_batched(grad_output)
-    if g.shape != (*cols.shape[:3], cols.shape[5]):
-        raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
-    share = g / (size[0] * size[1])
-    grad_x = np.zeros_like(xb)
-    grad_windows = windows(grad_x, size, stride, writeable=True)
-    for a, b in np.ndindex(*size):
-        grad_windows[:, :, :, a, b] += share
-    return grad_x if batched else grad_x[0]
+    return _pool_backward(x, grad_output, size, stride, "mean")
 
 
 def dense(x, weights, bias=None):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import logpolar
-from logpolar.cli import main
+from logpolar.cli import build_parser, cmd_train, main
 from logpolar.data import load_idx
 from logpolar.network import parse_net_file
 
@@ -69,6 +69,8 @@ out_channels = 2
 kernel_size = 3
 padding = 1
 """
+
+LPSC_LAYER = LPSC_CFG[LPSC_CFG.index("kind = lpsc") : LPSC_CFG.index("\n\n[layer.2]")]
 
 
 @pytest.fixture
@@ -264,9 +266,14 @@ class TestTrainEval:
             ("momentum = 0.9", "momentum = nan", "[train]: momentum must lie in [0, 1)"),
             ("classes = 2", "classes = 2.5", "[net]: option 'classes' must be an integer"),
             ("classes = 2", "classes = 1", "[net]: classes must be >= 2"),
+            ("input = 16x16x1", "input = 16x0x1", "[net] input must be three dims >= 1"),
+            ("seed = 1", "seed = 1\nseed = 2", "malformed spec"),
+            ("[train]", "[layer.5]\nkind = relu\n\n[train]", "malformed spec"),
+            ("classes = 2", "classes = 2\nno value here", "malformed spec"),
         ],
         ids=["batch_size-float", "epochs-bool", "epochs-zero", "seed-float", "lr-word", "lr-inf",
-             "weight_decay-nan", "momentum-nan", "classes-float", "classes-one"],
+             "weight_decay-nan", "momentum-nan", "classes-float", "classes-one", "input-zero",
+             "key-twice", "section-twice", "not-key-value"],
     )
     def test_bad_net_or_train_value_exits_1(self, tmp_path, capsys, old, new, message):
         cfg = tmp_path / "net.cfg"
@@ -275,6 +282,34 @@ class TestTrainEval:
         argv = ["train", "--net", str(cfg), "--out", str(out), "--data", "edges", "--n-per-class", "4"]
         assert main(argv) == 1
         assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--net", "{cfg}", "--out", "{out}", "--epochs", "0"], "--epochs: must be >= 1"),
+            (["train", "--net", "{cfg}", "--out", "{out}", "--epochs", "-2"], "--epochs: must be >= 1"),
+            (["train", "--net", "{cfg}", "--out", "{out}", "--seed", "-1"], "--seed: must be >= 0"),
+            (["eval", "--net", "{cfg}", "--checkpoint", "{out}", "--seed", "-1"], "--seed: must be >= 0"),
+            (["check", "--seed", "-1"], "--seed: must be >= 0"),
+            (["erf", "--net", "{cfg}", "--out", "{out}", "--seed", "-1"], "--seed: must be >= 0"),
+            (["gen-data", "--out", "{out}", "--seed", "-1"], "--seed: must be >= 0"),
+        ],
+        ids=["train-epochs-zero", "train-epochs-negative", "train-seed", "eval-seed", "check-seed",
+             "erf-seed", "gen-data-seed"],
+    )
+    def test_flag_below_its_bound_exits_1(self, tmp_path, lpsc_cfg, capsys, argv, flag):
+        out = tmp_path / "run"
+        assert main([a.format(cfg=lpsc_cfg, out=out) for a in argv]) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_overrides_pass_train_config_checks(self, tmp_path, lpsc_cfg):
+        out = tmp_path / "run"
+        args = build_parser().parse_args(["train", "--net", str(lpsc_cfg), "--out", str(out)])
+        args.epochs = 0  # past the flag's own bound
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            cmd_train(args)
         assert not out.exists()
 
     def test_val_fraction_column(self, tmp_path, lpsc_cfg):
@@ -339,8 +374,20 @@ class TestCount:
             ("size = 5", "size = five", "layer.1 (lpsc)", "size"),
             ("growth = 2", "growth = fast", "layer.1 (lpsc)", "growth"),
             ("padding = 2", "padding = 2,x", "layer.1 (lpsc)", "padding"),
+            ("out_channels = 4", "out_channels = -3", "layer.1 (lpsc)", "out_channels"),
+            ("out_channels = 4", "out_channels = 0", "layer.1 (lpsc)", "out_channels"),
+            ("units = 2", "units = 0", "layer.5 (dense)", "units"),
+            ("padding = 2", "padding = 2,-1", "layer.1 (lpsc)", "padding"),
+            ("growth = 2", "growth = inf", "layer.1 (lpsc)", "growth"),
+            ("growth = 2", "growth = 2\nalpha = inf", "layer.1 (lpsc)", "alpha"),
+            (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 0", "layer.1 (conv)", "kernel_size"),
+            (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 3\nstride = 0", "layer.1 (conv)",
+             "stride"),
+            ("size = 2", "size = 0", "layer.3 (maxpool)", "size"),
         ],
-        ids=["units", "out_channels", "stride", "size", "growth", "pair"],
+        ids=["units", "out_channels", "stride", "size", "growth", "pair", "out_channels-negative",
+             "out_channels-zero", "units-zero", "padding-negative", "growth-inf", "alpha-inf",
+             "conv-kernel_size-zero", "conv-stride-zero", "maxpool-size-zero"],
     )
     def test_option_of_wrong_type_rejected(self, tmp_path, capsys, old, new, layer, key):
         cfg = tmp_path / "typed.cfg"

@@ -284,7 +284,8 @@ class TestConvBackward:
 
 @st.composite
 def tied_pool_cases(draw):
-    """Max-pool input in halves (ties are common), a gradient in quarters, and the geometry."""
+    """Pool input in halves (ties are common, sums exact), a gradient in
+    quarters, the geometry and the mode."""
     size = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     h, w = draw(st.integers(size[0], size[0] + 5)), draw(st.integers(size[1], size[1] + 5))
@@ -292,13 +293,20 @@ def tied_pool_cases(draw):
     x = np.round(rng.normal(size=(draw(st.integers(1, 2)), h, w, draw(st.integers(1, 3))))) / 2
     ho, wo = (h - size[0]) // stride[0] + 1, (w - size[1]) // stride[1] + 1
     g = rng.integers(-8, 9, size=(x.shape[0], ho, wo, x.shape[3])) / 4  # sums stay exact
-    return x, g, size, stride, draw(st.booleans())
+    return x, g, size, stride, draw(st.booleans()), draw(st.sampled_from(["max", "mean"]))
 
 
-def max_pool_oracle(x, g, size, stride):
-    """Max pool and its adjoint from sliding_window_view, argmax and np.add.at."""
+def pool_oracle(x, g, size, stride, mode):
+    """Window pool and its adjoint from sliding_window_view and np.add.at:
+    the max adjoint goes to the argmax, the mean adjoint g / (kh*kw) to every cell."""
     (kh, kw), (sh, sw) = size, stride
     cells = sliding_window_view(x, size, axis=(1, 2))[:, ::sh, ::sw]  # (N, Ho, Wo, C, kh, kw)
+    if mode == "mean":
+        n, i, j, c = np.indices(g.shape)
+        a, b = np.indices(size).reshape(2, kh, kw, 1, 1, 1, 1)  # taps outermost, row-major
+        grad_x = np.zeros_like(x)
+        np.add.at(grad_x, (n, i * sh + a, j * sw + b, c), g / (kh * kw))
+        return cells.mean(axis=(-2, -1)), grad_x
     cells = cells.reshape(*cells.shape[:4], kh * kw)
     first = cells.argmax(axis=-1)  # the first maximal cell, row-major
     n, i, j, c = np.indices(first.shape)
@@ -310,14 +318,24 @@ def max_pool_oracle(x, g, size, stride):
 class TestOps:
     @settings(max_examples=120, deadline=None)
     @given(tied_pool_cases())
-    def test_max_pool_ties_match_oracle(self, case):
+    def test_pool_ties_match_oracle(self, case):
         # overlapping (stride < size), non-square and strided windows alike
-        x, g, size, stride, batched = case
-        want_out, want_grad = max_pool_oracle(x, g, size, stride)
+        x, g, size, stride, batched, mode = case
+        fwd, bwd = {"max": (ops.max_pool, ops.max_pool_backward),
+                    "mean": (ops.mean_pool, ops.mean_pool_backward)}[mode]
+        want_out, want_grad = pool_oracle(x, g, size, stride, mode)
         if not batched:
             x, g, want_out, want_grad = x[0], g[0], want_out[0], want_grad[0]
-        assert np.array_equal(ops.max_pool(x, size, stride), want_out)
-        assert np.array_equal(ops.max_pool_backward(x, g, size, stride), want_grad)
+        assert np.array_equal(fwd(x, size, stride), want_out)
+        assert np.array_equal(bwd(x, g, size, stride), want_grad)
+
+    def test_pool_cells_combines_taps_in_order(self):
+        # 2**53 + 1 rounds back to 2**53, so the sum depends on the tap order
+        x = np.array([2.0**53, 1.0, -(2.0**53)]).reshape(1, 1, 3, 1)
+        win = windows(x, (1, 3), (1, 1))
+        taps = [(0, 0), (0, 1), (0, 2)]
+        pooled = ops.pool_cells(win, [taps, taps[::-1], []], "sum")
+        assert pooled.ravel().tolist() == [0.0, 1.0, 0.0]  # an empty slot pools to 0
 
     def test_relu_values(self):
         assert np.array_equal(ops.relu(np.array([-1.0, 2.0])), [0.0, 2.0])
@@ -339,6 +357,11 @@ class TestOps:
         x = np.arange(16.0).reshape(4, 4, 1)
         out = ops.mean_pool(x, 2)
         assert np.array_equal(out[:, :, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+    def test_mean_pool_of_negative_zeros_is_positive_zero(self):
+        # as numpy's mean gives it; log-polar pooling keeps -0.0 instead
+        out = ops.mean_pool(np.full((2, 2, 1), -0.0), 2)
+        assert out.ravel().tolist() == [0.0] and not np.signbit(out).any()
 
     def test_max_pool_tie_routes_to_first_cell(self):
         x = np.zeros((2, 2, 1))
