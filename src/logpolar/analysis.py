@@ -27,7 +27,8 @@ float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,70 +86,37 @@ class CostReport:
     def total_pooled_cells(self) -> int:
         return sum(l.pooled_cells for l in self.layers)
 
-    def to_text(self) -> str:
-        rows = [("layer", "kind", "output", "params", "mults", "adds", "pooled")]
+    def _rows(self, pooled) -> list:
+        """The header (its last column named *pooled*), one row per layer,
+        then the totals, every cell a string."""
+        rows = [("layer", "kind", "output", "params", "mults", "adds", pooled)]
         for l in self.layers:
-            rows.append(
-                (
-                    l.name,
-                    l.kind,
-                    "x".join(str(d) for d in l.output_shape),
-                    str(l.params),
-                    str(l.mults),
-                    str(l.adds),
-                    str(l.pooled_cells),
-                )
-            )
-        rows.append(
-            (
-                "total",
-                "",
-                "",
-                str(self.total_params),
-                str(self.total_mults),
-                str(self.total_adds),
-                str(self.total_pooled_cells),
-            )
-        )
+            shape = "x".join(str(d) for d in l.output_shape)
+            rows.append((l.name, l.kind, shape, l.params, l.mults, l.adds, l.pooled_cells))
+        rows.append(("total", "", "", self.total_params, self.total_mults, self.total_adds,
+                     self.total_pooled_cells))
+        return [[str(cell) for cell in row] for row in rows]
+
+    def to_text(self) -> str:
+        rows = self._rows("pooled")
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         return "\n".join(
             "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
         )
 
     def to_csv(self) -> str:
-        lines = ["layer,kind,output,params,mults,adds,pooled_cells"]
-        for l in self.layers:
-            shape = "x".join(str(d) for d in l.output_shape)
-            lines.append(
-                f"{l.name},{l.kind},{shape},{l.params},{l.mults},{l.adds},{l.pooled_cells}"
-            )
-        lines.append(
-            f"total,,,{self.total_params},{self.total_mults},{self.total_adds},{self.total_pooled_cells}"
-        )
-        return "\n".join(lines) + "\n"
-
-
-def _conv_cost(layer, in_shape, out_shape, taps):
-    locations = out_shape[0] * out_shape[1]
-    cin, cout = in_shape[2], out_shape[2]
-    mults = locations * taps * cin * cout
-    adds = mults
-    if layer.use_bias:
-        adds += locations * cout
-    return mults, adds
+        return "".join(",".join(row) + "\n" for row in self._rows("pooled_cells"))
 
 
 def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
-    params = sum(int(np.prod(a.shape)) for a in layer.params().values())
+    params = sum(a.size for a in layer.params().values())
     kind = layer.kind
     mults = adds = pooled = 0
     detail = {}
-    if kind == "conv":
-        mults, adds = _conv_cost(layer, in_shape, out_shape, layer.kernel_size**2)
-    elif kind == "dilated":
-        mults, adds = _conv_cost(layer, in_shape, out_shape, layer.config.kernel_size**2)
-    elif kind == "square_share":
-        mults, adds = _conv_cost(layer, in_shape, out_shape, layer.config.kernel_size**2)
+    if kind in ("conv", "dilated", "square_share"):
+        # conv keeps its kernel size on the layer, the baselines on their config
+        taps = getattr(layer, "config", layer).kernel_size ** 2
+        mults = adds = out_shape[0] * out_shape[1] * taps * in_shape[2] * out_shape[2]
     elif kind == "lpsc":
         cfg = layer.config
         locations = out_shape[0] * out_shape[1]
@@ -162,8 +130,6 @@ def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
         pool_adds = locations * n_cells * cin if cfg.pooling_mode != "max" else 0
         mults = conv_mults + center_mults + pool_mults
         adds = conv_mults + center_mults + pool_adds
-        if layer.use_bias:
-            adds += locations * cout
         pooled = locations * (regions + cfg.center_conv) * cin
         detail = {
             "conv_mults": conv_mults,
@@ -173,31 +139,21 @@ def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
             "in_field_cells": n_cells,
         }
     elif kind == "dense":
-        mults = in_shape[0] * layer.units
-        adds = mults + (layer.units if layer.use_bias else 0)
+        mults = adds = in_shape[0] * layer.units
     elif kind == "meanpool":
         locations = out_shape[0] * out_shape[1] * out_shape[2]
         adds = locations * layer.size**2
         mults = locations
     # relu, maxpool, flatten cost nothing under these rules
-    return LayerCost(
-        name=layer.name,
-        kind=kind,
-        output_shape=tuple(out_shape),
-        params=params,
-        mults=mults,
-        adds=adds,
-        pooled_cells=pooled,
-        detail=detail,
-    )
+    if "bias" in layer.params():  # one add per output element
+        adds += math.prod(out_shape)
+    return LayerCost(layer.name, kind, tuple(out_shape), params, mults, adds, pooled, detail)
 
 
 def count_costs(spec: NetSpec, input_shape=None) -> CostReport:
     """Exact per-layer parameter and operation counts for a network spec."""
     if input_shape is not None:
-        spec = NetSpec(
-            layers=spec.layers, input_shape=tuple(input_shape), num_classes=spec.num_classes
-        )
+        spec = replace(spec, input_shape=input_shape)
     net = build_network(spec, seed=0, require_logits=False)
     layers = [
         _layer_cost(layer, in_shape, out_shape)
@@ -297,13 +253,13 @@ def visualize_kernel(weights: LpscWeights, mask: LogPolarMask, fill_corners=True
 
 def kernel_to_pgm(kernel_image) -> bytes:
     """Render one (size, size) kernel image; NaN cells show as black."""
-    return pgm_bytes(to_gray(kernel_image, floor=32))
+    return pgm_bytes(to_gray(kernel_image))
 
 
 def kernel_to_ppm(kernel_image) -> bytes:
     """Color render of one kernel image; unfilled (NaN) cells show red."""
     kernel_image = np.asarray(kernel_image, dtype=np.float64)
-    gray = to_gray(kernel_image, floor=32)
+    gray = to_gray(kernel_image)
     rgb = np.stack([gray, gray, gray], axis=-1)
     sentinel = ~np.isfinite(kernel_image)
     rgb[sentinel] = (200, 0, 0)

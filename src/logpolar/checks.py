@@ -32,6 +32,7 @@ __all__ = [
 EQUIVALENCE_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 GRADIENT_TOL = 1e-4
+_SWEEP_SHAPE = (16, 3, 4)  # H = W, C_in, C_out of the sweeps' inputs and weights
 
 FULL_SWEEP = {
     "radii": (2, 3, 5),
@@ -109,8 +110,9 @@ def _random_weights(config, cin, cout, rng) -> LpscWeights:
     )
 
 
-def equivalence_sweep(seed=0, full=True, inputs_per_config=10, hw=16, cin=3, cout=4):
+def equivalence_sweep(seed=0, full=True, inputs_per_config=10):
     """Fast path versus reference path over the standard sweep."""
+    hw, cin, cout = _SWEEP_SHAPE
     results = []
     for idx, config in enumerate(sweep_configs(full)):
         rng = np.random.default_rng(seed + idx)
@@ -127,8 +129,9 @@ def equivalence_sweep(seed=0, full=True, inputs_per_config=10, hw=16, cin=3, cou
     return results
 
 
-def sum_mean_identity_sweep(seed=0, full=True, inputs_per_config=2, hw=16, cin=3, cout=4):
+def sum_mean_identity_sweep(seed=0, full=True, inputs_per_config=2):
     """Sum-mode forward with weights w == mean-mode with weights w * N."""
+    hw, cin, cout = _SWEEP_SHAPE
     results = []
     seen = set()
     for idx, config in enumerate(sweep_configs(full)):
@@ -179,8 +182,9 @@ def _finite_difference(f, x, eps=1e-5):
     return grad
 
 
-def gradient_checks(seed=0, hw=8, cin=2, cout=2):
+def gradient_checks(seed=0):
     """Finite-difference probes of the operator backward in every mode."""
+    hw, cin, cout = 8, 2, 2
     results = []
     pairs = itertools.product(("mean", "sum", "max"), (True, False))
     for idx, (mode, center) in enumerate(pairs):

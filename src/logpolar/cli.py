@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 from . import checks
 from .analysis import count_costs, estimate_rf, kernel_to_pgm, rf_to_pgm, visualize_kernel
-from .data import load_idx, make_oriented_edges, save_idx
+from .data import Dataset, load_idx, make_oriented_edges, save_idx
 from .geometry import LpscConfig, build_mask, mask_to_pgm, mask_to_text
 from .lpsc import load_lpsc_weights
 from .network import (
@@ -58,6 +59,20 @@ def _at_least(least):
         return value
 
     parse.__name__ = "int"  # argparse words a non-integer as "invalid int value"
+    return parse
+
+
+def _finite(least=-math.inf, below=math.inf):
+    """An argparse type: a finite number in [least, below); argparse names the flag."""
+
+    def parse(text):
+        value = float(text)
+        if not (math.isfinite(value) and least <= value < below):
+            bounds = f" in [{least:g}, {below:g})" if math.isfinite(below) else ""
+            raise argparse.ArgumentTypeError(f"must be finite{bounds}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse words a non-number as "invalid float value"
     return parse
 
 
@@ -158,8 +173,8 @@ def cmd_train(args) -> int:
     val = None
     if args.val_fraction > 0:
         n_val = max(1, int(len(dataset) * args.val_fraction))
-        from .data import Dataset
-
+        if n_val >= len(dataset):
+            raise ValueError(f"--val-fraction {args.val_fraction:g} leaves no sample to train on")
         val = Dataset(
             images=dataset.images[-n_val:], labels=dataset.labels[-n_val:],
             num_classes=dataset.num_classes,
@@ -244,6 +259,8 @@ def cmd_count(args) -> int:
             input_shape = tuple(int(d) for d in args.input.split("x"))
         except ValueError:
             raise ValueError(f"--input must look like 16x16x1, got {args.input!r}") from None
+        if len(input_shape) != 3 or min(input_shape) < 1:
+            raise ValueError(f"--input must be three dims >= 1, got {args.input!r}")
     report = count_costs(spec, input_shape=input_shape)
     print(report.to_text())
     if args.csv:
@@ -267,9 +284,9 @@ def _add_mask_flags(p, required=True):
     p.add_argument("--size", type=int, required=required, help="kernel size 2R+1 (odd)")
     p.add_argument("--lr", type=int, required=required, help="number of distance levels")
     p.add_argument("--lt", type=int, required=required, help="number of direction levels (even)")
-    p.add_argument("--g", type=float, required=required, help="radial growth rate (> 1)")
-    p.add_argument("--alpha", type=float, default=0.0, help="initial angle in radians")
-    p.add_argument("--ecc", type=float, default=0.0, help="ellipse eccentricity in [0, 1)")
+    p.add_argument("--g", type=_finite(), required=required, help="radial growth rate (> 1)")
+    p.add_argument("--alpha", type=_finite(), default=0.0, help="initial angle in radians")
+    p.add_argument("--ecc", type=_finite(), default=0.0, help="ellipse eccentricity in [0, 1)")
 
 
 def _add_data_flags(p):
@@ -299,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--epochs", type=_at_least(1), help="override [train] epochs")
     p.add_argument("--seed", type=_at_least(0), help="override [train] seed")
-    p.add_argument("--val-fraction", type=float, default=0.0, help="tail fraction held out")
+    p.add_argument("--val-fraction", type=_finite(0, 1), default=0.0, help="tail fraction held out")
     _add_data_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -2,13 +2,14 @@
 
 IDX is the big-endian binary container: images carry magic 0x00000803
 (unsigned-byte payload, 3 dims), labels carry 0x00000801 (1 dim), each
-dimension size a big-endian uint32, then the raw bytes. Pixels are scaled
-to [0, 1] by 1/255 on load and rounded back on save, so files round-trip
-byte-exactly. No mean/std normalization is applied.
+dimension size a big-endian uint32 (>= 1), then the raw bytes. Pixels
+are scaled to [0, 1] by 1/255 on load and rounded back on save, so files
+round-trip byte-exactly. No mean/std normalization is applied.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -54,24 +55,22 @@ class Dataset:
         return self.images.shape[0]
 
 
-def _read_exact(fh, n, path, what):
-    blob = fh.read(n)
-    if len(blob) != n:
-        raise ValueError(f"{path}: truncated while reading {what}")
-    return blob
-
-
 def _load_idx_array(path, magic, ndim):
     with open(path, "rb") as fh:
-        (got_magic,) = struct.unpack(">I", _read_exact(fh, 4, path, "magic"))
-        if got_magic != magic:
-            raise ValueError(f"{path}: magic 0x{got_magic:08x}, expected 0x{magic:08x}")
-        dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, path, "dimensions"))
-        count = int(np.prod(dims, dtype=np.int64))
-        payload = _read_exact(fh, count, path, "payload")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+        raw = fh.read()
+    head = 4 * (ndim + 1)
+    if len(raw) < head:
+        raise ValueError(f"{path}: truncated while reading the header")
+    got_magic, *dims = struct.unpack(f">{ndim + 1}I", raw[:head])
+    if got_magic != magic:
+        raise ValueError(f"{path}: magic 0x{got_magic:08x}, expected 0x{magic:08x}")
+    if min(dims) < 1:
+        raise ValueError(f"{path}: dimensions {dims} must be >= 1")
+    count = math.prod(dims)  # a Python int: no header overflows it
+    if len(raw) - head != count:
+        what = "truncated" if len(raw) - head < count else "trailing bytes after"
+        raise ValueError(f"{path}: {what} payload: {len(raw) - head} bytes, expected {count}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=head).reshape(dims)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -80,12 +79,12 @@ def load_idx(images_path, labels_path) -> Dataset:
     raw_labels = _load_idx_array(labels_path, LABEL_MAGIC, 1)
     if raw_images.shape[0] != raw_labels.shape[0]:
         raise ValueError(
+            f"{images_path}, {labels_path}: "
             f"{raw_images.shape[0]} images but {raw_labels.shape[0]} labels"
         )
     images = raw_images.astype(np.float64)[..., None] / 255.0
     labels = raw_labels.astype(np.int64)
-    num_classes = int(labels.max()) + 1 if len(labels) else 1
-    return Dataset(images=images, labels=labels, num_classes=num_classes)
+    return Dataset(images=images, labels=labels, num_classes=int(labels.max()) + 1)
 
 
 def save_idx(dataset: Dataset, images_path, labels_path) -> None:

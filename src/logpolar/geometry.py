@@ -91,8 +91,10 @@ class LpscConfig:
             raise ValueError(
                 f"levels_theta must be even and >= 2, got {self.levels_theta}"
             )
-        if not self.growth > 1.0:
-            raise ValueError(f"growth must be > 1, got {self.growth}")
+        if not 1.0 < self.growth < math.inf:
+            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {self.eccentricity}")
         if self.stride[0] < 1 or self.stride[1] < 1:

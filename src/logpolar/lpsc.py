@@ -27,12 +27,12 @@ The 1x1 kernel is the region weights reshaped to
 not, ``max`` takes the maximum over the zero-padded window and sends its
 gradient to the region's first maximal cell; empty regions pool to 0.
 
-LPSCW v1 weight file: ASCII header line
+LPSCW v1 weight file, in the float64 container of ``tensor.py``:
 
     LPSCW v1 <levels_r> <levels_theta> <C_in> <C_out> <has_bias>
 
-followed by little-endian float64: center block (C_in, C_out), region
-block in (level, sector, C_in, C_out) order, then the bias if present.
+then the center block (C_in, C_out), the region block in (level, sector,
+C_in, C_out) order, then the bias (C_out,) if present.
 
 Forward and backward are pure; cell accumulation follows the fixed
 row-major mask order, so repeated evaluations are bit-identical.
@@ -56,6 +56,7 @@ from .conv import (
 )
 from .geometry import LogPolarMask, LpscConfig, build_mask
 from .ops import pool_cells, pool_cells_backward
+from .tensor import _read_float64, _write_float64
 
 __all__ = [
     "LpscWeights",
@@ -261,44 +262,24 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=grad_bias)
 
 
+def _weights_layout(fields):
+    """LPSCW header ``<levels_r> <levels_theta> <C_in> <C_out> <has_bias>``:
+    the center, region and (when present) bias block shapes."""
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 integers, got {len(fields)}")
+    lr, lt, cin, cout, has_bias = fields
+    if min(lr, lt, cin, cout) < 1 or has_bias not in (0, 1):
+        raise ValueError("dims must be >= 1 and has_bias 0 or 1")
+    return [(cin, cout), (lr, lt, cin, cout)] + [(cout,)] * has_bias
+
+
 def save_lpsc_weights(path, weights: LpscWeights) -> None:
     """Write weights to *path* in LPSCW v1 format; NaN or Inf raises before the file opens."""
-    lr, lt, cin, cout = weights.regions.shape
-    blocks = [weights.center, weights.regions]
-    if weights.bias is not None:
-        blocks.append(weights.bias)
-    if not all(np.all(np.isfinite(b)) for b in blocks):
-        raise ValueError(f"{path}: refusing to write NaN or Inf")
-    header = f"LPSCW v1 {lr} {lt} {cin} {cout} {int(weights.bias is not None)}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for block in blocks:
-            fh.write(block.astype("<f8").tobytes(order="C"))
+    has_bias = weights.bias is not None
+    blocks = [weights.center, weights.regions] + [weights.bias] * has_bias
+    _write_float64(path, "LPSCW", [*weights.regions.shape, int(has_bias)], blocks)
 
 
 def load_lpsc_weights(path) -> LpscWeights:
     """Read and validate an LPSCW v1 file."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        blob = fh.read()
-    parts = header.decode("ascii", errors="replace").split()
-    if len(parts) != 7 or parts[0] != "LPSCW" or parts[1] != "v1":
-        raise ValueError(f"{path}: not a LPSCW v1 file")
-    try:
-        lr, lt, cin, cout, has_bias = (int(p) for p in parts[2:])
-    except ValueError:
-        raise ValueError(f"{path}: malformed LPSCW header") from None
-    if min(lr, lt, cin, cout) < 1 or has_bias not in (0, 1):
-        raise ValueError(f"{path}: invalid LPSCW dimensions")
-    n_center = cin * cout
-    n_regions = lr * lt * cin * cout
-    expected = 8 * (n_center + n_regions + (cout if has_bias else 0))
-    if len(blob) != expected:
-        raise ValueError(f"{path}: payload holds {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError(f"{path}: non-finite values in payload")
-    center = flat[:n_center].reshape(cin, cout)
-    regions = flat[n_center : n_center + n_regions].reshape(lr, lt, cin, cout)
-    bias = flat[n_center + n_regions :].copy() if has_bias else None
-    return LpscWeights(center=center.copy(), regions=regions.copy(), bias=bias)
+    return LpscWeights(*_read_float64(path, "LPSCW", _weights_layout))

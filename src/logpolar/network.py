@@ -57,8 +57,9 @@ A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
 Checkpoints are a directory with a ``manifest.txt`` (one ``<layer-index>
 <kind> <param> <filename>`` line per file): an lpsc layer is one LPSCW
-file (param ``weights``), every other array a TNSR file. Loading restores
-every parameter exactly once, in place, or raises naming the manifest.
+file (param ``weights``), every other array a TNSR file. The manifest is
+ASCII text and names only files in its directory. Loading restores every
+parameter exactly once, in place, or raises naming the manifest.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ class NetSpec:
 
     def __post_init__(self):
         self.input_shape = tuple(int(d) for d in self.input_shape)
-        if len(self.input_shape) != 3:
-            raise ValueError(f"input_shape must be (H, W, C), got {self.input_shape}")
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
+            raise ValueError(f"input_shape must be (H, W, C), each >= 1, got {self.input_shape}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 
@@ -793,9 +794,13 @@ def load_checkpoint(network: Network, directory):
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise ValueError(f"{manifest}: checkpoint manifest not found")
-    lines = manifest.read_text(encoding="ascii").splitlines()
+    try:
+        lines = manifest.read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{manifest}: not ASCII text") from None
     if not lines or lines[0] != "NETCKPT v1":
         raise ValueError(f"{manifest}: not a NETCKPT v1 manifest")
+    files = {path.name for path in directory.iterdir() if path.is_file()}
     by_index = {str(layer.index): layer for layer in network.layers}
     wanted = {f"{layer.name}.{name}": param for layer in network.layers
               for name, param in layer.params().items()}
@@ -810,6 +815,8 @@ def load_checkpoint(network: Network, directory):
         layer = by_index.get(idx_s)
         if layer is None or layer.kind != kind:
             raise ValueError(f"{manifest}: no {kind} layer at index {idx_s}")
+        if fname not in files:
+            raise ValueError(f"{manifest}: no file {fname!r} in the checkpoint")
         if kind == "lpsc":
             if pname != "weights":
                 raise ValueError(f"{manifest}: lpsc line names {pname!r}, expected 'weights'")

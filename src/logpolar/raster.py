@@ -25,19 +25,18 @@ def ppm_bytes(img) -> bytes:
     return header + img.tobytes(order="C")
 
 
-def to_gray(values, lo=None, hi=None, floor=0) -> np.ndarray:
-    """Min-max scale finite values into [floor, 255]; NaN cells map to 0."""
+def to_gray(values) -> np.ndarray:
+    """Min-max scale finite values into [32, 255]; NaN cells map to 0, darker than any."""
     values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     out = np.zeros(values.shape, dtype=np.uint8)
     if not finite.any():
         return out
-    lo = float(np.min(values[finite])) if lo is None else lo
-    hi = float(np.max(values[finite])) if hi is None else hi
-    span = hi - lo
+    lo = float(np.min(values[finite]))
+    span = float(np.max(values[finite])) - lo
     if span <= 0:
         out[finite] = 255
         return out
     scaled = (values[finite] - lo) / span
-    out[finite] = np.rint(floor + scaled * (255 - floor)).astype(np.uint8)
+    out[finite] = np.rint(32 + scaled * (255 - 32)).astype(np.uint8)
     return out

@@ -15,6 +15,7 @@ from logpolar.analysis import (
 from logpolar.geometry import LpscConfig, build_mask
 from logpolar.lpsc import LpscWeights, log_polar_pool
 from logpolar.network import LayerSpec, NetSpec, build_network
+from logpolar.raster import to_gray
 
 RNG = np.random.default_rng(31)
 
@@ -123,6 +124,39 @@ class TestCounting:
         assert csv.splitlines()[0] == "layer,kind,output,params,mults,adds,pooled_cells"
         assert len(csv.splitlines()) == 7
 
+    def test_text_and_csv_hold_the_same_cells(self):
+        report = count_costs(lpsc_spec(7, 2, 6, 2, cin=2, cout=3, bias=True))
+        text, csv = report.to_text().splitlines(), report.to_csv().splitlines()
+        assert text[0].split() == ["layer", "kind", "output", "params", "mults", "adds", "pooled"]
+        assert len(text) == len(csv) == len(report.layers) + 2
+        for text_row, csv_row in zip(text[1:], csv[1:]):
+            assert text_row.split() == [cell for cell in csv_row.split(",") if cell]
+        assert csv[-1].startswith("total,,,")
+
+    @pytest.mark.parametrize(
+        "kind, options",
+        [
+            ("conv", {"kernel_size": 3, "padding": 1}),
+            ("dilated", {"kernel_size": 3, "dilation": 2, "padding": 2}),
+            ("square_share", {"kernel_size": 4, "pool_size": 2}),
+            ("lpsc", {"size": 5, "levels_r": 2, "levels_theta": 6, "growth": 2, "padding": 2}),
+        ],
+    )
+    def test_bias_adds_one_per_output_element(self, kind, options):
+        def row(bias):
+            layer = LayerSpec(kind, {"out_channels": 3, "bias": bias, **options})
+            head = [LayerSpec("flatten"), LayerSpec("dense", {"units": 2, "bias": bias})]
+            spec = NetSpec(layers=[layer, *head], input_shape=(8, 8, 2), num_classes=2)
+            return count_costs(spec).layers
+
+        with_bias, without = row(True), row(False)
+        for biased, plain in zip(with_bias, without):
+            assert biased.mults == plain.mults
+            has_bias = biased.kind != "flatten"
+            assert biased.adds - plain.adds == has_bias * int(np.prod(biased.output_shape))
+        if kind != "lpsc":  # one multiply and one add per tap
+            assert without[0].adds == without[0].mults
+
 
 class TestReceptiveField:
     def test_single_conv_footprint(self):
@@ -228,6 +262,12 @@ class TestVisualization:
         pixels = np.frombuffer(blob.split(b"\n", 3)[3], dtype=np.uint8).reshape(5, 5)
         assert pixels[0, 0] == 0  # sentinel renders black
         assert pixels[2, 2] == 255  # constant weights render at full white
+
+    def test_gray_scale_starts_at_32(self):
+        gray = to_gray(np.array([[0.0, 1.0], [np.nan, 0.5]]))
+        assert gray.tolist() == [[32, 255], [0, 144]]
+        assert to_gray(np.full((2, 2), 7.0)).tolist() == [[255, 255], [255, 255]]
+        assert not to_gray(np.full(3, np.nan)).any()
 
     def test_ppm_sentinel_is_red(self):
         config = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)

@@ -1,6 +1,7 @@
 """CLI subcommands: output formats, exit codes, file artifacts."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,9 @@ out_channels = 2
 kernel_size = 3
 padding = 1
 """
+
+# mask flags for `mask` (and, without the command, `viz`), ending where --g goes
+MASK = ["mask", "--out", "{out}", "--size", "5", "--lr", "2", "--lt", "6"]
 
 LPSC_LAYER = LPSC_CFG[LPSC_CFG.index("kind = lpsc") : LPSC_CFG.index("\n\n[layer.2]")]
 
@@ -294,9 +298,22 @@ class TestTrainEval:
             (["check", "--seed", "-1"], "--seed: must be >= 0"),
             (["erf", "--net", "{cfg}", "--out", "{out}", "--seed", "-1"], "--seed: must be >= 0"),
             (["gen-data", "--out", "{out}", "--seed", "-1"], "--seed: must be >= 0"),
+            (["train", "--net", "{cfg}", "--out", "{out}", "--val-fraction", "-0.5"],
+             "--val-fraction: must be finite in [0, 1), got -0.5"),
+            (["train", "--net", "{cfg}", "--out", "{out}", "--val-fraction", "1.5"],
+             "--val-fraction: must be finite in [0, 1), got 1.5"),
+            (MASK + ["--g", "inf"], "--g: must be finite, got inf"),
+            (MASK + ["--g", "2", "--alpha", "inf"], "--alpha: must be finite, got inf"),
+            (MASK + ["--g", "2", "--alpha", "nan"], "--alpha: must be finite, got nan"),
+            (MASK + ["--g", "2", "--ecc", "nan"], "--ecc: must be finite, got nan"),
+            (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "inf"], "--g: must be finite, got inf"),
+            (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "2", "--alpha", "inf"],
+             "--alpha: must be finite, got inf"),
         ],
         ids=["train-epochs-zero", "train-epochs-negative", "train-seed", "eval-seed", "check-seed",
-             "erf-seed", "gen-data-seed"],
+             "erf-seed", "gen-data-seed", "train-val-fraction-negative", "train-val-fraction-above-one",
+             "mask-g-inf", "mask-alpha-inf", "mask-alpha-nan", "mask-ecc-nan", "viz-g-inf",
+             "viz-alpha-inf"],
     )
     def test_flag_below_its_bound_exits_1(self, tmp_path, lpsc_cfg, capsys, argv, flag):
         out = tmp_path / "run"
@@ -311,6 +328,50 @@ class TestTrainEval:
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             cmd_train(args)
         assert not out.exists()
+
+    def test_val_fraction_leaving_no_training_sample_exits_1(self, tmp_path, lpsc_cfg, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 1, 16, 16) + bytes(256))
+        labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
+        out = tmp_path / "run"
+        assert main(["train", "--net", str(lpsc_cfg), "--out", str(out), "--data", "idx",
+                     "--images", str(images), "--labels", str(labels), "--val-fraction", "0.5"]) == 1
+        assert "--val-fraction 0.5 leaves no sample to train on" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_on_idx_dims_past_the_payload_exits_1(self, tmp_path, lpsc_cfg, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 1, 2**32 - 1, 2**32 - 1))
+        labels.write_bytes(struct.pack(">II", 0x801, 1) + bytes(1))
+        out = tmp_path / "run"
+        assert main(["train", "--net", str(lpsc_cfg), "--out", str(out), "--data", "idx",
+                     "--images", str(images), "--labels", str(labels)]) == 1
+        expected = f"{images}: truncated payload: 0 bytes, expected {(2**32 - 1) ** 2}"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "target, corrupt, message",
+        [
+            ("layer.5.bias.tnsr", lambda b: b"TNSR v1 1 99999999999999999999\n",
+             "layer.5.bias.tnsr: payload holds 0 bytes, expected 799999999999999999992"),
+            ("manifest.txt", lambda b: b.replace(b"weights", b"w\xe9ights"),
+             "manifest.txt: not ASCII text"),
+        ],
+        ids=["tnsr-overflowing-header", "manifest-non-ascii"],
+    )
+    def test_eval_of_corrupted_checkpoint_exits_1(self, tmp_path, lpsc_cfg, capsys, target, corrupt,
+                                                  message):
+        out = tmp_path / "run"
+        main(["train", "--net", str(lpsc_cfg), "--out", str(out), "--data", "edges",
+              "--n-per-class", "4", "--epochs", "1"])
+        path = out / "checkpoint" / target
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        assert main(["eval", "--net", str(lpsc_cfg), "--checkpoint", str(out / "checkpoint"),
+                     "--data", "edges", "--n-per-class", "4"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "accuracy=" not in captured.out
 
     def test_val_fraction_column(self, tmp_path, lpsc_cfg):
         out = tmp_path / "run"
@@ -403,6 +464,13 @@ class TestCount:
 
     def test_shipped_specs_present(self):
         assert [p.name for p in NETS] == ["edges_conv3x3.cfg", "edges_linear.cfg", "edges_lpsc.cfg"]
+
+    @pytest.mark.parametrize("dims", ["16x16x0", "0x16x1", "16x16"])
+    def test_input_dims_below_one_rejected(self, lpsc_cfg, capsys, dims):
+        assert main(["count", "--net", str(lpsc_cfg), "--input", dims]) == 1
+        captured = capsys.readouterr()
+        assert f"--input must be three dims >= 1, got '{dims}'" in captured.err
+        assert captured.out == ""
 
     def test_csv_output(self, tmp_path, lpsc_cfg):
         csv = tmp_path / "costs.csv"

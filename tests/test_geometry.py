@@ -53,6 +53,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="growth"):
             LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("growth", math.inf), ("growth", math.nan), ("alpha", math.inf), ("alpha", -math.inf),
+         ("alpha", math.nan)],
+    )
+    def test_growth_and_alpha_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, **{"growth": 2, field: value})
+
     def test_eccentricity_bounds(self):
         with pytest.raises(ValueError, match="eccentricity"):
             LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, eccentricity=1.0)

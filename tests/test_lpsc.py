@@ -472,6 +472,16 @@ class TestWeightFile:
         save_lpsc_weights(p2, back)
         assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_file_bytes(self, tmp_path, bias):
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2)
+        w = make_weights(c, 3, 4, RNG, bias=bias)
+        p = tmp_path / "w.lpscw"
+        save_lpsc_weights(p, w)
+        blocks = [w.center, w.regions] + ([w.bias] if bias else [])
+        want = f"LPSCW v1 2 6 3 4 {int(bias)}\n".encode("ascii")
+        assert p.read_bytes() == want + b"".join(b.astype("<f8").tobytes() for b in blocks)
+
     def test_roundtrip_without_bias(self, tmp_path):
         c = LpscConfig(kernel_size=5, levels_r=1, levels_theta=4, growth=2)
         w = make_weights(c, 1, 1, RNG, bias=False)

@@ -88,6 +88,11 @@ class TestBuild:
         weight_count = lpsc.weights.center.size + lpsc.weights.regions.size
         assert weight_count == 13 * 2 * 3
 
+    @pytest.mark.parametrize("shape", [(16, 16, 0), (0, 4, 1), (4, -1, 1)])
+    def test_input_dim_below_one_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"input_shape must be \(H, W, C\), each >= 1"):
+            NetSpec(layers=[LayerSpec("flatten")], input_shape=shape, num_classes=2)
+
     def test_dense_without_flatten_is_an_error(self):
         spec = NetSpec(
             layers=[LayerSpec("dense", {"units": 2})],

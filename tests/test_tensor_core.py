@@ -1,5 +1,7 @@
 """Tensor storage, file round-trips, conv2d against loop oracles, adjoints."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +42,16 @@ class TestTensor:
         p2 = tmp_path / "b.tnsr"
         save_tensor(p2, back)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 3, 4), (1, 0, 2)], ids=str)
+    def test_file_bytes_per_rank(self, tmp_path, shape):
+        arr = np.arange(math.prod(shape), dtype=np.float64).reshape(shape) - 1.5
+        p = tmp_path / "a.tnsr"
+        save_tensor(p, arr)
+        stored = shape or (1,)  # a 0-d array is stored with shape (1,)
+        header = " ".join(["TNSR v1", str(len(stored)), *map(str, stored)]) + "\n"
+        assert p.read_bytes() == header.encode("ascii") + arr.astype("<f8").tobytes()
+        assert np.array_equal(load_tensor(p), arr.reshape(stored))
 
     def test_file_bad_magic(self, tmp_path):
         p = tmp_path / "bad.tnsr"
