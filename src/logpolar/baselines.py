@@ -1,7 +1,8 @@
 """Comparison operators: dilated convolution and square-shared convolution.
 
-Dilated convolution spaces the k x k kernel taps by a dilation rate,
-reading (k-1)*rate + 1 input cells per axis while keeping k^2 parameters.
+Dilated convolution spaces the k x k kernel taps (k odd) by a dilation
+rate, reading (k-1)*rate + 1 input cells per axis while keeping k^2
+parameters.
 Square-shared convolution tiles a k x k kernel into (k/p)^2 equal square
 blocks of side p; all positions inside a block share one parameter. The
 sharing is uniform (no population normalization and no separate center
@@ -37,8 +38,8 @@ class DilatedConfig:
     def __post_init__(self):
         object.__setattr__(self, "stride", as_pair(self.stride, "stride"))
         object.__setattr__(self, "padding", as_pair(self.padding, "padding"))
-        if self.kernel_size < 1:
-            raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size}")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # dilated_conv2d takes a ConvKernel
+            raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if self.dilation < 1:
             raise ValueError(f"dilation must be >= 1, got {self.dilation}")
 

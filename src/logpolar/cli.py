@@ -139,13 +139,16 @@ def cmd_check(args) -> int:
 
 
 def _load_dataset(args, spec):
-    """The --data images, which must have the spec's input shape."""
+    """The --data samples: images of the spec's input shape, labels below its classes."""
     if args.data == "edges":
         dataset = make_oriented_edges(args.n_per_class, size=spec.input_shape[0], seed=args.seed)
     elif args.data == "idx":
         if not args.images or not args.labels:
             raise ValueError("--data idx needs --images and --labels")
         dataset = load_idx(args.images, args.labels)
+        if dataset.num_classes > spec.num_classes:
+            raise ValueError(f"{args.labels}: label {dataset.num_classes - 1} is not below "
+                             f"the spec's classes = {spec.num_classes}")
     else:
         raise ValueError(f"unknown --data source {args.data!r}")
     if dataset.images.shape[1:] != spec.input_shape:
@@ -232,19 +235,19 @@ def cmd_viz(args) -> int:
     config = _mask_config(args)
     mask = build_mask(config)
     images = visualize_kernel(weights, mask, fill_corners=not args.no_fill)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.pair:
         try:
             ci, co = (int(p) for p in args.pair.split(","))
         except ValueError:
             raise ValueError(f"--pair must be CI,CO, got {args.pair!r}") from None
+        if not (0 <= ci < weights.in_channels and 0 <= co < weights.out_channels):
+            raise ValueError(f"channel pair ({ci},{co}) out of range")
         pairs = [(ci, co)]
     else:
         pairs = [(ci, co) for ci in range(weights.in_channels) for co in range(weights.out_channels)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for ci, co in pairs:
-        if not (0 <= ci < weights.in_channels and 0 <= co < weights.out_channels):
-            raise ValueError(f"channel pair ({ci},{co}) out of range")
         path = out / f"kernel_ci{ci}_co{co}.pgm"
         path.write_bytes(kernel_to_pgm(images[ci, co]))
     print(f"wrote {len(pairs)} kernel raster(s) to {out}")
@@ -270,8 +273,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    if args.task != "edges":
-        raise ValueError(f"unknown task {args.task!r}")
     dataset = make_oriented_edges(args.n_per_class, size=args.size, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +294,7 @@ def _add_data_flags(p):
     p.add_argument("--data", default="edges", choices=("edges", "idx"), help="data source")
     p.add_argument("--images", help="IDX image file (with --data idx)")
     p.add_argument("--labels", help="IDX label file (with --data idx)")
-    p.add_argument("--n-per-class", type=int, default=64, help="samples per class (edges)")
+    p.add_argument("--n-per-class", type=_at_least(1), default=64, help="samples per class (edges)")
 
 
 def build_parser() -> _Parser:
@@ -349,9 +350,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset as IDX files")
-    p.add_argument("--task", default="edges")
-    p.add_argument("--n-per-class", type=int, default=64)
-    p.add_argument("--size", type=int, default=16)
+    p.add_argument("--task", default="edges", choices=("edges",))
+    p.add_argument("--n-per-class", type=_at_least(1), default=64)
+    p.add_argument("--size", type=_at_least(8), default=16, help="image side (>= 8)")
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)

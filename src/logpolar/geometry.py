@@ -106,7 +106,11 @@ class LpscConfig:
                 f"pooling_mode must be one of {POOLING_MODES}, got {self.pooling_mode!r}"
             )
         rr = float(self.radius * self.radius)
-        if self.levels_r >= 2 and rr / self.growth ** (self.levels_r - 2) <= 2.0:
+        try:
+            spread = self.growth ** (self.levels_r - 2)
+        except OverflowError:  # past any float, so past R^2 as well
+            spread = math.inf
+        if self.levels_r >= 2 and rr / spread <= 2.0:
             # the floor R_1 = 2 swallows at least one further shell: the
             # second-to-last threshold already reaches past R^2
             warnings.warn(

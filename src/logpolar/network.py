@@ -1,11 +1,14 @@
 """Desk-scale networks: declarative specs, manual backprop, SGD training.
 
 Layer kinds: conv, lpsc, dilated, square_share, relu, maxpool, meanpool,
-flatten, dense. Parameters initialize uniformly in
-+-sqrt(6 / (fan_in + fan_out)); the log-polar layer counts its fan as
-(levels_r * levels_theta + 1) * channels since every weight serves a whole
-region. Biases start at zero. Initialization draws happen in layer order
-with a single generator, so a seed pins the whole parameter trajectory.
+flatten, dense. A weight array that maps c input channels to out output
+channels over a window of `cells` weights per channel pair initializes
+uniformly in +-sqrt(6 / (cells * (c + out))), which is
++-sqrt(6 / (fan_in + fan_out)); the log-polar layer counts its cells as
+levels_r * levels_theta + 1 since every weight serves a whole region. No
+parameter array may hold more than 2**26 numbers. Biases start at zero.
+Initialization draws happen in layer order with a single generator, so a
+seed pins the whole parameter trajectory.
 
 The optimizer is SGD with momentum and weight decay:
 
@@ -42,6 +45,15 @@ Network spec files are INI-style text::
     epochs = 200
     seed = 1
 
+The window layers (conv, lpsc, dilated, square_share) take
+``out_channels`` and ``bias``; conv also ``kernel_size``, ``stride`` and
+``padding``. Every other key of lpsc, dilated and square_share, and every
+key of ``[train]``, is a field of the layer's configuration
+(``LpscConfig``, ``DilatedConfig``, ``SquareShareConfig``,
+``TrainConfig``), with that field's default; lpsc names ``kernel_size``
+``size`` and ``pooling_mode`` ``pooling``. A dilated kernel's size is odd.
+The pools take ``size`` and ``stride``, dense ``units`` and ``bias``.
+
 A key that its section does not know is an error, naming the section
 and the key; so is a value of the wrong type: integer options take
 integers only, ``growth``/``alpha``/``eccentricity`` numbers, ``pooling``
@@ -66,7 +78,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -149,9 +162,29 @@ class TrainConfig:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
-def _glorot(rng, shape, fan_in, fan_out):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+_MAX_PARAMS = 2**26  # per parameter array: a spec cannot ask numpy for terabytes
+
+
+def _init(rng, shape, out, use_bias, cells=None):
+    """(weights, bias) of a layer mapping ``shape[-1]`` input channels to *out*.
+
+    The weights, of shape ``(*shape, out)``, are Glorot-uniform in
+    +-sqrt(6 / (cells * (c + out))); *cells*, the weights per channel pair,
+    defaults to the product of the leading dims. The bias is zero, or None
+    without one.
+    """
+    size = math.prod(shape) * out
+    if size > _MAX_PARAMS:
+        raise ValueError(f"weights of shape {(*shape, out)} hold {size} numbers, "
+                         f"more than {_MAX_PARAMS}")
+    cells = math.prod(shape[:-1]) if cells is None else cells
+    limit = math.sqrt(6.0 / (cells * (shape[-1] + out)))
+    return rng.uniform(-limit, limit, size=(*shape, out)), (np.zeros(out) if use_bias else None)
+
+
+def _where(layer):
+    """A layer's own description, or a spec section named as text."""
+    return layer if isinstance(layer, str) else layer.describe()
 
 
 _INTS = (int, np.integer)
@@ -162,6 +195,7 @@ _OPTION_TYPES = {  # cast -> (what the value must be, the types it may have)
     bool: ("true or false", bool),
     as_pair: ("an integer or a pair of integers", _INTS),
 }
+_CASTS = {int: int, float: float, str: str, bool: bool, tuple[int, int]: as_pair}
 
 
 def _opt(layer, options, key, default=None, cast=int):
@@ -169,7 +203,7 @@ def _opt(layer, options, key, default=None, cast=int):
     convert it with *cast*; a value of another type is an error. A layer's
     integers count something, so must be >= 1 (padding >= 0), and its
     numbers must be finite; NetSpec and TrainConfig bound the sections'."""
-    where = layer if isinstance(layer, str) else layer.describe()
+    where = _where(layer)
     value = options.pop(key, default)
     if value is None:
         raise ValueError(f"{where}: missing required option {key!r}")
@@ -188,12 +222,21 @@ def _opt(layer, options, key, default=None, cast=int):
     return cast(value)
 
 
-def _config(layer, cls, **values):
-    """``cls(**values)``, a layer's configuration; its ValueError names *layer*."""
+def _config(layer, cls, options, **spec_keys):
+    """The dataclass *cls* read from *options*: every field is popped through
+    ``_opt`` under its spec key (``spec_keys[field]``, else the field's name),
+    with the field's default, cast by the field's annotation. A ValueError
+    names *layer*."""
+    hints = typing.get_type_hints(cls)
+    values = {
+        f.name: _opt(layer, options, spec_keys.get(f.name, f.name),
+                     None if f.default is MISSING else f.default, _CASTS[hints[f.name]])
+        for f in fields(cls)
+    }
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ValueError(f"{layer.describe()}: {exc}") from None
+        raise ValueError(f"{_where(layer)}: {exc}") from None
 
 
 def _named(**arrays):
@@ -233,48 +276,55 @@ class _Layer:
         raise NotImplementedError
 
 
-def _need_spatial(layer, in_shape):
+def _out_shape(layer, in_shape, extent, stride, padding, channels):
+    """(Ho, Wo, channels) of a layer whose window spans *extent* cells of (H, W, C) input."""
     if len(in_shape) != 3:
         raise ValueError(f"{layer.describe()}: expects (H, W, C) input, got {in_shape}")
-    return in_shape
-
-
-def _conv_out_shape(layer, in_shape, extent, stride, padding, channels):
-    """(Ho, Wo, channels) of a windowed layer whose window spans *extent* cells."""
-    h, w, _ = _need_spatial(layer, in_shape)
     try:
-        ho = out_extent(h, extent, stride[0], padding[0])
-        wo = out_extent(w, extent, stride[1], padding[1])
+        ho, wo = (out_extent(n, extent, s, p) for n, s, p in zip(in_shape, stride, padding))
     except ValueError as exc:
         raise ValueError(f"{layer.describe()}: {exc}") from None
     return (ho, wo, channels)
 
 
-class ConvLayer(_Layer):
-    kind = "conv"
+class _WindowLayer(_Layer):
+    """A window slid over (H, W, C) input, giving ``out_channels`` channels
+    and an optional bias. A subclass with a ``config_class`` reads it from
+    the rest of its options and slides the config's window."""
+
+    config_class = None
+    spec_keys = {}  # config field -> spec key, where the two differ
 
     def __init__(self, index, options):
         super().__init__(index)
         self.out_channels = _opt(self, options, "out_channels")
+        self.use_bias = _opt(self, options, "bias", True, cast=bool)
+        if self.config_class is not None:
+            self.config = _config(self, self.config_class, options, **self.spec_keys)
+
+    def window(self):
+        """(extent, stride, padding) of the window."""
+        return self.config.kernel_size, self.config.stride, self.config.padding
+
+    def out_shape(self, in_shape):
+        return _out_shape(self, in_shape, *self.window(), self.out_channels)
+
+
+class ConvLayer(_WindowLayer):
+    kind = "conv"
+
+    def __init__(self, index, options):
+        super().__init__(index, options)
         self.kernel_size = _opt(self, options, "kernel_size")
         self.stride = _opt(self, options, "stride", 1, cast=as_pair)
         self.padding = _opt(self, options, "padding", 0, cast=as_pair)
-        self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.weights = None
-        self.bias = None
 
-    def out_shape(self, in_shape):
-        return _conv_out_shape(
-            self, in_shape, self.kernel_size, self.stride, self.padding, self.out_channels
-        )
+    def window(self):
+        return self.kernel_size, self.stride, self.padding
 
     def init_params(self, in_shape, rng):
-        c = in_shape[2]
         k = self.kernel_size
-        self.weights = _glorot(
-            rng, (k, k, c, self.out_channels), k * k * c, k * k * self.out_channels
-        )
-        self.bias = np.zeros(self.out_channels) if self.use_bias else None
+        self.weights, self.bias = _init(rng, (k, k, in_shape[2]), self.out_channels, self.use_bias)
 
     def params(self):
         return _named(kernel=self.weights, bias=self.bias)
@@ -290,48 +340,16 @@ class ConvLayer(_Layer):
         return gx, _named(kernel=gw, bias=gb)
 
 
-class LpscLayer(_Layer):
+class LpscLayer(_WindowLayer):
     kind = "lpsc"
-
-    def __init__(self, index, options):
-        super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels")
-        self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.config = _config(
-            self,
-            LpscConfig,
-            kernel_size=_opt(self, options, "size"),
-            levels_r=_opt(self, options, "levels_r"),
-            levels_theta=_opt(self, options, "levels_theta"),
-            growth=_opt(self, options, "growth", cast=float),
-            alpha=_opt(self, options, "alpha", 0.0, cast=float),
-            eccentricity=_opt(self, options, "eccentricity", 0.0, cast=float),
-            stride=_opt(self, options, "stride", 1, cast=as_pair),
-            padding=_opt(self, options, "padding", 0, cast=as_pair),
-            pooling_mode=_opt(self, options, "pooling", "mean", cast=str),
-            center_conv=_opt(self, options, "center_conv", True, cast=bool),
-        )
-        self.weights: LpscWeights | None = None
-
-    def out_shape(self, in_shape):
-        cfg = self.config
-        return _conv_out_shape(
-            self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding, self.out_channels
-        )
+    config_class = LpscConfig
+    spec_keys = {"kernel_size": "size", "pooling_mode": "pooling"}
 
     def init_params(self, in_shape, rng):
-        c = in_shape[2]
-        cfg = self.config
-        fan_per = cfg.weights_per_pair
-        fan_in, fan_out = fan_per * c, fan_per * self.out_channels
-        center = _glorot(rng, (c, self.out_channels), fan_in, fan_out)
-        regions = _glorot(
-            rng,
-            (cfg.levels_r, cfg.levels_theta, c, self.out_channels),
-            fan_in,
-            fan_out,
-        )
-        bias = np.zeros(self.out_channels) if self.use_bias else None
+        cfg, c, out = self.config, in_shape[2], self.out_channels
+        cells = cfg.weights_per_pair  # every weight serves a whole region
+        center, _ = _init(rng, (c,), out, False, cells)
+        regions, bias = _init(rng, (cfg.levels_r, cfg.levels_theta, c), out, self.use_bias, cells)
         self.weights = LpscWeights(center=center, regions=regions, bias=bias)
 
     def params(self):
@@ -347,36 +365,16 @@ class LpscLayer(_Layer):
         return gx, _named(**vars(gw))
 
 
-class DilatedLayer(_Layer):
+class DilatedLayer(_WindowLayer):
     kind = "dilated"
+    config_class = DilatedConfig
 
-    def __init__(self, index, options):
-        super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels")
-        self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.config = _config(
-            self,
-            DilatedConfig,
-            kernel_size=_opt(self, options, "kernel_size"),
-            dilation=_opt(self, options, "dilation", 1),
-            stride=_opt(self, options, "stride", 1, cast=as_pair),
-            padding=_opt(self, options, "padding", 0, cast=as_pair),
-        )
-        self.kernel: ConvKernel | None = None
-
-    def out_shape(self, in_shape):
-        cfg = self.config
-        return _conv_out_shape(
-            self, in_shape, cfg.effective_extent, cfg.stride, cfg.padding, self.out_channels
-        )
+    def window(self):
+        return self.config.effective_extent, self.config.stride, self.config.padding
 
     def init_params(self, in_shape, rng):
-        c = in_shape[2]
         k = self.config.kernel_size
-        w = _glorot(rng, (k, k, c, self.out_channels), k * k * c, k * k * self.out_channels)
-        self.kernel = ConvKernel(
-            weights=w, bias=np.zeros(self.out_channels) if self.use_bias else None
-        )
+        self.kernel = ConvKernel(*_init(rng, (k, k, in_shape[2]), self.out_channels, self.use_bias))
 
     def params(self):
         return _named(kernel=self.kernel.weights, bias=self.kernel.bias)
@@ -389,37 +387,15 @@ class DilatedLayer(_Layer):
         return gx, _named(kernel=gk.weights, bias=gk.bias)
 
 
-class SquareShareLayer(_Layer):
+class SquareShareLayer(_WindowLayer):
     kind = "square_share"
-
-    def __init__(self, index, options):
-        super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels")
-        self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.config = _config(
-            self,
-            SquareShareConfig,
-            kernel_size=_opt(self, options, "kernel_size"),
-            pool_size=_opt(self, options, "pool_size", 1),
-            stride=_opt(self, options, "stride", 1, cast=as_pair),
-            padding=_opt(self, options, "padding", 0, cast=as_pair),
-        )
-        self.regions = None
-        self.bias = None
-
-    def out_shape(self, in_shape):
-        cfg = self.config
-        return _conv_out_shape(
-            self, in_shape, cfg.kernel_size, cfg.stride, cfg.padding, self.out_channels
-        )
+    config_class = SquareShareConfig
 
     def init_params(self, in_shape, rng):
-        c = in_shape[2]
         side = self.config.regions_per_side
-        fan_in = side * side * c
-        fan_out = side * side * self.out_channels
-        self.regions = _glorot(rng, (side, side, c, self.out_channels), fan_in, fan_out)
-        self.bias = np.zeros(self.out_channels) if self.use_bias else None
+        self.regions, self.bias = _init(
+            rng, (side, side, in_shape[2]), self.out_channels, self.use_bias
+        )
 
     def params(self):
         return _named(regions=self.regions, bias=self.bias)
@@ -454,8 +430,7 @@ class _PoolLayer(_Layer):
         self.stride = _opt(self, options, "stride", self.size)
 
     def out_shape(self, in_shape):
-        stride = (self.stride, self.stride)
-        return _conv_out_shape(self, in_shape, self.size, stride, (0, 0), in_shape[-1])
+        return _out_shape(self, in_shape, self.size, (self.stride,) * 2, (0, 0), in_shape[-1])
 
 
 class MaxPoolLayer(_PoolLayer):
@@ -482,7 +457,7 @@ class FlattenLayer(_Layer):
     kind = "flatten"
 
     def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
 
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
@@ -498,8 +473,6 @@ class DenseLayer(_Layer):
         super().__init__(index)
         self.units = _opt(self, options, "units")
         self.use_bias = _opt(self, options, "bias", True, cast=bool)
-        self.weights = None
-        self.bias = None
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1:
@@ -509,9 +482,7 @@ class DenseLayer(_Layer):
         return (self.units,)
 
     def init_params(self, in_shape, rng):
-        f = in_shape[0]
-        self.weights = _glorot(rng, (f, self.units), f, self.units)
-        self.bias = np.zeros(self.units) if self.use_bias else None
+        self.weights, self.bias = _init(rng, in_shape, self.units, self.use_bias)
 
     def params(self):
         return _named(weights=self.weights, bias=self.bias)
@@ -604,7 +575,10 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
         if options:
             raise ValueError(f"{layer.describe()}: unknown options {sorted(options)}")
         out = layer.out_shape(shape)
-        layer.init_params(shape, rng)
+        try:
+            layer.init_params(shape, rng)
+        except ValueError as exc:
+            raise ValueError(f"{layer.describe()}: {exc}") from None
         layers.append(layer)
         shapes.append(out)
         shape = out
@@ -741,6 +715,8 @@ def parse_net_file(path):
         kind = body.pop("kind", None)
         if kind is None:
             raise ValueError(f"{path}: [{section}] needs a kind")
+        if kind not in _LAYER_CLASSES:
+            raise ValueError(f"{path}: [{section}] unknown layer kind {kind!r}")
         options = {key: _parse_value(value) for key, value in body.items()}
         layers.append(LayerSpec(kind=kind, options=options))
 
@@ -748,17 +724,10 @@ def parse_net_file(path):
 
     train_cfg = None
     if "train" in parser:
-        where = f"{path}: [train]"
         body = {key: _parse_value(value) for key, value in parser["train"].items()}
-        # each key takes the type of its default: counts are ints, rates numbers
-        values = {f.name: _opt(where, body, f.name, f.default, type(f.default))
-                  for f in fields(TrainConfig)}
+        train_cfg = _config(f"{path}: [train]", TrainConfig, body)
         if body:
             raise ValueError(f"{path}: unknown [train] keys {sorted(body)}")
-        try:
-            train_cfg = TrainConfig(**values)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
     return spec, train_cfg
 
 

@@ -57,6 +57,12 @@ class TestDilated:
         with pytest.raises(ValueError, match="kernel extent"):
             dilated_conv2d(np.ones((5, 5, 1)), ConvKernel(weights=np.ones((3, 3, 1, 1))), cfg)
 
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_kernel_size_must_be_odd(self, k):
+        # dilated_conv2d takes an odd ConvKernel, so the config refuses the rest up front
+        with pytest.raises(ValueError, match=f"kernel_size must be odd and >= 1, got {k}"):
+            DilatedConfig(kernel_size=k)
+
     def test_backward_finite_differences(self):
         x = RNG.normal(size=(8, 8, 2))
         w = RNG.normal(size=(3, 3, 2, 2))

@@ -309,17 +309,42 @@ class TestTrainEval:
             (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "inf"], "--g: must be finite, got inf"),
             (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "2", "--alpha", "inf"],
              "--alpha: must be finite, got inf"),
+            (["train", "--net", "{cfg}", "--out", "{out}", "--n-per-class", "0"],
+             "--n-per-class: must be >= 1, got 0"),
+            (["eval", "--net", "{cfg}", "--checkpoint", "{out}", "--n-per-class", "0"],
+             "--n-per-class: must be >= 1, got 0"),
+            (["gen-data", "--out", "{out}", "--n-per-class", "0"], "--n-per-class: must be >= 1, got 0"),
+            (["gen-data", "--out", "{out}", "--size", "4"], "--size: must be >= 8, got 4"),
         ],
         ids=["train-epochs-zero", "train-epochs-negative", "train-seed", "eval-seed", "check-seed",
              "erf-seed", "gen-data-seed", "train-val-fraction-negative", "train-val-fraction-above-one",
              "mask-g-inf", "mask-alpha-inf", "mask-alpha-nan", "mask-ecc-nan", "viz-g-inf",
-             "viz-alpha-inf"],
+             "viz-alpha-inf", "train-n-per-class-zero", "eval-n-per-class-zero",
+             "gen-data-n-per-class-zero", "gen-data-size-below-eight"],
     )
     def test_flag_below_its_bound_exits_1(self, tmp_path, lpsc_cfg, capsys, argv, flag):
         out = tmp_path / "run"
         assert main([a.format(cfg=lpsc_cfg, out=out) for a in argv]) == 1
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_idx_label_past_the_spec_classes_names_the_labels_file(self, tmp_path, lpsc_cfg, capsys,
+                                                                   command):
+        main(["gen-data", "--n-per-class", "4", "--size", "16", "--out", str(tmp_path)])
+        labels = tmp_path / "labels.idx"
+        blob = bytearray(labels.read_bytes())
+        blob[8] = 5  # the first label, past the header
+        labels.write_bytes(blob)
+        out = tmp_path / "run"
+        argv = [command, "--net", str(lpsc_cfg), "--data", "idx", "--images",
+                str(tmp_path / "images.idx"), "--labels", str(labels)]
+        argv += ["--out", str(out)] if command == "train" else ["--checkpoint", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"{labels}: label 5 is not below the spec's classes = 2" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_train_overrides_pass_train_config_checks(self, tmp_path, lpsc_cfg):
         out = tmp_path / "run"
@@ -427,34 +452,38 @@ class TestCount:
         assert "layer.1 (lpsc): option 'bias' must be true or false, got 'nope'" in err
 
     @pytest.mark.parametrize(
-        "old, new, layer, key",
+        "old, new, layer, message",
         [
-            ("units = 2", "units = 2.9", "layer.5 (dense)", "units"),
-            ("out_channels = 4", "out_channels = on", "layer.1 (lpsc)", "out_channels"),
-            ("padding = 2", "padding = 2\nstride = 1.5", "layer.1 (lpsc)", "stride"),
-            ("size = 5", "size = five", "layer.1 (lpsc)", "size"),
-            ("growth = 2", "growth = fast", "layer.1 (lpsc)", "growth"),
-            ("padding = 2", "padding = 2,x", "layer.1 (lpsc)", "padding"),
-            ("out_channels = 4", "out_channels = -3", "layer.1 (lpsc)", "out_channels"),
-            ("out_channels = 4", "out_channels = 0", "layer.1 (lpsc)", "out_channels"),
-            ("units = 2", "units = 0", "layer.5 (dense)", "units"),
-            ("padding = 2", "padding = 2,-1", "layer.1 (lpsc)", "padding"),
-            ("growth = 2", "growth = inf", "layer.1 (lpsc)", "growth"),
-            ("growth = 2", "growth = 2\nalpha = inf", "layer.1 (lpsc)", "alpha"),
-            (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 0", "layer.1 (conv)", "kernel_size"),
+            ("units = 2", "units = 2.9", "layer.5 (dense)", "option 'units' must be"),
+            ("out_channels = 4", "out_channels = on", "layer.1 (lpsc)", "option 'out_channels' must be"),
+            ("padding = 2", "padding = 2\nstride = 1.5", "layer.1 (lpsc)", "option 'stride' must be"),
+            ("size = 5", "size = five", "layer.1 (lpsc)", "option 'size' must be"),
+            ("growth = 2", "growth = fast", "layer.1 (lpsc)", "option 'growth' must be"),
+            ("padding = 2", "padding = 2,x", "layer.1 (lpsc)", "option 'padding' must be"),
+            ("out_channels = 4", "out_channels = -3", "layer.1 (lpsc)", "option 'out_channels' must be"),
+            ("out_channels = 4", "out_channels = 0", "layer.1 (lpsc)", "option 'out_channels' must be"),
+            ("units = 2", "units = 0", "layer.5 (dense)", "option 'units' must be"),
+            ("padding = 2", "padding = 2,-1", "layer.1 (lpsc)", "option 'padding' must be"),
+            ("growth = 2", "growth = inf", "layer.1 (lpsc)", "option 'growth' must be"),
+            ("growth = 2", "growth = 2\nalpha = inf", "layer.1 (lpsc)", "option 'alpha' must be"),
+            (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 0", "layer.1 (conv)",
+             "option 'kernel_size' must be"),
             (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 3\nstride = 0", "layer.1 (conv)",
-             "stride"),
-            ("size = 2", "size = 0", "layer.3 (maxpool)", "size"),
+             "option 'stride' must be"),
+            ("size = 2", "size = 0", "layer.3 (maxpool)", "option 'size' must be"),
+            (LPSC_LAYER, "kind = dilated\nout_channels = 4\nkernel_size = 4", "layer.1 (dilated)",
+             "kernel_size must be odd and >= 1, got 4"),
         ],
         ids=["units", "out_channels", "stride", "size", "growth", "pair", "out_channels-negative",
              "out_channels-zero", "units-zero", "padding-negative", "growth-inf", "alpha-inf",
-             "conv-kernel_size-zero", "conv-stride-zero", "maxpool-size-zero"],
+             "conv-kernel_size-zero", "conv-stride-zero", "maxpool-size-zero",
+             "dilated-kernel_size-even"],
     )
-    def test_option_of_wrong_type_rejected(self, tmp_path, capsys, old, new, layer, key):
+    def test_option_of_wrong_type_rejected(self, tmp_path, capsys, old, new, layer, message):
         cfg = tmp_path / "typed.cfg"
         cfg.write_text(LPSC_CFG.replace(old, new))
         assert main(["count", "--net", str(cfg)]) == 1
-        assert f"{layer}: option '{key}' must be" in capsys.readouterr().err
+        assert f"{layer}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("net", NETS, ids=lambda p: p.name)
     def test_shipped_specs_parse_and_count(self, net, capsys):
@@ -509,6 +538,19 @@ class TestViz:
              "--g", "2", "--out", str(out)]
         ) == 0
         assert len(list(out.glob("kernel_ci*_co*.pgm"))) == 6
+
+    def test_pair_out_of_range_writes_nothing(self, tmp_path, capsys):
+        from logpolar.lpsc import LpscWeights, save_lpsc_weights
+
+        wpath = tmp_path / "w.lpscw"
+        save_lpsc_weights(wpath, LpscWeights(center=np.ones((1, 1)), regions=np.ones((2, 6, 1, 1))))
+        out = tmp_path / "vz"
+        assert main(
+            ["viz", "--weights", str(wpath), "--size", "5", "--lr", "2", "--lt", "6",
+             "--g", "2", "--pair", "3,3", "--out", str(out)]
+        ) == 1
+        assert "channel pair (3,3) out of range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mismatched_mask_rejected(self, tmp_path, capsys):
         from logpolar.lpsc import LpscWeights, save_lpsc_weights

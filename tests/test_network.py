@@ -1,5 +1,7 @@
 """Network building, SGD semantics, training loop, spec files, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,45 @@ class TestBuild:
         # dilation does not change the parameter count; sharing divides it
         assert sum(a.size for a in dilated.params().values()) == 3 * 3 * 1 * 3 + 3
         assert sum(a.size for a in square.params().values()) == 2 * 2 * 3 * 2 + 2
+
+    def test_initial_weights_are_glorot_draws_in_layer_order(self):
+        spec = NetSpec(
+            layers=[
+                LayerSpec("conv", {"out_channels": 3, "kernel_size": 3, "padding": 1, "bias": False}),
+                LayerSpec("lpsc", {"out_channels": 2, "size": 5, "levels_r": 2, "levels_theta": 6,
+                                   "growth": 2, "padding": 2}),
+                LayerSpec("dilated", {"out_channels": 2, "kernel_size": 3, "dilation": 2, "padding": 2}),
+                LayerSpec("square_share", {"out_channels": 2, "kernel_size": 4, "pool_size": 2,
+                                           "padding": 2}),
+                LayerSpec("flatten"),
+                LayerSpec("dense", {"units": 2}),
+            ],
+            input_shape=(8, 8, 1),
+            num_classes=2,
+        )
+        net = build_network(spec, seed=5)
+        rng = np.random.default_rng(5)
+
+        def draw(shape, fan_in, fan_out):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=shape)
+
+        # one generator, in layer order; lpsc draws its center, then its regions,
+        # each weight counted once per region (2 * 6 + 1 per channel pair)
+        want = {
+            "layer.1": {"kernel": draw((3, 3, 1, 3), 9 * 1, 9 * 3)},
+            "layer.2": {"center": draw((3, 2), 13 * 3, 13 * 2),
+                        "regions": draw((2, 6, 3, 2), 13 * 3, 13 * 2), "bias": np.zeros(2)},
+            "layer.3": {"kernel": draw((3, 3, 2, 2), 9 * 2, 9 * 2), "bias": np.zeros(2)},
+            "layer.4": {"regions": draw((2, 2, 2, 2), 4 * 2, 4 * 2), "bias": np.zeros(2)},
+            "layer.5": {},
+            "layer.6": {"weights": draw((9 * 9 * 2, 2), 9 * 9 * 2, 2), "bias": np.zeros(2)},
+        }
+        for layer in net.layers:
+            got = layer.params()
+            assert sorted(got) == sorted(want[layer.name]), layer.name
+            for name, array in got.items():
+                assert np.array_equal(array, want[layer.name][name]), (layer.name, name)
 
 
 class TestSgd:
