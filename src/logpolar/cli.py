@@ -3,7 +3,8 @@
 Subcommands: mask, check, train, eval, erf, viz, count, gen-data. Every
 command is deterministic given its flags and --seed. Exit codes: 0 on
 success, 1 on validation errors (bad flags, bad configs, bad files), 2 on
-numerical failures (a failed check, a non-finite training loss).
+numerical failures (a failed check, a non-finite loss in training or
+evaluation). A failing command writes nothing.
 
 All file outputs land under explicit --out paths; nothing writes to the
 working directory implicitly.
@@ -27,6 +28,7 @@ from .network import (
     build_network,
     evaluate,
     load_checkpoint,
+    parse_dims,
     parse_net_file,
     save_checkpoint,
     train,
@@ -138,23 +140,31 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _load_dataset(args, spec):
+def _load_dataset(args, spec, seed):
     """The --data samples: images of the spec's input shape, labels below its classes."""
     if args.data == "edges":
-        dataset = make_oriented_edges(args.n_per_class, size=spec.input_shape[0], seed=args.seed)
-    elif args.data == "idx":
+        dataset = make_oriented_edges(args.n_per_class, size=spec.input_shape[0], seed=seed)
+    else:
         if not args.images or not args.labels:
             raise ValueError("--data idx needs --images and --labels")
         dataset = load_idx(args.images, args.labels)
         if dataset.num_classes > spec.num_classes:
             raise ValueError(f"{args.labels}: label {dataset.num_classes - 1} is not below "
                              f"the spec's classes = {spec.num_classes}")
-    else:
-        raise ValueError(f"unknown --data source {args.data!r}")
     if dataset.images.shape[1:] != spec.input_shape:
         got, want = ("x".join(map(str, s)) for s in (dataset.images.shape[1:], spec.input_shape))
         raise ValueError(f"--data {args.data} images are {got} but the spec's input is {want}")
     return dataset
+
+
+def _setup(args, **flags):
+    """(config, network, dataset) of a train or eval run: the spec's [train]
+    with the flags that were given, the network, then the --data samples."""
+    spec, cfg = parse_net_file(args.net)
+    given = {key: value for key, value in flags.items() if value is not None}
+    cfg = dataclasses.replace(cfg or TrainConfig(), **given)  # runs TrainConfig's checks
+    network = build_network(spec, seed=cfg.seed)
+    return cfg, network, _load_dataset(args, spec, cfg.seed)
 
 
 def _write_history(path, history):
@@ -167,12 +177,7 @@ def _write_history(path, history):
 
 
 def cmd_train(args) -> int:
-    spec, cfg = parse_net_file(args.net)
-    overrides = {key: getattr(args, key) for key in ("epochs", "seed")
-                 if getattr(args, key) is not None}
-    cfg = dataclasses.replace(cfg or TrainConfig(), **overrides)  # runs TrainConfig's checks
-    args.seed = cfg.seed
-    dataset = _load_dataset(args, spec)
+    cfg, network, dataset = _setup(args, epochs=args.epochs, seed=args.seed)
     val = None
     if args.val_fraction > 0:
         n_val = max(1, int(len(dataset) * args.val_fraction))
@@ -186,24 +191,19 @@ def cmd_train(args) -> int:
             images=dataset.images[:-n_val], labels=dataset.labels[:-n_val],
             num_classes=dataset.num_classes,
         )
-    network = build_network(spec, seed=cfg.seed)
     history = train(network, dataset, cfg, val=val)
+    loss, acc = evaluate(network, dataset)  # a non-finite loss stops the run before any write
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_history(out / "history.csv", history)
     save_checkpoint(network, out / "checkpoint")
-    loss, acc = evaluate(network, dataset)
     print(f"trained {cfg.epochs} epochs: loss={loss:.6f} train_acc={acc:.4f}")
     print(f"wrote {out / 'history.csv'} and {out / 'checkpoint'}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    spec, cfg = parse_net_file(args.net)
-    seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
-    args.seed = seed
-    dataset = _load_dataset(args, spec)
-    network = build_network(spec, seed=seed)
+    _, network, dataset = _setup(args, seed=args.seed)
     load_checkpoint(network, args.checkpoint)
     loss, acc = evaluate(network, dataset)
     print(f"loss={loss:.6f} accuracy={acc:.4f}")
@@ -256,14 +256,7 @@ def cmd_viz(args) -> int:
 
 def cmd_count(args) -> int:
     spec, _ = parse_net_file(args.net)
-    input_shape = None
-    if args.input:
-        try:
-            input_shape = tuple(int(d) for d in args.input.split("x"))
-        except ValueError:
-            raise ValueError(f"--input must look like 16x16x1, got {args.input!r}") from None
-        if len(input_shape) != 3 or min(input_shape) < 1:
-            raise ValueError(f"--input must be three dims >= 1, got {args.input!r}")
+    input_shape = parse_dims(args.input, "--input") if args.input else None
     report = count_costs(spec, input_shape=input_shape)
     print(report.to_text())
     if args.csv:

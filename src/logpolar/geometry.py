@@ -105,7 +105,10 @@ class LpscConfig:
             raise ValueError(
                 f"pooling_mode must be one of {POOLING_MODES}, got {self.pooling_mode!r}"
             )
-        rr = float(self.radius * self.radius)
+        try:
+            rr = float(self.radius * self.radius)
+        except OverflowError:  # past any float, so past every threshold
+            rr = math.inf
         try:
             spread = self.growth ** (self.levels_r - 2)
         except OverflowError:  # past any float, so past R^2 as well

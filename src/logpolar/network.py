@@ -6,17 +6,23 @@ channels over a window of `cells` weights per channel pair initializes
 uniformly in +-sqrt(6 / (cells * (c + out))), which is
 +-sqrt(6 / (fan_in + fan_out)); the log-polar layer counts its cells as
 levels_r * levels_theta + 1 since every weight serves a whole region. No
-parameter array may hold more than 2**26 numbers. Biases start at zero.
-Initialization draws happen in layer order with a single generator, so a
-seed pins the whole parameter trajectory.
+parameter array may hold more than 2**26 numbers, and neither may any
+array one sample makes the forward pass allocate: the input, each layer's
+output and, for the window layers, the zero-padded input and the gathered
+window cells (``Ho*Wo*cells*C_in``, with k*k cells for conv, dilated and
+square_share and the levels_r * levels_theta + 1 pooled slots for lpsc).
+build_network checks them all from the shapes before it draws any
+weight. Biases start at zero. Initialization draws happen in layer order
+with a single generator, so a seed pins the whole parameter trajectory.
 
 The optimizer is SGD with momentum and weight decay:
 
     v <- momentum * v + (grad + weight_decay * param)
     param <- param - learning_rate * v
 
-Training iterates minibatches in fixed sample order (no shuffling), which
-makes runs bit-reproducible given (spec, seed, data).
+Training and evaluation run one loop over minibatches in fixed sample
+order (no shuffling), which makes runs bit-reproducible given (spec,
+seed, data); a non-finite loss raises FloatingPointError naming the batch.
 
 Network spec files are INI-style text::
 
@@ -162,7 +168,28 @@ class TrainConfig:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
-_MAX_PARAMS = 2**26  # per parameter array: a spec cannot ask numpy for terabytes
+_MAX_NUMBERS = 2**26  # per parameter array, and per array of one sample in a forward pass
+
+
+def _per_sample(what, shape):
+    """Refuse a per-sample array of *shape* past the bound; *what* starts the message."""
+    size = math.prod(shape)
+    if size > _MAX_NUMBERS:
+        raise ValueError(f"{what} {'x'.join(map(str, shape))} holds {size} numbers per sample, "
+                         f"more than {_MAX_NUMBERS}")
+
+
+def parse_dims(text, what):
+    """(H, W, C) from *text* in the form HxWxC, each >= 1 and within the
+    per-sample bound; *what* (the file's key or the flag) starts a message."""
+    try:
+        dims = tuple(int(d) for d in text.split("x"))
+    except ValueError:
+        raise ValueError(f"{what} must look like 16x16x1, got {text!r}") from None
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"{what} must be three dims >= 1, got {text!r}")
+    _per_sample(what, dims)
+    return dims
 
 
 def _init(rng, shape, out, use_bias, cells=None):
@@ -174,9 +201,9 @@ def _init(rng, shape, out, use_bias, cells=None):
     without one.
     """
     size = math.prod(shape) * out
-    if size > _MAX_PARAMS:
+    if size > _MAX_NUMBERS:
         raise ValueError(f"weights of shape {(*shape, out)} hold {size} numbers, "
-                         f"more than {_MAX_PARAMS}")
+                         f"more than {_MAX_NUMBERS}")
     cells = math.prod(shape[:-1]) if cells is None else cells
     limit = math.sqrt(6.0 / (cells * (shape[-1] + out)))
     return rng.uniform(-limit, limit, size=(*shape, out)), (np.zeros(out) if use_bias else None)
@@ -263,6 +290,10 @@ class _Layer:
     def out_shape(self, in_shape):
         raise NotImplementedError
 
+    def sample_arrays(self, in_shape, out_shape):
+        """Shapes of the arrays one sample makes the forward pass allocate, by name."""
+        return {"output": out_shape}
+
     def init_params(self, in_shape, rng):  # pragma: no cover - param-free layers
         pass
 
@@ -306,8 +337,17 @@ class _WindowLayer(_Layer):
         """(extent, stride, padding) of the window."""
         return self.config.kernel_size, self.config.stride, self.config.padding
 
+    def cells(self):
+        """Window cells gathered per output position and input channel."""
+        return self.window()[0] ** 2
+
     def out_shape(self, in_shape):
         return _out_shape(self, in_shape, *self.window(), self.out_channels)
+
+    def sample_arrays(self, in_shape, out_shape):
+        (h, w, c), (ph, pw) = in_shape, self.window()[2]
+        return {"output": out_shape, "padded input": (h + 2 * ph, w + 2 * pw, c),
+                "window cells": (*out_shape[:2], self.cells(), c)}
 
 
 class ConvLayer(_WindowLayer):
@@ -345,6 +385,9 @@ class LpscLayer(_WindowLayer):
     config_class = LpscConfig
     spec_keys = {"kernel_size": "size", "pooling_mode": "pooling"}
 
+    def cells(self):
+        return self.config.weights_per_pair  # the pooled slots
+
     def init_params(self, in_shape, rng):
         cfg, c, out = self.config, in_shape[2], self.out_channels
         cells = cfg.weights_per_pair  # every weight serves a whole region
@@ -371,6 +414,9 @@ class DilatedLayer(_WindowLayer):
 
     def window(self):
         return self.config.effective_extent, self.config.stride, self.config.padding
+
+    def cells(self):
+        return self.config.kernel_size ** 2
 
     def init_params(self, in_shape, rng):
         k = self.config.kernel_size
@@ -560,87 +606,81 @@ def sgd_update(param, grad, velocity, cfg: TrainConfig):
 
 
 def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> Network:
-    """Instantiate layers, check shape compatibility, initialize parameters.
+    """Instantiate layers, check shape compatibility and the size bounds,
+    then initialize parameters.
 
     ``require_logits=False`` skips the final-shape check, for feature
     stacks used by receptive-field analysis rather than classification.
     """
-    rng = np.random.default_rng(seed)
     layers = []
     shapes = [tuple(spec.input_shape)]
-    shape = tuple(spec.input_shape)
+    _per_sample("input", shapes[0])
     for i, layer_spec in enumerate(spec.layers, start=1):
         options = dict(layer_spec.options)
         layer = _LAYER_CLASSES[layer_spec.kind](i, options)
         if options:
             raise ValueError(f"{layer.describe()}: unknown options {sorted(options)}")
-        out = layer.out_shape(shape)
+        shapes.append(layer.out_shape(shapes[-1]))
+        for what, shape in layer.sample_arrays(*shapes[-2:]).items():
+            _per_sample(f"{layer.describe()}: {what}", shape)
+        layers.append(layer)
+    if require_logits and shapes[-1] != (spec.num_classes,):
+        raise ValueError(
+            f"network output shape {shapes[-1]} does not produce {spec.num_classes} class logits"
+        )
+    rng = np.random.default_rng(seed)
+    for layer, shape in zip(layers, shapes):
         try:
             layer.init_params(shape, rng)
         except ValueError as exc:
             raise ValueError(f"{layer.describe()}: {exc}") from None
-        layers.append(layer)
-        shapes.append(out)
-        shape = out
-    if require_logits and shape != (spec.num_classes,):
-        raise ValueError(
-            f"network output shape {shape} does not produce {spec.num_classes} class logits"
-        )
     return Network(spec, layers, shapes)
 
 
-def train(network: Network, dataset, cfg: TrainConfig, val=None):
-    """Fixed-order minibatch SGD.
+_EVAL_BATCH = 64
 
-    Returns [(epoch, mean_loss, accuracy)], with a fourth val-accuracy
-    entry per row when a validation dataset is supplied. Raises
-    FloatingPointError at the first batch whose loss is not finite,
-    before that batch updates any parameter.
-    """
+
+def _pass(network: Network, dataset, batch_size, cfg=None, where=""):
+    """Mean loss and accuracy over fixed-order minibatches of *dataset*, with
+    an SGD step per batch given *cfg*. A non-finite loss raises
+    FloatingPointError, naming the batch after *where*, before its update."""
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
     n = len(images)
     if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    history = []
-    for epoch in range(1, cfg.epochs + 1):
-        total_loss = 0.0
-        correct = 0
-        for batch, start in enumerate(range(0, n, cfg.batch_size), start=1):
-            xb = images[start : start + cfg.batch_size]
-            yb = labels[start : start + cfg.batch_size]
-            logits = network.forward(xb)
-            loss = ops.softmax_cross_entropy(logits, yb)
-            if not math.isfinite(loss):
-                raise FloatingPointError(f"loss is {loss} at epoch {epoch}, batch {batch}")
+        raise ValueError("cannot use an empty dataset")
+    total_loss = 0.0
+    correct = 0
+    for batch, start in enumerate(range(0, n, batch_size), start=1):
+        xb = images[start : start + batch_size]
+        yb = labels[start : start + batch_size]
+        logits = network.forward(xb)
+        loss = ops.softmax_cross_entropy(logits, yb)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"loss is {loss} at {where}batch {batch}")
+        if cfg is not None:
             _, grads = network.backward(ops.softmax_cross_entropy_backward(logits, yb))
             network.sgd_step(grads, cfg)
-            total_loss += loss * len(xb)
-            correct += int((logits.argmax(axis=1) == yb).sum())
-        row = (epoch, total_loss / n, correct / n)
+        total_loss += loss * len(xb)
+        correct += int((logits.argmax(axis=1) == yb).sum())
+    return total_loss / n, correct / n
+
+
+def train(network: Network, dataset, cfg: TrainConfig, val=None):
+    """Fixed-order minibatch SGD, one ``_pass`` per epoch: [(epoch, mean_loss,
+    accuracy)], with a fourth val-accuracy entry per row given *val*."""
+    history = []
+    for epoch in range(1, cfg.epochs + 1):
+        row = (epoch, *_pass(network, dataset, cfg.batch_size, cfg, f"epoch {epoch}, "))
         if val is not None:
-            _, val_acc = evaluate(network, val)
-            row = row + (val_acc,)
+            row += (_pass(network, val, _EVAL_BATCH, where=f"epoch {epoch}, validation ")[1],)
         history.append(row)
     return history
 
 
-def evaluate(network: Network, dataset, batch_size: int = 64):
+def evaluate(network: Network, dataset, batch_size: int = _EVAL_BATCH):
     """Mean loss and accuracy over a dataset, no parameter updates."""
-    images = np.asarray(dataset.images, dtype=np.float64)
-    labels = np.asarray(dataset.labels, dtype=np.int64)
-    n = len(images)
-    if n == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, n, batch_size):
-        xb = images[start : start + batch_size]
-        yb = labels[start : start + batch_size]
-        logits = network.forward(xb)
-        total_loss += ops.softmax_cross_entropy(logits, yb) * len(xb)
-        correct += int((logits.argmax(axis=1) == yb).sum())
-    return total_loss / n, correct / n
+    return _pass(network, dataset, batch_size)
 
 
 # ----------------------------------------------------------------------
@@ -681,12 +721,7 @@ def parse_net_file(path):
     if "net" not in parser:
         raise ValueError(f"{path}: missing [net] section")
     net = parser["net"]
-    try:
-        dims = tuple(int(d) for d in net.get("input", "").split("x"))
-    except ValueError:
-        raise ValueError(f"{path}: [net] input must look like 16x16x1") from None
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"{path}: [net] input must be three dims >= 1, got {net.get('input')!r}")
+    dims = parse_dims(net.get("input", ""), f"{path}: [net] input")
     extra = set(net) - {"input", "classes"}
     if extra:
         raise ValueError(f"{path}: unknown [net] keys {sorted(extra)}")

@@ -13,6 +13,7 @@ import logpolar
 from logpolar.cli import build_parser, cmd_train, main
 from logpolar.data import load_idx
 from logpolar.network import parse_net_file
+from logpolar.tensor import load_tensor, save_tensor
 
 NETS = sorted((Path(__file__).resolve().parent.parent / "nets").glob("*.cfg"))
 
@@ -75,6 +76,7 @@ padding = 1
 MASK = ["mask", "--out", "{out}", "--size", "5", "--lr", "2", "--lt", "6"]
 
 LPSC_LAYER = LPSC_CFG[LPSC_CFG.index("kind = lpsc") : LPSC_CFG.index("\n\n[layer.2]")]
+CONV_PADDED = "kind = conv\nout_channels = 1\nkernel_size = 3\npadding = 200000"
 
 
 @pytest.fixture
@@ -226,15 +228,37 @@ class TestTrainEval:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_2_without_checkpoint(self, tmp_path, capsys):
+        # one batch of 16 per epoch: with 3 epochs the second epoch's loss
+        # catches the divergence; with 1 the final evaluate (or the
+        # validation pass) does
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(LPSC_CFG.replace("learning_rate = 0.05", "learning_rate = 1e300"))
+        for flags, where in (([], "at epoch 2, batch 1"), (["--epochs", "1"], "at batch 1"),
+                             (["--epochs", "1", "--val-fraction", "0.25"],
+                              "at epoch 1, validation batch 1")):
+            out = tmp_path / "run"
+            code = main(["train", "--net", str(cfg), "--out", str(out), "--data", "edges",
+                         "--n-per-class", "8", *flags])
+            assert code == 2, flags
+            captured = capsys.readouterr()
+            assert f"loss is nan {where}" in captured.err and captured.out == "", flags
+            assert not (out / "history.csv").exists() and not (out / "checkpoint").exists()
+            assert not out.exists(), flags
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eval_of_non_finite_loss_exits_2(self, tmp_path, lpsc_cfg, capsys):
+        # 1e308 is finite, so the TNSR reader takes it; the logits overflow
         out = tmp_path / "run"
-        code = main(["train", "--net", str(cfg), "--out", str(out), "--data", "edges",
-                     "--n-per-class", "8"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "epoch" in err and "batch" in err
-        assert not (out / "checkpoint" / "manifest.txt").exists()
+        main(["train", "--net", str(lpsc_cfg), "--out", str(out), "--data", "edges",
+              "--n-per-class", "4", "--epochs", "1"])
+        path = out / "checkpoint" / "layer.5.weights.tnsr"
+        save_tensor(path, np.full_like(load_tensor(path), 1e308))
+        capsys.readouterr()
+        assert main(["eval", "--net", str(lpsc_cfg), "--checkpoint", str(out / "checkpoint"),
+                     "--data", "edges", "--n-per-class", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "lpsc: numerical error: loss is nan at batch 1" in captured.err
+        assert "loss=" not in captured.out
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
@@ -271,12 +295,15 @@ class TestTrainEval:
             ("classes = 2", "classes = 2.5", "[net]: option 'classes' must be an integer"),
             ("classes = 2", "classes = 1", "[net]: classes must be >= 2"),
             ("input = 16x16x1", "input = 16x0x1", "[net] input must be three dims >= 1"),
+            ("input = 16x16x1", "input = 16x16x262145",
+             "[net] input 16x16x262145 holds 67109120 numbers per sample, more than 67108864"),
             ("seed = 1", "seed = 1\nseed = 2", "malformed spec"),
             ("[train]", "[layer.5]\nkind = relu\n\n[train]", "malformed spec"),
             ("classes = 2", "classes = 2\nno value here", "malformed spec"),
         ],
         ids=["batch_size-float", "epochs-bool", "epochs-zero", "seed-float", "lr-word", "lr-inf",
              "weight_decay-nan", "momentum-nan", "classes-float", "classes-one", "input-zero",
+             "input-past-the-sample-bound",
              "key-twice", "section-twice", "not-key-value"],
     )
     def test_bad_net_or_train_value_exits_1(self, tmp_path, capsys, old, new, message):
@@ -500,6 +527,30 @@ class TestCount:
         captured = capsys.readouterr()
         assert f"--input must be three dims >= 1, got '{dims}'" in captured.err
         assert captured.out == ""
+
+    # built and refused before any forward pass or data; never run
+    @pytest.mark.parametrize(
+        "command, new, argv, message",
+        [(command, *row) for row in (
+            (CONV_PADDED, [], "layer.1 (conv): output 400014x400014x1 holds 160011200196"),
+            (LPSC_LAYER.replace("padding = 2", "padding = 20000"), [],
+             "layer.1 (lpsc): output 40012x40012x4 holds 6403840576"),
+        ) for command in ("count", "train")]
+        + [("count", LPSC_LAYER, ["--input", "100000x100000x8"],
+            "--input 100000x100000x8 holds 80000000000")],
+        ids=["count-conv-padding", "train-conv-padding", "count-lpsc-padding",
+             "train-lpsc-padding", "count-input-flag"],
+    )
+    def test_array_past_the_sample_bound_exits_1(self, tmp_path, capsys, command, new, argv,
+                                                 message):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(LPSC_CFG.replace(LPSC_LAYER, new))
+        out = tmp_path / "out"
+        written = ["--csv", str(out)] if command == "count" else ["--out", str(out)]
+        assert main([command, "--net", str(cfg), *written, *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"{message} numbers per sample, more than 67108864" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_csv_output(self, tmp_path, lpsc_cfg):
         csv = tmp_path / "costs.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import logpolar.lpsc
+import logpolar.network
 from logpolar import ops
 from logpolar.data import Dataset
 from logpolar.lpsc import lpsc_backward, lpsc_forward_fast
@@ -125,6 +126,51 @@ class TestBuild:
         )
         with pytest.raises(ValueError, match=r"layer\.1 \(conv\)"):
             build_network(spec)
+
+    # one array of one sample past 2**26 = 67108864 numbers; only built, never run
+    @pytest.mark.parametrize(
+        "input_shape, kind, options, message",
+        [
+            ((8193, 8192, 1), "relu", {}, "input 8193x8192x1 holds 67117056"),
+            ((16, 16, 1), "conv", {"kernel_size": 3, "padding": 200000},
+             "layer.2 (conv): output 400014x400014x1 holds 160011200196"),
+            ((16, 16, 1), "conv", {"kernel_size": 3, "stride": 8, "padding": 4100},
+             "layer.2 (conv): padded input 8216x8216x1 holds 67502656"),
+            ((2900, 2900, 1), "conv", {"kernel_size": 3, "padding": 1},
+             "layer.2 (conv): window cells 2900x2900x9x1 holds 75690000"),
+            ((512, 512, 32), "lpsc", {"size": 5, "levels_r": 2, "levels_theta": 6, "growth": 2,
+                                      "padding": 2},
+             "layer.2 (lpsc): window cells 512x512x13x32 holds 109051904"),
+            ((2900, 2900, 1), "dilated", {"kernel_size": 3, "dilation": 2, "padding": 2},
+             "layer.2 (dilated): window cells 2900x2900x9x1 holds 75690000"),
+            ((2900, 2900, 1), "square_share", {"kernel_size": 4, "pool_size": 2, "padding": 2},
+             "layer.2 (square_share): window cells 2901x2901x16x1 holds 134652816"),
+        ],
+        ids=["input", "conv-output", "conv-padded", "conv-cells", "lpsc-cells", "dilated-cells",
+             "square_share-cells"],
+    )
+    def test_sample_array_past_the_bound_names_it_before_any_draw(
+            self, monkeypatch, input_shape, kind, options, message):
+        def draw(*args, **kwargs):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(logpolar.network, "_init", draw)
+        # a layer with weights comes first: the bound holds before it draws them
+        first = LayerSpec("conv", {"out_channels": input_shape[2], "kernel_size": 1})
+        options = options if kind == "relu" else {"out_channels": 1, **options}
+        spec = NetSpec(layers=[first, LayerSpec(kind, options)], input_shape=input_shape,
+                       num_classes=2)
+        with pytest.raises(ValueError) as err:
+            build_network(spec, require_logits=False)
+        assert str(err.value).startswith(message)
+        assert str(err.value).endswith("numbers per sample, more than 67108864")
+
+    def test_dilated_cells_count_taps_not_the_dilated_extent(self):
+        # 600*600*9*2 taps fit; the extent 101 would count 600*600*101*101*2
+        spec = NetSpec(layers=[LayerSpec("dilated", {"out_channels": 1, "kernel_size": 3,
+                                                     "dilation": 50, "padding": 50})],
+                       input_shape=(600, 600, 2), num_classes=2)
+        assert build_network(spec, require_logits=False).shapes[-1] == (600, 600, 1)
 
     @pytest.mark.parametrize(
         "kind, options, bad",
@@ -410,6 +456,16 @@ class TestTraining:
             train(net, ds, cfg)
         after = list(net.layers[1].params().values())
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_evaluate_names_the_batch_of_a_non_finite_loss(self):
+        # finite weights whose logits overflow: zero images keep batch 1 finite
+        net = build_network(dense_only_spec(), seed=1)
+        net.layers[1].weights[...] = 1e308
+        ds = random_dataset(n=8, h=4, w=4, seed=4)
+        ds.images[:4] = 0.0
+        with pytest.raises(FloatingPointError, match=r"^loss is nan at batch 2$"):
+            evaluate(net, ds, batch_size=4)
 
     def test_empty_dataset_rejected(self):
         # the Dataset type itself refuses zero samples; the training loop

@@ -115,7 +115,8 @@ bias = false
 """ + TRAIN,
 }
 
-HUGE = [str(2**31 - 1), str(2**31), str(2**32 + 1), str(10**12 + 1), str(2**63), str(2**70 + 1)]
+HUGE = [str(2**31 - 1), str(2**31), str(2**32 + 1), str(10**12 + 1), str(2**63), str(2**70 + 1),
+        str(10**200 + 1)]
 VALUES = st.sampled_from(
     ["", "nope", "max", "relu", "true", "off", "2.5", "1e3", "3,3", "2,-1", "1,2,3",  # other types
      "0", "-1", "-7", "2", "4", "6", "inf", "-inf", "nan", *HUGE]  # moved values
@@ -165,8 +166,9 @@ def test_mutated_spec_builds_or_names_its_place(root, base, data, value):
 @pytest.mark.parametrize(
     "base, section, key, value",
     [("lpsc", "layer.1", "levels_r", str(2**31 - 1)), ("lpsc", "layer.1", "padding", str(2**31)),
-     ("baselines", "layer.6", "units", str(2**31)), ("baselines", "layer.2", "kind", "")],
-    ids=["levels_r-huge", "padding-huge", "units-huge", "kind-empty"],
+     ("baselines", "layer.6", "units", str(2**31)), ("baselines", "layer.2", "kind", ""),
+     ("lpsc", "layer.1", "size", str(10**200 + 1))],
+    ids=["levels_r-huge", "padding-huge", "units-huge", "kind-empty", "size-huge"],
 )
 def test_mutation_found_by_the_fuzz_names_its_place(tmp_path, base, section, key, value):
     with warnings.catch_warnings():
