@@ -114,9 +114,7 @@ def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
     mults = adds = pooled = 0
     detail = {}
     if kind in ("conv", "dilated", "square_share"):
-        # conv keeps its kernel size on the layer, the baselines on their config
-        taps = getattr(layer, "config", layer).kernel_size ** 2
-        mults = adds = out_shape[0] * out_shape[1] * taps * in_shape[2] * out_shape[2]
+        mults = adds = out_shape[0] * out_shape[1] * layer.cells() * in_shape[2] * out_shape[2]
     elif kind == "lpsc":
         cfg = layer.config
         locations = out_shape[0] * out_shape[1]
@@ -130,7 +128,7 @@ def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
         pool_adds = locations * n_cells * cin if cfg.pooling_mode != "max" else 0
         mults = conv_mults + center_mults + pool_mults
         adds = conv_mults + center_mults + pool_adds
-        pooled = locations * (regions + cfg.center_conv) * cin
+        pooled = locations * layer.cells() * cin
         detail = {
             "conv_mults": conv_mults,
             "center_mults": center_mults,

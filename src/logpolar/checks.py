@@ -3,6 +3,9 @@
 These drive the ``check`` CLI subcommand and the acceptance suite. The
 two forward paths under comparison stay independent implementations; the
 helpers here only orchestrate running both and measuring disagreement.
+Every check runs through one loop, ``_sweep``: a case's value is the
+largest of its errors, taken with ``np.max`` so that a NaN error stays NaN
+and fails the check.
 """
 
 from __future__ import annotations
@@ -110,114 +113,97 @@ def _random_weights(config, cin, cout, rng) -> LpscWeights:
     )
 
 
-def equivalence_sweep(seed=0, full=True, inputs_per_config=10):
-    """Fast path versus reference path over the standard sweep."""
+def _sweep(group, cases, threshold, measure):
+    """One CheckResult per (name, seed, config) case: the largest of the
+    errors that ``measure(config, rng)`` returns, its generator seeded with
+    the case's seed. ``np.max`` keeps a NaN, so a NaN error fails."""
+    return [
+        CheckResult(f"{group} {name}", float(np.max(measure(config, np.random.default_rng(seed)))),
+                    threshold)
+        for name, seed, config in cases
+    ]
+
+
+def equivalence_sweep(seed=0, full=True):
+    """Fast path versus reference path over the standard sweep: 10 random
+    inputs per configuration in the full sweep, 2 in the quick one."""
     hw, cin, cout = _SWEEP_SHAPE
-    results = []
-    for idx, config in enumerate(sweep_configs(full)):
-        rng = np.random.default_rng(seed + idx)
+    inputs = 10 if full else 2
+
+    def measure(config, rng):
         weights = _random_weights(config, cin, cout, rng)
-        worst = 0.0
-        for _ in range(inputs_per_config):
+        errors = []
+        for _ in range(inputs):
             x = rng.normal(size=(hw, hw, cin))
             fast = lpsc_forward_fast(x, config, weights)
-            ref = lpsc_forward_reference(x, config, weights)
-            worst = max(worst, _rel_error(fast, ref))
-        results.append(
-            CheckResult(name=f"equivalence {_config_name(config)}", value=worst, threshold=EQUIVALENCE_TOL)
-        )
-    return results
+            errors.append(_rel_error(fast, lpsc_forward_reference(x, config, weights)))
+        return errors
+
+    cases = [(_config_name(c), seed + idx, c) for idx, c in enumerate(sweep_configs(full))]
+    return _sweep("equivalence", cases, EQUIVALENCE_TOL, measure)
 
 
-def sum_mean_identity_sweep(seed=0, full=True, inputs_per_config=2):
-    """Sum-mode forward with weights w == mean-mode with weights w * N."""
+def sum_mean_identity_sweep(seed=0, full=True):
+    """Sum-mode forward with weights w == mean-mode with weights w * N, on 2
+    random inputs per mean-mode configuration of the sweep."""
     hw, cin, cout = _SWEEP_SHAPE
-    results = []
-    seen = set()
-    for idx, config in enumerate(sweep_configs(full)):
-        key = (config.kernel_size, config.levels_r, config.levels_theta, config.growth,
-               config.center_conv, config.stride)
-        if key in seen:  # collapse the mode axis; the identity spans it
-            continue
-        seen.add(key)
+
+    def measure(config, rng):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            mean_cfg = replace(config, pooling_mode="mean")
             sum_cfg = replace(config, pooling_mode="sum")
-        rng = np.random.default_rng(seed + 7000 + idx)
         weights = _random_weights(config, cin, cout, rng)
-        mask = build_mask(mean_cfg)
-        populations = np.maximum(mask.counts, 1)[:, :, None, None]
-        scaled = LpscWeights(
-            center=weights.center.copy(),
-            regions=weights.regions * populations,
-            bias=weights.bias.copy(),
-        )
-        worst = 0.0
-        for _ in range(inputs_per_config):
+        populations = np.maximum(build_mask(config).counts, 1)[:, :, None, None]
+        scaled = LpscWeights(weights.center, weights.regions * populations, weights.bias)
+        errors = []
+        for _ in range(2):
             x = rng.normal(size=(hw, hw, cin))
             got = lpsc_forward_fast(x, sum_cfg, weights)
-            want = lpsc_forward_fast(x, mean_cfg, scaled)
-            worst = max(worst, _rel_error(got, want))
-        results.append(
-            CheckResult(
-                name=f"sum=mean*N {_config_name(config)}", value=worst, threshold=IDENTITY_TOL
-            )
-        )
-    return results
+            errors.append(_rel_error(got, lpsc_forward_fast(x, config, scaled)))
+        return errors
+
+    cases = [(_config_name(c), seed + 7000 + idx, c)
+             for idx, c in enumerate(sweep_configs(full)) if c.pooling_mode == "mean"]
+    return _sweep("sum=mean*N", cases, IDENTITY_TOL, measure)
 
 
 def _finite_difference(f, x, eps=1e-5):
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(x.shape):
         xp = x.copy()
         xm = x.copy()
         xp[idx] += eps
         xm[idx] -= eps
         grad[idx] = (f(xp) - f(xm)) / (2 * eps)
-        it.iternext()
     return grad
 
 
 def gradient_checks(seed=0):
     """Finite-difference probes of the operator backward in every mode."""
     hw, cin, cout = 8, 2, 2
-    results = []
-    pairs = itertools.product(("mean", "sum", "max"), (True, False))
-    for idx, (mode, center) in enumerate(pairs):
-        config = LpscConfig(
-            kernel_size=5,
-            levels_r=2,
-            levels_theta=6,
-            growth=2,
-            stride=2,
-            padding=2,
-            pooling_mode=mode,
-            center_conv=center,
-        )
-        rng = np.random.default_rng(seed + idx)
+
+    def measure(config, rng):
         x = rng.uniform(0.1, 1.0, size=(hw, hw, cin))
         weights = _random_weights(config, cin, cout, rng)
-        out = lpsc_forward_fast(x, config, weights)
-        probe = rng.normal(size=out.shape)
+        probe = rng.normal(size=lpsc_forward_fast(x, config, weights).shape)
         gx, gw = lpsc_backward(x, config, weights, probe)
-
         fx = _finite_difference(
             lambda v: float(np.sum(lpsc_forward_fast(v, config, weights) * probe)), x
         )
         fregions = _finite_difference(
-            lambda v: float(
-                np.sum(
-                    lpsc_forward_fast(x, config, LpscWeights(weights.center, v, weights.bias))
-                    * probe
-                )
-            ),
+            lambda v: float(np.sum(
+                lpsc_forward_fast(x, config, LpscWeights(weights.center, v, weights.bias)) * probe
+            )),
             weights.regions,
         )
-        worst = max(_rel_error(gx, fx), _rel_error(gw.regions, fregions))
-        name = f"gradient {mode} {'center' if center else 'nocenter'}"
-        results.append(CheckResult(name=name, value=worst, threshold=GRADIENT_TOL))
-    return results
+        return [_rel_error(gx, fx), _rel_error(gw.regions, fregions)]
+
+    pairs = itertools.product(("mean", "sum", "max"), (True, False))
+    cases = [
+        (f"{mode} {'center' if center else 'nocenter'}", seed + idx,
+         LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2, stride=2, padding=2,
+                    pooling_mode=mode, center_conv=center))
+        for idx, (mode, center) in enumerate(pairs)
+    ]
+    return _sweep("gradient", cases, GRADIENT_TOL, measure)

@@ -10,7 +10,8 @@ parameter array may hold more than 2**26 numbers, and neither may any
 array one sample makes the forward pass allocate: the input, each layer's
 output and, for the window layers, the zero-padded input and the gathered
 window cells (``Ho*Wo*cells*C_in``, with k*k cells for conv, dilated and
-square_share and the levels_r * levels_theta + 1 pooled slots for lpsc).
+square_share and, for lpsc, the levels_r * levels_theta pooled slots plus
+one for the center when center_conv is set).
 build_network checks them all from the shapes before it draws any
 weight. Biases start at zero. Initialization draws happen in layer order
 with a single generator, so a seed pins the whole parameter trajectory.
@@ -386,7 +387,8 @@ class LpscLayer(_WindowLayer):
     spec_keys = {"kernel_size": "size", "pooling_mode": "pooling"}
 
     def cells(self):
-        return self.config.weights_per_pair  # the pooled slots
+        """The pooled slots: one per region, plus the center when ``center_conv`` is set."""
+        return self.config.levels_r * self.config.levels_theta + self.config.center_conv
 
     def init_params(self, in_shape, rng):
         cfg, c, out = self.config, in_shape[2], self.out_channels

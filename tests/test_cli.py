@@ -1,5 +1,6 @@
 """CLI subcommands: output formats, exit codes, file artifacts."""
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import logpolar
+from logpolar import checks
 from logpolar.cli import build_parser, cmd_train, main
 from logpolar.data import load_idx
 from logpolar.network import parse_net_file
@@ -86,6 +88,14 @@ def lpsc_cfg(tmp_path):
     return path
 
 
+def lpsc_process(argv, hash_seed="0"):
+    """Run ``python -m logpolar *argv`` in a new process under PYTHONHASHSEED=*hash_seed*."""
+    src = str(Path(logpolar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "logpolar", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 class TestMask:
     def test_size5_radii_line(self, capsys):
         assert main(["mask", "--size", "5", "--lr", "2", "--lt", "8", "--g", "2"]) == 0
@@ -152,6 +162,40 @@ class TestCheck:
             outputs.append(run.stdout)
         assert outputs[0].count("gradient") == 6
         assert outputs[0] == outputs[1]
+
+    def test_nan_forward_fails_every_check(self, monkeypatch, capsys):
+        # Python's max(worst, err) drops a NaN; every check must keep it and fail
+        real = checks.lpsc_forward_fast
+        monkeypatch.setattr(checks, "lpsc_forward_fast",
+                            lambda *args, **kwargs: np.full_like(real(*args, **kwargs), np.nan))
+        for sweep, count in ((checks.equivalence_sweep, 64), (checks.sum_mean_identity_sweep, 32)):
+            results = sweep(seed=0, full=False)
+            assert len(results) == count
+            assert all(np.isnan(r.value) and not r.passed for r in results)
+            assert all("max_rel=nan" in r.line() and r.line().endswith("FAIL") for r in results)
+        assert main(["check"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert all(line.endswith("FAIL") for line in out[:3])
+        assert out[3] == "102 checks, 102 failed"
+
+    @pytest.mark.parametrize("target", ["input", "regions"])
+    def test_nan_gradient_fails_every_gradient_check(self, monkeypatch, capsys, target):
+        real = checks.lpsc_backward
+
+        def nan_backward(*args, **kwargs):
+            gx, gw = real(*args, **kwargs)
+            if target == "input":
+                return np.full_like(gx, np.nan), gw
+            return gx, dataclasses.replace(gw, regions=np.full_like(gw.regions, np.nan))
+
+        monkeypatch.setattr(checks, "lpsc_backward", nan_backward)
+        results = checks.gradient_checks()
+        assert len(results) == 6
+        assert all(np.isnan(r.value) and not r.passed for r in results)
+        assert main(["check"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[2].startswith("gradient ") and out[2].endswith("FAIL")
+        assert out[3] == "102 checks, 6 failed"
 
 
 class TestTrainEval:
@@ -226,7 +270,6 @@ class TestTrainEval:
         final_acc = float(last.split(",")[2])
         assert final_acc >= 0.90
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_2_without_checkpoint(self, tmp_path, capsys):
         # one batch of 16 per epoch: with 3 epochs the second epoch's loss
         # catches the divergence; with 1 the final evaluate (or the
@@ -245,20 +288,46 @@ class TestTrainEval:
             assert not (out / "history.csv").exists() and not (out / "checkpoint").exists()
             assert not out.exists(), flags
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_eval_of_non_finite_loss_exits_2(self, tmp_path, lpsc_cfg, capsys):
-        # 1e308 is finite, so the TNSR reader takes it; the logits overflow
+    def test_eval_of_non_finite_loss_exits_2(self, tmp_path, lpsc_cfg):
+        # 1e308 is finite, so the TNSR reader takes it; the logits overflow. The eval
+        # runs in a new process, as pytest would capture numpy's warnings in this one
         out = tmp_path / "run"
         main(["train", "--net", str(lpsc_cfg), "--out", str(out), "--data", "edges",
               "--n-per-class", "4", "--epochs", "1"])
         path = out / "checkpoint" / "layer.5.weights.tnsr"
         save_tensor(path, np.full_like(load_tensor(path), 1e308))
-        capsys.readouterr()
-        assert main(["eval", "--net", str(lpsc_cfg), "--checkpoint", str(out / "checkpoint"),
-                     "--data", "edges", "--n-per-class", "4"]) == 2
-        captured = capsys.readouterr()
-        assert "lpsc: numerical error: loss is nan at batch 1" in captured.err
-        assert "loss=" not in captured.out
+        run = lpsc_process(["eval", "--net", str(lpsc_cfg), "--checkpoint", str(out / "checkpoint"),
+                            "--data", "edges", "--n-per-class", "4"])
+        assert run.returncode == 2
+        assert run.stderr == "lpsc: numerical error: loss is nan at batch 1\n"
+        assert run.stdout == ""
+
+    def test_diverging_run_prints_one_stderr_line(self, tmp_path):
+        # in a new process, as pytest would capture numpy's warnings in this one
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(LPSC_CFG.replace("learning_rate = 0.05", "learning_rate = 1e300"))
+        run = lpsc_process(["train", "--net", str(cfg), "--out", str(tmp_path / "run"),
+                            "--data", "edges", "--n-per-class", "4", "--epochs", "1"])
+        assert run.returncode == 2
+        assert run.stderr == "lpsc: numerical error: loss is nan at batch 1\n"
+        assert run.stdout == ""
+
+    def test_train_and_eval_identical_across_hash_seeds(self, tmp_path, lpsc_cfg):
+        runs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"run{hash_seed}"
+            data = ["--data", "edges", "--n-per-class", "8"]
+            train = lpsc_process(["train", "--net", str(lpsc_cfg), "--out", str(out), *data,
+                                  "--epochs", "2", "--val-fraction", "0.25"], hash_seed)
+            assert train.returncode == 0, train.stderr
+            evaluation = lpsc_process(["eval", "--net", str(lpsc_cfg), "--checkpoint",
+                                       str(out / "checkpoint"), *data], hash_seed)
+            assert evaluation.returncode == 0, evaluation.stderr
+            files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((files, evaluation.stdout))
+        assert {"history.csv", "checkpoint/manifest.txt", "checkpoint/layer.1.lpscw"} <= set(runs[0][0])
+        assert runs[0][1].startswith("loss=")
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
@@ -551,6 +620,20 @@ class TestCount:
         captured = capsys.readouterr()
         assert f"{message} numbers per sample, more than 67108864" in captured.err
         assert captured.out == "" and not out.exists()
+
+    # 512x512 positions x 16 input channels x 16 pooled slots is exactly 2**26
+    @pytest.mark.parametrize("center, code", [("true", 1), ("false", 0)])
+    def test_lpsc_window_cells_count_the_center_slot_only_when_set(self, tmp_path, capsys,
+                                                                    center, code):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(LPSC_CFG.replace("levels_theta = 6", f"levels_theta = 8\ncenter_conv = {center}"))
+        assert main(["count", "--net", str(cfg), "--input", "512x512x16"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "layer.1 (lpsc): window cells 512x512x17x16 holds 71303168" in captured.err
+        else:
+            lpsc_row = next(line for line in captured.out.splitlines() if "lpsc" in line)
+            assert lpsc_row.split()[-1] == "67108864"
 
     def test_csv_output(self, tmp_path, lpsc_cfg):
         csv = tmp_path / "costs.csv"
