@@ -3,14 +3,16 @@
 Kernels are rank-4 ``(kh, kw, C_in, C_out)`` over channels-last data.
 ``windows`` is the one window primitive of the package: a single strided
 view ``(N, Ho, Wo, kh, kw, C)`` of every window of a padded batch. The
-convolution contracts that view with the kernel in one tensor
-contraction, and its adjoint adds each tap of the gradient back through
-a writeable view; the ``ops`` pools and the ``lpsc`` cells read the same
-view. A 1x1 kernel at unit stride maps its windows one-to-one onto the
-padded pixels, so there the input adjoint is the contracted gradient
-itself, with no zero-filled buffer and no scatter. ``dilation`` spaces
-the kernel taps (used by the dilated-convolution baseline); padding is
-always zero-padding. Output extents follow
+convolution reads that view one tap at a time, as the ``ops`` pools and
+the ``lpsc`` cells do: tap ``[:, :, :, a, b]`` times the kernel slice
+``w[a, b]`` is one GEMM (the kn2row formulation), so the view is never
+copied into an im2col matrix. The adjoint takes each tap's weight
+gradient as one GEMM too, and adds each tap of the input gradient back
+through a writeable view. A 1x1 kernel at unit stride maps its windows
+one-to-one onto the padded pixels, so there the input adjoint is the one
+tap's product itself, with no zero-filled buffer and no scatter.
+``dilation`` spaces the kernel taps (used by the dilated-convolution
+baseline); padding is always zero-padding. Output extents follow
 
     out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
 
@@ -19,8 +21,8 @@ The centered-index convention (kernel tap (m, n) reads input offset
 m = a - M, n = b - N; the two views produce identical numbers.
 
 All operations are pure functions of their arguments and never mutate
-inputs; the per-output-element accumulation order is fixed by the single
-tensor contraction, so results do not depend on threading.
+inputs; each output element sums the taps in row-major (a, b) order, one
+GEMM per tap, so results do not depend on threading.
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ def _prepare(x, weights, stride, padding, dilation):
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 4:
         raise ValueError(f"weights must be rank-4, got rank {w.ndim}")
+    if w.shape[0] < 1 or w.shape[1] < 1:
+        raise ValueError(f"kernel spatial dims must be >= 1, got {w.shape[0]}x{w.shape[1]}")
     if xb.shape[3] != w.shape[2]:
         raise ValueError(
             f"input has {xb.shape[3]} channels but kernel expects {w.shape[2]}"
@@ -157,6 +161,23 @@ def _prepare(x, weights, stride, padding, dilation):
     return xb, batched, w, pad(xb, padding), padding, (w.shape[:2], stride, dilation)
 
 
+def _tap_matmul(tap, m):
+    """(N, Ho, Wo, K) *tap* times (K, M) *m*, as one 2-D GEMM where that copies nothing.
+
+    A strided tap goes to ``matmul`` as it is, which runs one GEMM per
+    (Wo, K) row block without copying the tap. A one-channel tap (K = 1)
+    is reshaped to a column instead: numpy's ``matmul`` has no BLAS path
+    for an inner dimension of 1, and the column, 1/M of the product's
+    size, is the only copy.
+    """
+    n, ho, wo, k = tap.shape
+    if k == 1:
+        return np.dot(tap.reshape(n * ho * wo, 1), m).reshape(n, ho, wo, m.shape[1])
+    if tap.flags.c_contiguous:
+        return (tap.reshape(n * ho * wo, k) @ m).reshape(n, ho, wo, m.shape[1])
+    return tap @ m
+
+
 def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None):
     """Convolve channels-last data with a plain rank-4 weight array.
 
@@ -164,7 +185,11 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
     log-polar region convolution (1x1) and the baselines.
     """
     _, batched, w, xp, _, geometry = _prepare(x, weights, stride, padding, dilation)
-    out = np.tensordot(windows(xp, *geometry), w, axes=([3, 4, 5], [0, 1, 2]))
+    cols = windows(xp, *geometry)
+    # the first tap's product starts the sum: a 1x1 kernel is exactly one GEMM
+    out = _tap_matmul(cols[:, :, :, 0, 0], w[0, 0])
+    for a, b in list(np.ndindex(*w.shape[:2]))[1:]:
+        out += _tap_matmul(cols[:, :, :, a, b], w[a, b])
     if bias is not None:
         out = out + np.asarray(bias, dtype=np.float64)
     return out if batched else out[0]
@@ -187,15 +212,18 @@ def conv2d_raw_backward(
     expected = (*cols.shape[:3], w.shape[3])
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
-    grad_w = np.tensordot(cols, g, axes=([0, 1, 2], [0, 1, 2]))
-    grad_cols = np.tensordot(g, w, axes=([3], [3]))  # (N, Ho, Wo, kh, kw, C_in)
+    rows = g.shape[0] * g.shape[1] * g.shape[2]
+    g_rows = g.reshape(rows, g.shape[3])
+    grad_w = np.empty_like(w)
+    for a, b in np.ndindex(*w.shape[:2]):  # a strided tap is copied here, one at a time
+        grad_w[a, b] = cols[:, :, :, a, b].reshape(rows, w.shape[2]).T @ g_rows
     if w.shape[:2] == (1, 1) and geometry[1] == (1, 1):
-        grad_xp = grad_cols[:, :, :, 0, 0]  # one window per padded pixel
+        grad_xp = _tap_matmul(g, w[0, 0].T)  # one window per padded pixel
     else:
         grad_xp = np.zeros_like(xp)
         grad_windows = windows(grad_xp, *geometry, writeable=True)
         for a, b in np.ndindex(*w.shape[:2]):
-            grad_windows[:, :, :, a, b] += grad_cols[:, :, :, a, b]
+            grad_windows[:, :, :, a, b] += _tap_matmul(g, w[a, b].T)
     grad_x = unpad(grad_xp, padding)
     grad_b = g.sum(axis=(0, 1, 2)) if has_bias else None
     if not batched:

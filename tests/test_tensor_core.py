@@ -195,6 +195,92 @@ class TestConv2d:
         assert out.shape == (2, 2, 1)
         assert np.all(out == 4.0)
 
+    @pytest.mark.parametrize("size", [(0, 1), (1, 0), (0, 0)])
+    def test_kernel_without_taps_rejected(self, size):
+        x, w = np.ones((1, 4, 4, 1)), np.ones((*size, 1, 1))
+        with pytest.raises(ValueError, match=f"spatial dims must be >= 1, got {size[0]}x{size[1]}"):
+            conv2d_raw(x, w)
+        with pytest.raises(ValueError, match="spatial dims"):
+            conv2d_raw_backward(x, w, np.ones((1, 4, 4, 1)))
+
+    @pytest.mark.parametrize("size", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize(
+        "n, c_in, c_out", [(0, 2, 3), (2, 0, 3), (2, 2, 0)],
+        ids=["no-samples", "no-inputs", "no-outputs"],
+    )
+    def test_empty_axis_gives_shaped_zeros(self, size, n, c_in, c_out):
+        x, w = np.ones((n, 5, 4, c_in)), np.ones((*size, c_in, c_out))
+        out = conv2d_raw(x, w, padding=(1, 0), bias=np.ones(c_out))
+        assert out.shape == (n, 7 - size[0] + 1, 5 - size[1], c_out)
+        assert np.all(out == 1.0)  # bias only
+        gx, gw, gb = conv2d_raw_backward(x, w, np.ones(out.shape), padding=(1, 0), has_bias=True)
+        assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (c_out,)
+        assert not gx.any() and not gw.any() and np.all(gb == n * out.shape[1] * out.shape[2])
+
+    @pytest.mark.parametrize("padding", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize("c_in", [1, 7])
+    def test_one_by_one_unit_stride_is_one_matmul(self, padding, c_in):
+        # the LPSC block convolution: bit-identical to one plain matmul in
+        # each direction, which keeps LPSC outputs and checkpoints byte-stable
+        x = RNG.normal(size=(3, 5, 6, c_in))
+        w = RNG.normal(size=(1, 1, c_in, 4))
+        ph, pw = padding
+        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        g = RNG.normal(size=(*xp.shape[:3], 4))
+        rows, g_rows = xp.reshape(-1, c_in), g.reshape(-1, 4)
+        assert np.array_equal(conv2d_raw(x, w, padding=padding), (rows @ w[0, 0]).reshape(g.shape))
+        gx, gw, _ = conv2d_raw_backward(x, w, g, padding=padding)
+        assert np.array_equal(gx, unpad((g_rows @ w[0, 0].T).reshape(xp.shape), padding))
+        assert np.array_equal(gw[0, 0], rows.T @ g_rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        dilation=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        strided_input=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(size=(1, 1), stride=(1, 1), padding=(0, 0), dilation=(1, 1), extra=(2, 3),
+             channels=(3, 2), strided_input=False, seed=0)  # the LPSC block convolution
+    @example(size=(4, 3), stride=(3, 2), padding=(2, 1), dilation=(2, 3), extra=(1, 0),
+             channels=(2, 3), strided_input=True, seed=0)
+    def test_matches_window_oracles(self, size, stride, padding, dilation, extra, channels,
+                                    strided_input, seed):
+        (kh, kw), (sh, sw), (ph, pw), (dh, dw) = size, stride, padding, dilation
+        rng = np.random.default_rng(seed)
+        extent = ((kh - 1) * dh + 1, (kw - 1) * dw + 1)
+        h, wd = (max(1, e - 2 * p + x) for e, p, x in zip(extent, padding, extra))
+        if strided_input:  # a view with non-unit strides on H and C
+            x = rng.normal(size=(2, 2 * h, wd, 2 * channels[0]))[:, ::2, :, ::2]
+        else:
+            x = rng.normal(size=(2, h, wd, channels[0]))
+        w = rng.normal(size=(kh, kw, *channels))
+        geometry = dict(stride=stride, padding=padding, dilation=dilation)
+
+        # forward: sliding_window_view of an np.pad copy, contracted by einsum
+        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        view = sliding_window_view(xp, extent, axis=(1, 2))[:, ::sh, ::sw, :, ::dh, ::dw]
+        out = conv2d_raw(x, w, **geometry)
+        assert out.shape == (*view.shape[:3], channels[1])
+        assert max_rel_error(out, np.einsum("nijcab,abcd->nijd", view, w)) < 1e-12
+
+        # backward: every window's share of the gradient scattered by np.add.at
+        g = rng.normal(size=out.shape)
+        gx, gw, _ = conv2d_raw_backward(x, w, g, **geometry)
+        n, i, j, a, b, c = np.indices((*out.shape[:3], kh, kw, channels[0]))
+        want_xp = np.zeros(xp.shape)
+        shares = np.einsum("nijd,abcd->nijabc", g, w)
+        np.add.at(want_xp, (n, i * sh + a * dh, j * sw + b * dw, c), shares)
+        assert max_rel_error(gx, want_xp[:, ph : ph + x.shape[1], pw : pw + x.shape[2]]) < 1e-12
+        want_w = np.zeros(w.shape)
+        taps = view.transpose(0, 1, 2, 4, 5, 3)  # (N, Ho, Wo, kh, kw, C_in)
+        np.add.at(want_w, (a, b, c), taps[..., None] * g[:, :, :, None, None, None])
+        assert max_rel_error(gw, want_w) < 1e-12
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, seed, a, b):
