@@ -18,7 +18,7 @@ from .baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
-from .conv import ConvKernel, conv2d, conv2d_backward, conv2d_raw, conv2d_raw_backward
+from .conv import conv2d_raw, conv2d_raw_backward
 from .data import Dataset, load_idx, make_oriented_edges, save_idx
 from .geometry import (
     DegenerateGeometryWarning,
@@ -50,6 +50,6 @@ from .network import (
     save_checkpoint,
     train,
 )
-from .tensor import load_tensor, save_tensor, tensor
+from .tensor import load_tensor, save_tensor
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ import numpy as np
 from .geometry import LogPolarMask, build_mask, squared_cell_distance
 from .lpsc import LpscWeights
 from .network import Network, NetSpec, build_network
-from .raster import pgm_bytes, ppm_bytes, to_gray
+from .raster import pgm_bytes, to_gray
 
 __all__ = [
     "LayerCost",
@@ -46,7 +46,6 @@ __all__ = [
     "visualize_kernel",
     "nearest_region_grid",
     "kernel_to_pgm",
-    "kernel_to_ppm",
     "rf_to_pgm",
 ]
 
@@ -252,16 +251,6 @@ def visualize_kernel(weights: LpscWeights, mask: LogPolarMask, fill_corners=True
 def kernel_to_pgm(kernel_image) -> bytes:
     """Render one (size, size) kernel image; NaN cells show as black."""
     return pgm_bytes(to_gray(kernel_image))
-
-
-def kernel_to_ppm(kernel_image) -> bytes:
-    """Color render of one kernel image; unfilled (NaN) cells show red."""
-    kernel_image = np.asarray(kernel_image, dtype=np.float64)
-    gray = to_gray(kernel_image)
-    rgb = np.stack([gray, gray, gray], axis=-1)
-    sentinel = ~np.isfinite(kernel_image)
-    rgb[sentinel] = (200, 0, 0)
-    return ppm_bytes(rgb)
 
 
 def rf_to_pgm(report: RfReport) -> bytes:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvKernel, as_pair, conv2d_raw, conv2d_raw_backward
+from .conv import as_pair, conv2d_raw, conv2d_raw_backward
 
 __all__ = [
     "DilatedConfig",
@@ -38,7 +38,7 @@ class DilatedConfig:
     def __post_init__(self):
         object.__setattr__(self, "stride", as_pair(self.stride, "stride"))
         object.__setattr__(self, "padding", as_pair(self.padding, "padding"))
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # dilated_conv2d takes a ConvKernel
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # a dilated kernel has a center tap
             raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
         if self.dilation < 1:
             raise ValueError(f"dilation must be >= 1, got {self.dilation}")
@@ -70,33 +70,33 @@ class SquareShareConfig:
         return self.kernel_size // self.pool_size
 
 
-def dilated_conv2d(input, kernel: ConvKernel, config: DilatedConfig):
+def dilated_conv2d(input, weights, config: DilatedConfig, bias=None):
     """Convolution with taps spaced by the dilation rate (zeros skipped)."""
-    if kernel.weights.shape[0] != config.kernel_size or kernel.weights.shape[1] != config.kernel_size:
-        raise ValueError(
-            f"kernel is {kernel.weights.shape[:2]}, config wants {config.kernel_size}"
-        )
+    w = np.asarray(weights, dtype=np.float64)
+    k = config.kernel_size
+    if w.shape[:2] != (k, k):
+        raise ValueError(f"kernel is {w.shape[:2]}, config wants {k}")
     return conv2d_raw(
         input,
-        kernel.weights,
+        w,
         stride=config.stride,
         padding=config.padding,
         dilation=(config.dilation, config.dilation),
-        bias=kernel.bias,
+        bias=bias,
     )
 
 
-def dilated_conv2d_backward(input, kernel: ConvKernel, config: DilatedConfig, grad_output):
-    grad_x, grad_w, grad_b = conv2d_raw_backward(
+def dilated_conv2d_backward(input, weights, config: DilatedConfig, grad_output, has_bias=False):
+    """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias)."""
+    return conv2d_raw_backward(
         input,
-        kernel.weights,
+        weights,
         grad_output,
         stride=config.stride,
         padding=config.padding,
         dilation=(config.dilation, config.dilation),
-        has_bias=kernel.bias is not None,
+        has_bias=has_bias,
     )
-    return grad_x, ConvKernel(weights=grad_w, bias=grad_b)
 
 
 def expand_square_weights(region_weights, pool_size: int) -> np.ndarray:

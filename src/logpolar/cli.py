@@ -4,7 +4,8 @@ Subcommands: mask, check, train, eval, erf, viz, count, gen-data. Every
 command is deterministic given its flags and --seed. Exit codes: 0 on
 success, 1 on validation errors (bad flags, bad configs, bad files), 2 on
 numerical failures (a failed check, a non-finite loss in training or
-evaluation). A failing command writes nothing.
+evaluation). A failing command writes nothing; a command writes its
+files before it prints its report, so one that cannot write prints none.
 
 All file outputs land under explicit --out paths; nothing writes to the
 working directory implicitly.
@@ -98,6 +99,8 @@ def _mask_config(args) -> LpscConfig:
 def cmd_mask(args) -> int:
     config = _mask_config(args)
     mask = build_mask(config)
+    if args.out:
+        Path(args.out).write_bytes(mask_to_pgm(mask))
     print(" ".join(f"R{i + 1}={_fmt(r)}" for i, r in enumerate(mask.radii)))
     print(mask_to_text(mask))
     print("counts:")
@@ -105,7 +108,6 @@ def cmd_mask(args) -> int:
         row = " ".join(str(int(c)) for c in mask.counts[level])
         print(f"level {level + 1}: {row}")
     if args.out:
-        Path(args.out).write_bytes(mask_to_pgm(mask))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -219,10 +221,11 @@ def cmd_erf(args) -> int:
             raise ValueError(f"--loc must be 'center' or 'I,J', got {args.loc!r}") from None
         location = (i, j)
     report = estimate_rf(network, spec.input_shape, output_location=location, seed=args.seed)
+    if args.out:
+        Path(args.out).write_bytes(rf_to_pgm(report))
     print(f"location {report.location[0]},{report.location[1]}")
     print(f"support {report.bbox[0]}x{report.bbox[1]}")
     if args.out:
-        Path(args.out).write_bytes(rf_to_pgm(report))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -255,9 +258,10 @@ def cmd_count(args) -> int:
     spec, _ = parse_net_file(args.net)
     input_shape = parse_dims(args.input, "--input") if args.input else None
     report = count_costs(spec, input_shape=input_shape)
-    print(report.to_text())
     if args.csv:
         Path(args.csv).write_text(report.to_csv(), encoding="ascii")
+    print(report.to_text())
+    if args.csv:
         print(f"wrote {args.csv}")
     return EXIT_OK
 

@@ -16,10 +16,6 @@ baseline); padding is always zero-padding. Output extents follow
 
     out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
 
-The centered-index convention (kernel tap (m, n) reads input offset
-(i+m, j+n)) maps onto the corner-aligned arithmetic below with
-m = a - M, n = b - N; the two views produce identical numbers.
-
 All operations are pure functions of their arguments and never mutate
 inputs; each output element sums the taps in row-major (a, b) order, one
 GEMM per tap, so results do not depend on threading.
@@ -33,8 +29,6 @@ import numpy as np
 
 __all__ = [
     "ConvKernel",
-    "conv2d",
-    "conv2d_backward",
     "conv2d_raw",
     "conv2d_raw_backward",
     "as_pair",
@@ -70,26 +64,10 @@ def ensure_batched(x) -> tuple[np.ndarray, bool]:
 
 @dataclass
 class ConvKernel:
-    """Odd-sized convolution weights (2M+1, 2N+1, C_in, C_out) plus optional bias."""
+    """Dilated-layer weights (kh, kw, C_in, C_out) plus optional bias."""
 
     weights: np.ndarray
     bias: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 4:
-            raise ValueError(
-                f"kernel weights must be rank-4 (kh, kw, C_in, C_out), got rank {self.weights.ndim}"
-            )
-        kh, kw = self.weights.shape[:2]
-        if kh < 1 or kw < 1 or kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError(f"kernel spatial dims must be odd and >= 1, got {kh}x{kw}")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.weights.shape[3],):
-                raise ValueError(
-                    f"bias shape {self.bias.shape} does not match {self.weights.shape[3]} output channels"
-                )
 
 
 def out_extent(size, extent, stride, pad) -> int:
@@ -178,11 +156,20 @@ def _tap_matmul(tap, m):
     return tap @ m
 
 
-def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None):
-    """Convolve channels-last data with a plain rank-4 weight array.
+def _as_bias(bias, units) -> np.ndarray:
+    """*bias* as a float64 (units,) array; any other shape raises, named."""
+    b = np.asarray(bias, dtype=np.float64)
+    if b.shape != (units,):
+        raise ValueError(f"bias shape {b.shape} does not match ({units},)")
+    return b
 
-    No restriction on the kernel's spatial size; used directly by the
-    log-polar region convolution (1x1) and the baselines.
+
+def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None):
+    """Convolve channels-last data with a rank-4 (kh, kw, C_in, C_out) weight array.
+
+    The one conventional convolution of the package: the LPSC block
+    convolution (1x1) and every baseline run through it. Any kernel size
+    of at least 1x1 is accepted; *bias*, if given, must be (C_out,).
     """
     _, batched, w, xp, _, geometry = _prepare(x, weights, stride, padding, dilation)
     cols = windows(xp, *geometry)
@@ -191,15 +178,8 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
     for a, b in list(np.ndindex(*w.shape[:2]))[1:]:
         out += _tap_matmul(cols[:, :, :, a, b], w[a, b])
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64)
+        out = out + _as_bias(bias, w.shape[3])
     return out if batched else out[0]
-
-
-def conv2d(input, kernel: ConvKernel, stride=(1, 1), padding=(0, 0)):
-    """Conventional convolution of *input* with an odd-sized ConvKernel."""
-    return conv2d_raw(
-        input, kernel.weights, stride=stride, padding=padding, bias=kernel.bias
-    )
 
 
 def conv2d_raw_backward(
@@ -229,16 +209,3 @@ def conv2d_raw_backward(
     if not batched:
         grad_x = grad_x[0]
     return grad_x, grad_w, grad_b
-
-
-def conv2d_backward(input, kernel: ConvKernel, grad_output, stride=(1, 1), padding=(0, 0)):
-    """Exact adjoint of conv2d: (grad_input, ConvKernel-shaped gradients)."""
-    grad_x, grad_w, grad_b = conv2d_raw_backward(
-        input,
-        kernel.weights,
-        grad_output,
-        stride=stride,
-        padding=padding,
-        has_bias=kernel.bias is not None,
-    )
-    return grad_x, ConvKernel(weights=grad_w, bias=grad_b)

@@ -215,7 +215,8 @@ def _distance_level(d, radii) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build_mask_cached(config: LpscConfig) -> LogPolarMask:
+def build_mask(config: LpscConfig) -> LogPolarMask:
+    """Construct (or fetch the cached) region mask for *config*."""
     size = config.kernel_size
     radius = config.radius
     rr = float(radius * radius)
@@ -247,11 +248,6 @@ def _build_mask_cached(config: LpscConfig) -> LogPolarMask:
         alpha=config.alpha,
         eccentricity=config.eccentricity,
     )
-
-
-def build_mask(config: LpscConfig) -> LogPolarMask:
-    """Construct (or fetch the cached) region mask for *config*."""
-    return _build_mask_cached(config)
 
 
 def mask_to_text(mask: LogPolarMask) -> str:

@@ -428,11 +428,13 @@ class DilatedLayer(_WindowLayer):
         return _named(kernel=self.kernel.weights, bias=self.kernel.bias)
 
     def forward(self, x):
-        return dilated_conv2d(x, self.kernel, self.config), x
+        return dilated_conv2d(x, self.kernel.weights, self.config, bias=self.kernel.bias), x
 
     def backward(self, grad, cache):
-        gx, gk = dilated_conv2d_backward(cache, self.kernel, self.config, grad)
-        return gx, _named(kernel=gk.weights, bias=gk.bias)
+        gx, gw, gb = dilated_conv2d_backward(
+            cache, self.kernel.weights, self.config, grad, has_bias=self.use_bias
+        )
+        return gx, _named(kernel=gw, bias=gb)
 
 
 class SquareShareLayer(_WindowLayer):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import as_pair, ensure_batched, windows
+from .conv import _as_bias, as_pair, ensure_batched, windows
 
 __all__ = [
     "relu",
@@ -139,14 +139,14 @@ def mean_pool_backward(x, grad_output, size, stride=None):
 
 
 def dense(x, weights, bias=None):
-    """Affine map on feature rows: (N, F) @ (F, U) + bias."""
+    """Affine map on feature rows: (N, F) @ (F, U) + bias, a (U,) array."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"dense shapes incompatible: x {x.shape}, weights {w.shape}")
     out = x @ w
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64)
+        out = out + _as_bias(bias, w.shape[1])
     return out
 
 

@@ -1,10 +1,10 @@
-"""Binary PGM (P5) / PPM (P6) writers for debug rasters."""
+"""Binary PGM (P5) writer for debug rasters."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pgm_bytes", "ppm_bytes", "to_gray"]
+__all__ = ["pgm_bytes", "to_gray"]
 
 
 def pgm_bytes(img) -> bytes:
@@ -13,15 +13,6 @@ def pgm_bytes(img) -> bytes:
     if img.ndim != 2:
         raise ValueError(f"PGM needs a 2-D array, got shape {img.shape}")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    return header + img.tobytes(order="C")
-
-
-def ppm_bytes(img) -> bytes:
-    """Encode a (H, W, 3) uint8 array as binary PPM."""
-    img = np.asarray(img, dtype=np.uint8)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"PPM needs a (H, W, 3) array, got shape {img.shape}")
-    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     return header + img.tobytes(order="C")
 
 

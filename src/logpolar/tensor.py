@@ -3,7 +3,8 @@
 Every value in this package travels as a plain numpy float64 array in C
 (row-major) order with the channel axis innermost: (H, W, C) for a single
 feature map, (N, H, W, C) for a batch. External data is validated on the
-way in; NaN and Inf are rejected.
+way in, by the TNSR and LPSCW reader below, ``Dataset`` and ``load_idx``;
+NaN and Inf are rejected.
 
 The container (``_write_float64``/``_read_float64``) is one ASCII header
 line ``<magic> v1 <integers>`` terminated by ``\\n``, then float64 blocks,
@@ -19,17 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["tensor", "save_tensor", "load_tensor"]
-
-
-def tensor(data, shape=None) -> np.ndarray:
-    """Build a validated float64 array, rejecting NaN/Inf entries."""
-    arr = np.array(data, dtype=np.float64, order="C", copy=True)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor entries must be finite, got NaN or Inf")
-    return arr
+__all__ = ["save_tensor", "load_tensor"]
 
 
 def _write_float64(path, magic, fields, blocks) -> None:

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from logpolar import ConvKernel, conv2d, conv2d_backward, load_tensor, save_tensor
+from logpolar import conv2d_raw, conv2d_raw_backward, load_tensor, save_tensor
 from logpolar import ops
 from logpolar.analysis import count_costs, estimate_rf
 from logpolar.baselines import (
@@ -71,14 +71,13 @@ def test_criterion_2_gradient_suite():
 
         # conventional convolution
         x = rng.normal(size=(8, 8, 3))
-        k = ConvKernel(weights=rng.normal(size=(3, 3, 3, 2)), bias=rng.normal(size=2))
-        p = rng.normal(size=conv2d(x, k, padding=(1, 1)).shape)
-        gx, gk = conv2d_backward(x, k, p, padding=(1, 1))
+        k, b = rng.normal(size=(3, 3, 3, 2)), rng.normal(size=2)
+        p = rng.normal(size=conv2d_raw(x, k, padding=(1, 1), bias=b).shape)
+        gx, gk, _ = conv2d_raw_backward(x, k, p, padding=(1, 1), has_bias=True)
         check("conv input", gx, finite_difference(
-            lambda v: float(np.sum(conv2d(v, k, padding=(1, 1)) * p)), x))
-        check("conv kernel", gk.weights, finite_difference(
-            lambda v: float(np.sum(conv2d(x, ConvKernel(v, k.bias), padding=(1, 1)) * p)),
-            k.weights))
+            lambda v: float(np.sum(conv2d_raw(v, k, padding=(1, 1), bias=b) * p)), x))
+        check("conv kernel", gk, finite_difference(
+            lambda v: float(np.sum(conv2d_raw(x, v, padding=(1, 1), bias=b) * p)), k))
 
         # log-polar operator, all pooling modes
         for mode in ("mean", "sum", "max"):
@@ -101,14 +100,13 @@ def test_criterion_2_gradient_suite():
 
         # dilated convolution
         dc = DilatedConfig(kernel_size=3, dilation=2, padding=(2, 2))
-        kd = ConvKernel(weights=rng.normal(size=(3, 3, 3, 2)), bias=rng.normal(size=2))
-        pd = rng.normal(size=dilated_conv2d(x, kd, dc).shape)
-        gxd, gkd = dilated_conv2d_backward(x, kd, dc, pd)
+        kd, bdi = rng.normal(size=(3, 3, 3, 2)), rng.normal(size=2)
+        pd = rng.normal(size=dilated_conv2d(x, kd, dc, bias=bdi).shape)
+        gxd, gkd, _ = dilated_conv2d_backward(x, kd, dc, pd, has_bias=True)
         check("dilated input", gxd, finite_difference(
-            lambda v: float(np.sum(dilated_conv2d(v, kd, dc) * pd)), x))
-        check("dilated kernel", gkd.weights, finite_difference(
-            lambda v: float(np.sum(dilated_conv2d(x, ConvKernel(v, kd.bias), dc) * pd)),
-            kd.weights))
+            lambda v: float(np.sum(dilated_conv2d(v, kd, dc, bias=bdi) * pd)), x))
+        check("dilated kernel", gkd, finite_difference(
+            lambda v: float(np.sum(dilated_conv2d(x, v, dc, bias=bdi) * pd)), kd))
 
         # square-shared convolution
         sc = SquareShareConfig(kernel_size=6, pool_size=3, padding=(3, 3))

@@ -7,7 +7,6 @@ from logpolar.analysis import (
     count_costs,
     estimate_rf,
     kernel_to_pgm,
-    kernel_to_ppm,
     nearest_region_grid,
     rf_to_pgm,
     visualize_kernel,
@@ -269,12 +268,3 @@ class TestVisualization:
         assert to_gray(np.full((2, 2), 7.0)).tolist() == [[255, 255], [255, 255]]
         assert not to_gray(np.full(3, np.nan)).any()
 
-    def test_ppm_sentinel_is_red(self):
-        config = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
-        mask = build_mask(config)
-        img = visualize_kernel(self.make_weights(config, value=1.0), mask, fill_corners=False)
-        blob = kernel_to_ppm(img[0, 0])
-        assert blob.startswith(b"P6\n5 5\n255\n")
-        pixels = np.frombuffer(blob.split(b"\n", 3)[3], dtype=np.uint8).reshape(5, 5, 3)
-        assert tuple(pixels[0, 0]) == (200, 0, 0)
-        assert tuple(pixels[2, 2]) == (255, 255, 255)

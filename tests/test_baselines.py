@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logpolar import ConvKernel, conv2d
+from logpolar import conv2d_raw
 from logpolar.baselines import (
     DilatedConfig,
     SquareShareConfig,
@@ -22,25 +22,25 @@ RNG = np.random.default_rng(99)
 class TestDilated:
     def test_dilation_one_identical_to_conv2d(self):
         x = RNG.normal(size=(8, 8, 2))
-        k = ConvKernel(weights=RNG.normal(size=(3, 3, 2, 3)), bias=RNG.normal(size=3))
+        w, b = RNG.normal(size=(3, 3, 2, 3)), RNG.normal(size=3)
         cfg = DilatedConfig(kernel_size=3, dilation=1, padding=(1, 1))
         assert np.array_equal(
-            dilated_conv2d(x, k, cfg), conv2d(x, k, padding=(1, 1))
+            dilated_conv2d(x, w, cfg, bias=b), conv2d_raw(x, w, padding=(1, 1), bias=b)
         )
 
     def test_taps_touch_only_dilated_offsets(self):
         # a 3x3 kernel at rate 2 reads offsets {-2, 0, 2}^2 only: poking any
         # other offset of an interior window leaves that output unchanged
         cfg = DilatedConfig(kernel_size=3, dilation=2, padding=(2, 2))
-        k = ConvKernel(weights=RNG.normal(size=(3, 3, 1, 1)))
+        w = RNG.normal(size=(3, 3, 1, 1))
         x = RNG.normal(size=(9, 9, 1))
-        base = dilated_conv2d(x, k, cfg)
+        base = dilated_conv2d(x, w, cfg)
         center = (4, 4)
         for dr in range(-2, 3):
             for dc in range(-2, 3):
                 poked = x.copy()
                 poked[center[0] + dr, center[1] + dc, 0] += 5.0
-                changed = dilated_conv2d(poked, k, cfg)[center] != base[center]
+                changed = dilated_conv2d(poked, w, cfg)[center] != base[center]
                 assert changed == (dr in (-2, 0, 2) and dc in (-2, 0, 2))
 
     def test_matches_loop_oracle(self):
@@ -48,18 +48,18 @@ class TestDilated:
         w = RNG.normal(size=(3, 3, 2, 2))
         cfg = DilatedConfig(kernel_size=3, dilation=2, stride=(2, 1), padding=(2, 2))
         want = loop_conv2d(x, w, stride=cfg.stride, padding=cfg.padding, dilation=(2, 2))
-        got = dilated_conv2d(x, ConvKernel(weights=w), cfg)
+        got = dilated_conv2d(x, w, cfg)
         assert got.shape == want.shape
         assert max_rel_error(got, want) < 1e-12
 
     def test_extent_overflow(self):
         cfg = DilatedConfig(kernel_size=3, dilation=3)  # effective extent 7
         with pytest.raises(ValueError, match="kernel extent"):
-            dilated_conv2d(np.ones((5, 5, 1)), ConvKernel(weights=np.ones((3, 3, 1, 1))), cfg)
+            dilated_conv2d(np.ones((5, 5, 1)), np.ones((3, 3, 1, 1)), cfg)
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_kernel_size_must_be_odd(self, k):
-        # dilated_conv2d takes an odd ConvKernel, so the config refuses the rest up front
+        # a dilated kernel has a center tap, so the config refuses an even size up front
         with pytest.raises(ValueError, match=f"kernel_size must be odd and >= 1, got {k}"):
             DilatedConfig(kernel_size=k)
 
@@ -67,17 +67,16 @@ class TestDilated:
         x = RNG.normal(size=(8, 8, 2))
         w = RNG.normal(size=(3, 3, 2, 2))
         b = RNG.normal(size=2)
-        k = ConvKernel(weights=w, bias=b)
         cfg = DilatedConfig(kernel_size=3, dilation=2, padding=(2, 2))
-        out = dilated_conv2d(x, k, cfg)
+        out = dilated_conv2d(x, w, cfg, bias=b)
         p = RNG.normal(size=out.shape)
-        gx, gk = dilated_conv2d_backward(x, k, cfg, p)
-        fx = finite_difference(lambda v: float(np.sum(dilated_conv2d(v, k, cfg) * p)), x)
-        fw = finite_difference(
-            lambda v: float(np.sum(dilated_conv2d(x, ConvKernel(weights=v, bias=b), cfg) * p)), w
-        )
+        gx, gw, gb = dilated_conv2d_backward(x, w, cfg, p, has_bias=True)
+        fx = finite_difference(lambda v: float(np.sum(dilated_conv2d(v, w, cfg, bias=b) * p)), x)
+        fw = finite_difference(lambda v: float(np.sum(dilated_conv2d(x, v, cfg, bias=b) * p)), w)
+        fb = finite_difference(lambda v: float(np.sum(dilated_conv2d(x, w, cfg, bias=v) * p)), b)
         assert max_rel_error(gx, fx) < 1e-5
-        assert max_rel_error(gk.weights, fw) < 1e-5
+        assert max_rel_error(gw, fw) < 1e-5
+        assert max_rel_error(gb, fb) < 1e-5
 
 
 class TestSquareShare:
@@ -86,7 +85,7 @@ class TestSquareShare:
         w = RNG.normal(size=(3, 3, 2, 2))
         cfg = SquareShareConfig(kernel_size=3, pool_size=1, padding=(1, 1))
         assert np.array_equal(
-            square_share_conv2d(x, w, cfg), conv2d(x, ConvKernel(weights=w), padding=(1, 1))
+            square_share_conv2d(x, w, cfg), conv2d_raw(x, w, padding=(1, 1))
         )
 
     def test_nine_by_nine_has_nine_distinct_weights(self):
@@ -109,7 +108,7 @@ class TestSquareShare:
         for a in range(9):
             for b in range(9):
                 full[a, b] = w[a // 3, b // 3]
-        want = conv2d(x, ConvKernel(weights=full), padding=(4, 4))
+        want = conv2d_raw(x, full, padding=(4, 4))
         got = square_share_conv2d(x, w, cfg)
         assert np.array_equal(got, want)
 
@@ -142,9 +141,9 @@ class TestSquareShare:
 class TestParameterCounts:
     def test_counts_for_equal_receptive_fields(self):
         # 9x9 footprint three ways: dense 81, square-shared 9, dilated 9
-        dense = ConvKernel(weights=np.zeros((9, 9, 1, 1)))
-        assert dense.weights[:, :, 0, 0].size == 81
+        dense = np.zeros((9, 9, 1, 1))
+        assert dense[:, :, 0, 0].size == 81
         assert np.zeros((3, 3)).size == 9  # square regions for pool 3
-        dilated = ConvKernel(weights=np.zeros((3, 3, 1, 1)))
+        dilated = np.zeros((3, 3, 1, 1))
         assert DilatedConfig(kernel_size=3, dilation=4).effective_extent == 9
-        assert dilated.weights[:, :, 0, 0].size == 9
+        assert dilated[:, :, 0, 0].size == 9

@@ -641,6 +641,26 @@ class TestCount:
         assert csv.read_text().startswith("layer,kind,output,params")
 
 
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["mask", "--size", "5", "--lr", "2", "--lt", "8", "--g", "2", "--out"], None),
+        (["count", "--net", "{net}", "--csv"], LPSC_CFG),
+        (["erf", "--net", "{net}", "--out"], TWO_CONV_CFG),
+    ],
+    ids=["mask", "count", "erf"],
+)
+def test_unwritable_output_exits_1_before_any_report(tmp_path, capsys, argv, spec):
+    net = tmp_path / "net.cfg"
+    if spec:
+        net.write_text(spec)
+    unwritable = tmp_path / "missing" / "out"
+    assert main([a.format(net=net) for a in argv] + [str(unwritable)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("lpsc: error: [Errno 2]")
+
+
 class TestGenData:
     def test_writes_idx_pair(self, tmp_path):
         out = tmp_path / "data"

@@ -1,6 +1,7 @@
-"""Tensor storage, file round-trips, conv2d against loop oracles, adjoints."""
+"""Tensor storage, file round-trips, conv2d_raw against loop oracles, adjoints."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from logpolar import ConvKernel, conv2d, conv2d_backward, conv2d_raw, load_tensor, save_tensor, tensor
+from logpolar import conv2d_raw, load_tensor, save_tensor
 from logpolar import ops
 from logpolar.conv import conv2d_raw_backward, pad, unpad, windows
 
@@ -18,19 +19,6 @@ RNG = np.random.default_rng(20240811)
 
 
 class TestTensor:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            tensor([1.0, np.nan])
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError, match="finite"):
-            tensor([[np.inf]])
-
-    def test_shape_reshape(self):
-        t = tensor(np.arange(12.0), shape=(2, 3, 2))
-        assert t.shape == (2, 3, 2)
-        assert t.dtype == np.float64
-
     def test_file_roundtrip_bitwise(self, tmp_path):
         arr = RNG.normal(size=(4, 5, 3))
         p = tmp_path / "a.tnsr"
@@ -132,16 +120,14 @@ class TestWindows:
 
 class TestConv2d:
     def test_scalar_product(self):
-        x = tensor([[[5.0]]])
-        k = ConvKernel(weights=np.full((1, 1, 1, 1), 3.0))
-        out = conv2d(x, k)
+        x = np.array([[[5.0]]])
+        out = conv2d_raw(x, np.full((1, 1, 1, 1), 3.0))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 15.0
 
     def test_sum_of_ones(self):
         x = np.ones((3, 3, 1))
-        k = ConvKernel(weights=np.ones((3, 3, 1, 1)))
-        out = conv2d(x, k)
+        out = conv2d_raw(x, np.ones((3, 3, 1, 1)))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 9.0
 
@@ -149,7 +135,7 @@ class TestConv2d:
         x = RNG.normal(size=(8, 8, 2))
         w = RNG.normal(size=(3, 3, 2, 4))
         want = loop_conv2d(x, w, stride=(1, 1), padding=(1, 1))
-        got = conv2d(x, ConvKernel(weights=w), stride=(1, 1), padding=(1, 1))
+        got = conv2d_raw(x, w, stride=(1, 1), padding=(1, 1))
         assert max_rel_error(got, want) < 1e-12
 
     @pytest.mark.parametrize("stride,padding", [((1, 1), (0, 0)), ((2, 2), (1, 1)), ((2, 1), (0, 2))])
@@ -157,7 +143,7 @@ class TestConv2d:
         x = RNG.normal(size=(7, 9, 3))
         w = RNG.normal(size=(3, 5, 3, 2))
         want = loop_conv2d(x, w, stride=stride, padding=padding)
-        got = conv2d(x, ConvKernel(weights=w), stride=stride, padding=padding)
+        got = conv2d_raw(x, w, stride=stride, padding=padding)
         assert got.shape == want.shape
         assert max_rel_error(got, want) < 1e-12
 
@@ -166,28 +152,29 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[1, 1, c, c] = 1.0
-        out = conv2d(x, ConvKernel(weights=w), padding=(1, 1))
+        out = conv2d_raw(x, w, padding=(1, 1))
         assert np.array_equal(out, x)
 
     def test_batched_matches_per_sample(self):
         x = RNG.normal(size=(4, 6, 6, 2))
         w = RNG.normal(size=(3, 3, 2, 3))
-        k = ConvKernel(weights=w)
-        batched = conv2d(x, k, padding=(1, 1))
+        batched = conv2d_raw(x, w, padding=(1, 1))
         for n in range(4):
-            assert np.array_equal(batched[n], conv2d(x[n], k, padding=(1, 1)))
+            assert np.array_equal(batched[n], conv2d_raw(x[n], w, padding=(1, 1)))
 
     def test_channel_mismatch_error(self):
         with pytest.raises(ValueError, match="channels"):
-            conv2d(np.ones((4, 4, 2)), ConvKernel(weights=np.ones((3, 3, 3, 1))))
+            conv2d_raw(np.ones((4, 4, 2)), np.ones((3, 3, 3, 1)))
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ValueError, match="kernel extent"):
-            conv2d(np.ones((2, 2, 1)), ConvKernel(weights=np.ones((5, 5, 1, 1))))
+            conv2d_raw(np.ones((2, 2, 1)), np.ones((5, 5, 1, 1)))
 
-    def test_even_kernel_rejected_for_convkernel(self):
-        with pytest.raises(ValueError, match="odd"):
-            ConvKernel(weights=np.ones((2, 2, 1, 1)))
+    @pytest.mark.parametrize("shape", [(1,), (2, 2, 4), (4, 1), ()], ids=["1", "2x2x4", "4x1", "0-d"])
+    def test_bias_not_one_per_output_channel_rejected(self, shape):
+        # a bias that merely broadcasts would add the wrong values silently
+        with pytest.raises(ValueError, match=re.escape(f"bias shape {shape} does not match (4,)")):
+            conv2d_raw(np.ones((1, 4, 4, 2)), np.ones((3, 3, 2, 4)), bias=np.ones(shape))
 
     def test_raw_accepts_even_kernels(self):
         x = np.ones((4, 4, 1))
@@ -288,9 +275,8 @@ class TestConv2d:
         x = rng.normal(size=(5, 5, 2))
         y = rng.normal(size=(5, 5, 2))
         w = rng.normal(size=(3, 3, 2, 2))
-        k = ConvKernel(weights=w)
-        lhs = conv2d(a * x + b * y, k, padding=(1, 1))
-        rhs = a * conv2d(x, k, padding=(1, 1)) + b * conv2d(y, k, padding=(1, 1))
+        lhs = conv2d_raw(a * x + b * y, w, padding=(1, 1))
+        rhs = a * conv2d_raw(x, w, padding=(1, 1)) + b * conv2d_raw(y, w, padding=(1, 1))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -301,54 +287,41 @@ def _loss_weights(shape, seed=7):
 class TestConvBackward:
     def test_zero_grad_output(self):
         x = RNG.normal(size=(5, 5, 2))
-        k = ConvKernel(weights=RNG.normal(size=(3, 3, 2, 2)), bias=np.zeros(2))
-        out = conv2d(x, k, padding=(1, 1))
-        gx, gk = conv2d_backward(x, k, np.zeros_like(out), padding=(1, 1))
+        w, b = RNG.normal(size=(3, 3, 2, 2)), np.zeros(2)
+        out = conv2d_raw(x, w, padding=(1, 1), bias=b)
+        gx, gw, gb = conv2d_raw_backward(x, w, np.zeros_like(out), padding=(1, 1), has_bias=True)
         assert not gx.any()
-        assert not gk.weights.any()
-        assert not gk.bias.any()
+        assert not gw.any()
+        assert not gb.any()
 
     def test_one_by_one_case(self):
-        x = tensor([[[2.0]]])
-        k = ConvKernel(weights=np.full((1, 1, 1, 1), 3.0))
-        gx, gk = conv2d_backward(x, k, np.full((1, 1, 1), 5.0))
+        x = np.array([[[2.0]]])
+        gx, gw, _ = conv2d_raw_backward(x, np.full((1, 1, 1, 1), 3.0), np.full((1, 1, 1), 5.0))
         assert gx[0, 0, 0] == 15.0  # grad_input = w * g
-        assert gk.weights[0, 0, 0, 0] == 10.0  # grad_kernel = x * g
+        assert gw[0, 0, 0, 0] == 10.0  # grad_kernel = x * g
 
     @pytest.mark.parametrize("stride,padding", [((1, 1), (1, 1)), ((2, 2), (0, 0))])
     def test_matches_finite_differences(self, stride, padding):
         x = RNG.normal(size=(6, 6, 2))
         w = RNG.normal(size=(3, 3, 2, 3))
         b = RNG.normal(size=3)
-        k = ConvKernel(weights=w, bias=b)
-        out = conv2d(x, k, stride=stride, padding=padding)
+        geometry = dict(stride=stride, padding=padding)
+        out = conv2d_raw(x, w, bias=b, **geometry)
         p = _loss_weights(out.shape)
-        gx, gk = conv2d_backward(x, k, p, stride=stride, padding=padding)
+        gx, gw, gb = conv2d_raw_backward(x, w, p, has_bias=True, **geometry)
 
-        fx = finite_difference(
-            lambda xv: float(np.sum(conv2d(xv, k, stride=stride, padding=padding) * p)), x
-        )
-        fw = finite_difference(
-            lambda wv: float(
-                np.sum(conv2d(x, ConvKernel(weights=wv, bias=b), stride=stride, padding=padding) * p)
-            ),
-            w,
-        )
-        fb = finite_difference(
-            lambda bv: float(
-                np.sum(conv2d(x, ConvKernel(weights=w, bias=bv), stride=stride, padding=padding) * p)
-            ),
-            b,
-        )
+        fx = finite_difference(lambda xv: float(np.sum(conv2d_raw(xv, w, bias=b, **geometry) * p)), x)
+        fw = finite_difference(lambda wv: float(np.sum(conv2d_raw(x, wv, bias=b, **geometry) * p)), w)
+        fb = finite_difference(lambda bv: float(np.sum(conv2d_raw(x, w, bias=bv, **geometry) * p)), b)
         assert max_rel_error(gx, fx) < 1e-5
-        assert max_rel_error(gk.weights, fw) < 1e-5
-        assert max_rel_error(gk.bias, fb) < 1e-5
+        assert max_rel_error(gw, fw) < 1e-5
+        assert max_rel_error(gb, fb) < 1e-5
 
     def test_grad_shape_mismatch(self):
         x = RNG.normal(size=(5, 5, 1))
-        k = ConvKernel(weights=RNG.normal(size=(3, 3, 1, 1)))
+        w = RNG.normal(size=(3, 3, 1, 1))
         with pytest.raises(ValueError, match="grad_output"):
-            conv2d_backward(x, k, np.zeros((5, 5, 1)))
+            conv2d_raw_backward(x, w, np.zeros((5, 5, 1)))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -485,6 +458,12 @@ class TestOps:
         assert max_rel_error(gx, finite_difference(lambda v: float(np.sum(ops.dense(v, w, b) * p)), x)) < 1e-5
         assert max_rel_error(gw, finite_difference(lambda v: float(np.sum(ops.dense(x, v, b) * p)), w)) < 1e-5
         assert max_rel_error(gb, finite_difference(lambda v: float(np.sum(ops.dense(x, w, v) * p)), b)) < 1e-5
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 4), (4, 1), ()], ids=["1", "2x4", "4x1", "0-d"])
+    def test_dense_bias_not_one_per_unit_rejected(self, shape):
+        # a bias that merely broadcasts would add the wrong values silently
+        with pytest.raises(ValueError, match=re.escape(f"bias shape {shape} does not match (4,)")):
+            ops.dense(np.ones((2, 3)), np.ones((3, 4)), bias=np.ones(shape))
 
     def test_uniform_logits_loss_is_log_k(self):
         for k in (2, 5, 10):
