@@ -70,33 +70,25 @@ class SquareShareConfig:
         return self.kernel_size // self.pool_size
 
 
-def dilated_conv2d(input, weights, config: DilatedConfig, bias=None):
-    """Convolution with taps spaced by the dilation rate (zeros skipped)."""
+def _dilated_kernel(weights, config: DilatedConfig) -> np.ndarray:
+    """*weights* as float64, their k x k taps checked against the config."""
     w = np.asarray(weights, dtype=np.float64)
     k = config.kernel_size
     if w.shape[:2] != (k, k):
         raise ValueError(f"kernel is {w.shape[:2]}, config wants {k}")
-    return conv2d_raw(
-        input,
-        w,
-        stride=config.stride,
-        padding=config.padding,
-        dilation=(config.dilation, config.dilation),
-        bias=bias,
-    )
+    return w
+
+
+def dilated_conv2d(input, weights, config: DilatedConfig, bias=None):
+    """Convolution with taps spaced by the dilation rate (zeros skipped)."""
+    w, d = _dilated_kernel(weights, config), (config.dilation, config.dilation)
+    return conv2d_raw(input, w, config.stride, config.padding, d, bias=bias)
 
 
 def dilated_conv2d_backward(input, weights, config: DilatedConfig, grad_output, has_bias=False):
     """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias)."""
-    return conv2d_raw_backward(
-        input,
-        weights,
-        grad_output,
-        stride=config.stride,
-        padding=config.padding,
-        dilation=(config.dilation, config.dilation),
-        has_bias=has_bias,
-    )
+    w, d = _dilated_kernel(weights, config), (config.dilation, config.dilation)
+    return conv2d_raw_backward(input, w, grad_output, config.stride, config.padding, d, has_bias)
 
 
 def expand_square_weights(region_weights, pool_size: int) -> np.ndarray:
@@ -107,29 +99,26 @@ def expand_square_weights(region_weights, pool_size: int) -> np.ndarray:
     return np.repeat(np.repeat(w, pool_size, axis=0), pool_size, axis=1)
 
 
-def square_share_conv2d(input, region_weights, config: SquareShareConfig, bias=None):
-    """Convolution whose effective kernel repeats each region weight."""
+def _square_kernel(region_weights, config: SquareShareConfig) -> np.ndarray:
+    """The full kernel of *region_weights*, their region grid checked against the config."""
     w = np.asarray(region_weights, dtype=np.float64)
     side = config.regions_per_side
     if w.shape[:2] != (side, side):
-        raise ValueError(
-            f"region grid is {w.shape[:2]}, config wants ({side}, {side})"
-        )
-    full = expand_square_weights(w, config.pool_size)
-    return conv2d_raw(input, full, stride=config.stride, padding=config.padding, bias=bias)
+        raise ValueError(f"region grid is {w.shape[:2]}, config wants ({side}, {side})")
+    return expand_square_weights(w, config.pool_size)
+
+
+def square_share_conv2d(input, region_weights, config: SquareShareConfig, bias=None):
+    """Convolution whose effective kernel repeats each region weight."""
+    full = _square_kernel(region_weights, config)
+    return conv2d_raw(input, full, config.stride, config.padding, bias=bias)
 
 
 def square_share_conv2d_backward(input, region_weights, config: SquareShareConfig, grad_output, has_bias=False):
     """Adjoints; the region-weight gradient sums its block of the full-kernel gradient."""
-    w = np.asarray(region_weights, dtype=np.float64)
-    full = expand_square_weights(w, config.pool_size)
+    full = _square_kernel(region_weights, config)
     grad_x, grad_full, grad_b = conv2d_raw_backward(
-        input,
-        full,
-        grad_output,
-        stride=config.stride,
-        padding=config.padding,
-        has_bias=has_bias,
+        input, full, grad_output, config.stride, config.padding, has_bias=has_bias
     )
     p = config.pool_size
     side = config.regions_per_side

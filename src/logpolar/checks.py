@@ -134,7 +134,7 @@ def equivalence_sweep(seed=0, full=True):
         weights = _random_weights(config, cin, cout, rng)
         errors = []
         for _ in range(inputs):
-            x = rng.normal(size=(hw, hw, cin))
+            x = rng.normal(size=(1, hw, hw, cin))
             fast = lpsc_forward_fast(x, config, weights)
             errors.append(_rel_error(fast, lpsc_forward_reference(x, config, weights)))
         return errors
@@ -157,7 +157,7 @@ def sum_mean_identity_sweep(seed=0, full=True):
         scaled = LpscWeights(weights.center, weights.regions * populations, weights.bias)
         errors = []
         for _ in range(2):
-            x = rng.normal(size=(hw, hw, cin))
+            x = rng.normal(size=(1, hw, hw, cin))
             got = lpsc_forward_fast(x, sum_cfg, weights)
             errors.append(_rel_error(got, lpsc_forward_fast(x, config, scaled)))
         return errors
@@ -184,7 +184,7 @@ def gradient_checks(seed=0):
     hw, cin, cout = 8, 2, 2
 
     def measure(config, rng):
-        x = rng.uniform(0.1, 1.0, size=(hw, hw, cin))
+        x = rng.uniform(0.1, 1.0, size=(1, hw, hw, cin))
         weights = _random_weights(config, cin, cout, rng)
         probe = rng.normal(size=lpsc_forward_fast(x, config, weights).shape)
         gx, gw = lpsc_backward(x, config, weights, probe)

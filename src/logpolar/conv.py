@@ -1,8 +1,10 @@
 """Conventional 2-D convolution and its exact adjoints.
 
-Kernels are rank-4 ``(kh, kw, C_in, C_out)`` over channels-last data.
-``windows`` is the one window primitive of the package: a single strided
-view ``(N, Ho, Wo, kh, kw, C)`` of every window of a padded batch. The
+Every operator of the package takes channels-last ``(N, H, W, C)``
+batches, and only those: ``as_batch`` refuses any other rank. Kernels
+are rank-4 ``(kh, kw, C_in, C_out)``. ``windows`` is the one window
+primitive of the package: a single strided view
+``(N, Ho, Wo, kh, kw, C)`` of every window of a padded batch. The
 convolution reads that view one tap at a time, as the ``ops`` pools and
 the ``lpsc`` cells do: tap ``[:, :, :, a, b]`` times the kernel slice
 ``w[a, b]`` is one GEMM (the kn2row formulation), so the view is never
@@ -31,8 +33,8 @@ __all__ = [
     "ConvKernel",
     "conv2d_raw",
     "conv2d_raw_backward",
+    "as_batch",
     "as_pair",
-    "ensure_batched",
     "out_extent",
     "pad",
     "unpad",
@@ -50,16 +52,12 @@ def as_pair(value, name="value") -> tuple[int, int]:
     return pair
 
 
-def ensure_batched(x) -> tuple[np.ndarray, bool]:
-    """Return (rank-4 view of x, had_batch_dim)."""
+def as_batch(x) -> np.ndarray:
+    """*x* as a float64 (N, H, W, C) batch; any other rank raises."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], False
-    if x.ndim == 4:
-        return x, True
-    raise ValueError(
-        f"expected rank-3 (H, W, C) or rank-4 (N, H, W, C) input, got rank {x.ndim}"
-    )
+    if x.ndim != 4:
+        raise ValueError(f"expected a rank-4 (N, H, W, C) batch, got rank {x.ndim}")
+    return x
 
 
 @dataclass
@@ -121,8 +119,8 @@ def _check_geometry(stride, padding, dilation):
 
 
 def _prepare(x, weights, stride, padding, dilation):
-    """(batched x, had batch dim, weights, padded x, padding, windows' geometry)."""
-    xb, batched = ensure_batched(x)
+    """(weights, padded batch, padding, windows' geometry)."""
+    xb = as_batch(x)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 4:
         raise ValueError(f"weights must be rank-4, got rank {w.ndim}")
@@ -136,7 +134,7 @@ def _prepare(x, weights, stride, padding, dilation):
     padding = as_pair(padding, "padding")
     dilation = as_pair(dilation, "dilation")
     _check_geometry(stride, padding, dilation)
-    return xb, batched, w, pad(xb, padding), padding, (w.shape[:2], stride, dilation)
+    return w, pad(xb, padding), padding, (w.shape[:2], stride, dilation)
 
 
 def _tap_matmul(tap, m):
@@ -165,13 +163,13 @@ def _as_bias(bias, units) -> np.ndarray:
 
 
 def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None):
-    """Convolve channels-last data with a rank-4 (kh, kw, C_in, C_out) weight array.
+    """Convolve an (N, H, W, C_in) batch with a rank-4 (kh, kw, C_in, C_out) weight array.
 
     The one conventional convolution of the package: the LPSC block
     convolution (1x1) and every baseline run through it. Any kernel size
     of at least 1x1 is accepted; *bias*, if given, must be (C_out,).
     """
-    _, batched, w, xp, _, geometry = _prepare(x, weights, stride, padding, dilation)
+    w, xp, _, geometry = _prepare(x, weights, stride, padding, dilation)
     cols = windows(xp, *geometry)
     # the first tap's product starts the sum: a 1x1 kernel is exactly one GEMM
     out = _tap_matmul(cols[:, :, :, 0, 0], w[0, 0])
@@ -179,16 +177,16 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
         out += _tap_matmul(cols[:, :, :, a, b], w[a, b])
     if bias is not None:
         out = out + _as_bias(bias, w.shape[3])
-    return out if batched else out[0]
+    return out
 
 
 def conv2d_raw_backward(
     x, weights, grad_output, stride=(1, 1), padding=(0, 0), dilation=(1, 1), has_bias=False
 ):
     """Adjoints of conv2d_raw: (grad_input, grad_weights, grad_bias)."""
-    xb, batched, w, xp, padding, geometry = _prepare(x, weights, stride, padding, dilation)
+    w, xp, padding, geometry = _prepare(x, weights, stride, padding, dilation)
     cols = windows(xp, *geometry)
-    g, _ = ensure_batched(grad_output)
+    g = np.asarray(grad_output, dtype=np.float64)
     expected = (*cols.shape[:3], w.shape[3])
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
@@ -206,6 +204,4 @@ def conv2d_raw_backward(
             grad_windows[:, :, :, a, b] += _tap_matmul(g, w[a, b].T)
     grad_x = unpad(grad_xp, padding)
     grad_b = g.sum(axis=(0, 1, 2)) if has_bias else None
-    if not batched:
-        grad_x = grad_x[0]
     return grad_x, grad_w, grad_b

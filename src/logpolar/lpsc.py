@@ -15,6 +15,9 @@ adjoint, then the pooling adjoint. The forward pass hands over its pooled
 tensor (``return_pooled``/``pooled``), so a training step pools each
 input once.
 
+Every path takes an (N, H, W, C_in) batch, and all three check the input
+and the weights against the config in one step, ``_prepare``.
+
 Log-polar pooling is ``ops.pool_cells`` over the ``conv.windows`` view
 of the padded input, and its adjoint is ``ops.pool_cells_backward``. A
 slot is a region's mask cells (dr, dc) in row-major order, as window taps
@@ -45,27 +48,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import (
-    conv2d_raw,
-    conv2d_raw_backward,
-    ensure_batched,
-    out_extent,
-    pad,
-    unpad,
-    windows,
-)
-from .geometry import LogPolarMask, LpscConfig, build_mask
+from .conv import _as_bias, as_batch, conv2d_raw, conv2d_raw_backward, pad, unpad, windows
+from .geometry import LpscConfig, build_mask
 from .ops import pool_cells, pool_cells_backward
 from .tensor import _read_float64, _write_float64
 
 __all__ = [
     "LpscWeights",
-    "region_offsets",
     "log_polar_pool",
     "lpsc_forward_fast",
     "lpsc_forward_reference",
     "lpsc_backward",
-    "lpsc_output_shape",
     "save_lpsc_weights",
     "load_lpsc_weights",
 ]
@@ -93,11 +86,7 @@ class LpscWeights:
                 f"center block {self.center.shape} does not match region channels {self.regions.shape[2:]}"
             )
         if self.bias is not None:
-            self.bias = np.asarray(self.bias, dtype=np.float64)
-            if self.bias.shape != (self.center.shape[1],):
-                raise ValueError(
-                    f"bias shape {self.bias.shape} does not match {self.center.shape[1]} output channels"
-                )
+            self.bias = _as_bias(self.bias, self.center.shape[1])
 
     @property
     def in_channels(self) -> int:
@@ -108,56 +97,44 @@ class LpscWeights:
         return self.center.shape[1]
 
 
-def region_offsets(mask: LogPolarMask) -> list[np.ndarray]:
-    """Per region k (1-based), the (n_k, 2) cell offsets in row-major order."""
-    n_regions = mask.levels_r * mask.levels_theta
-    return [np.argwhere(mask.index_grid == k) - mask.radius for k in range(1, n_regions + 1)]
-
-
 @lru_cache(maxsize=None)
 def _plan(config: LpscConfig):
-    """Mask, per-region cell offsets, and the (a, b) window taps of each
-    pooled slot: the regions, then the center cell when ``center_conv`` is set."""
-    mask = build_mask(config)
-    offsets = region_offsets(mask)
+    """The (a, b) window taps of each pooled slot: every region's mask cells
+    in row-major order, then the center cell when ``center_conv`` is set."""
+    grid = build_mask(config).index_grid
+    n_regions = config.levels_r * config.levels_theta
+    slots = [np.argwhere(grid == k).tolist() for k in range(1, n_regions + 1)]
     r = config.radius
-    slots = [(cells + r).tolist() for cells in offsets]
-    return mask, offsets, slots + ([[(r, r)]] if config.center_conv else [])
+    return slots + ([[(r, r)]] if config.center_conv else [])
 
 
-def lpsc_output_shape(input_hw, config: LpscConfig) -> tuple[int, int]:
-    """(grid_h, grid_w) of window positions for the given input extent."""
-    k = config.kernel_size
-    (sh, sw), (ph, pw) = config.stride, config.padding
-    return out_extent(input_hw[0], k, sh, ph), out_extent(input_hw[1], k, sw, pw)
-
-
-def log_polar_pool(input, config: LpscConfig):
-    """Pool every window's regions, then its center cell, into channels.
-
-    Returns (N, grid_h, grid_w, slots*C_in), without the N axis for an
-    unbatched input, in the slot layout of the module docstring; empty
-    regions hold 0.
-    """
-    xb, batched = ensure_batched(input)
-    _, _, slots = _plan(config)
-    size = config.kernel_size
-    win = windows(pad(xb, config.padding), (size, size), config.stride)
-    pooled = pool_cells(win, slots, config.pooling_mode)
-    pooled = pooled.reshape(*pooled.shape[:3], -1)
-    return pooled if batched else pooled[0]
-
-
-def _check_weights(config: LpscConfig, weights: LpscWeights, channels: int):
+def _prepare(input, config: LpscConfig, weights: LpscWeights):
+    """(input as a batch, the slot plan), once the weights are checked
+    against the config's regions and the input's channels."""
+    xb = as_batch(input)
     if weights.regions.shape[:2] != (config.levels_r, config.levels_theta):
         raise ValueError(
             f"weights cover {weights.regions.shape[:2]} regions, config wants "
             f"({config.levels_r}, {config.levels_theta})"
         )
-    if weights.in_channels != channels:
+    if weights.in_channels != xb.shape[3]:
         raise ValueError(
-            f"input has {channels} channels but weights expect {weights.in_channels}"
+            f"input has {xb.shape[3]} channels but weights expect {weights.in_channels}"
         )
+    return xb, _plan(config)
+
+
+def log_polar_pool(input, config: LpscConfig):
+    """Pool every window's regions, then its center cell, into channels.
+
+    Returns (N, grid_h, grid_w, slots*C_in) in the slot layout of the
+    module docstring; empty regions hold 0.
+    """
+    xb = as_batch(input)
+    size = config.kernel_size
+    win = windows(pad(xb, config.padding), (size, size), config.stride)
+    pooled = pool_cells(win, _plan(config), config.pooling_mode)
+    return pooled.reshape(*pooled.shape[:3], -1)
 
 
 def _region_kernel(config: LpscConfig, weights: LpscWeights) -> np.ndarray:
@@ -174,48 +151,37 @@ def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights, *, return
     With ``return_pooled`` returns (output, pooled), pooled as
     ``log_polar_pool`` gives it, for ``lpsc_backward`` to reuse.
     """
-    xb, batched = ensure_batched(input)
-    _check_weights(config, weights, xb.shape[3])
+    xb, _ = _prepare(input, config, weights)
     pooled = log_polar_pool(xb, config)
     out = conv2d_raw(pooled, _region_kernel(config, weights), bias=weights.bias)
-    if not batched:
-        out, pooled = out[0], pooled[0]
     return (out, pooled) if return_pooled else out
 
 
 def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
     """Direct evaluation of the region-weighted definition, cell by cell."""
-    xb, batched = ensure_batched(input)
-    _check_weights(config, weights, xb.shape[3])
-    mask, offsets, _ = _plan(config)
-    r, size = config.radius, config.kernel_size
+    xb, slots = _prepare(input, config, weights)
+    r, size, lt = config.radius, config.kernel_size, config.levels_theta
     win = windows(pad(xb, config.padding), (size, size), config.stride)
-    grid_hw = win.shape[1:3]
-    lt = config.levels_theta
-    counts = mask.counts.ravel()
-    out = np.zeros(
-        (xb.shape[0], grid_hw[0], grid_hw[1], weights.out_channels), dtype=np.float64
-    )
-    for k, cells in enumerate(offsets):
-        if len(cells) == 0:
+    out = np.zeros((*win.shape[:3], weights.out_channels), dtype=np.float64)
+    for k, taps in enumerate(slots[: config.levels_r * lt]):
+        if len(taps) == 0:
             continue
-        level, sector = k // lt, k % lt
-        w = weights.regions[level, sector]
+        w = weights.regions[k // lt, k % lt]
         if config.pooling_mode == "max":
-            best = win[:, :, :, r + cells[0][0], r + cells[0][1]]
-            for dr, dc in cells[1:]:
-                best = np.maximum(best, win[:, :, :, r + dr, r + dc])
+            best = win[:, :, :, taps[0][0], taps[0][1]]
+            for a, b in taps[1:]:
+                best = np.maximum(best, win[:, :, :, a, b])
             out += np.einsum("nijc,cd->nijd", best, w)
         else:
             if config.pooling_mode == "mean":
-                w = w / max(int(counts[k]), 1)
-            for dr, dc in cells:
-                out += np.einsum("nijc,cd->nijd", win[:, :, :, r + dr, r + dc], w)
+                w = w / len(taps)
+            for a, b in taps:
+                out += np.einsum("nijc,cd->nijd", win[:, :, :, a, b], w)
     if config.center_conv:
         out += np.einsum("nijc,cd->nijd", win[:, :, :, r, r], weights.center)
     if weights.bias is not None:
         out += weights.bias
-    return out if batched else out[0]
+    return out
 
 
 def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, *, pooled=None):
@@ -227,38 +193,34 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     return_pooled=True)``), which max mode compares cells against; without
     it the input is pooled again.
     """
-    xb, batched = ensure_batched(input)
-    _check_weights(config, weights, xb.shape[3])
-    _, offsets, slots = _plan(config)
+    xb, slots = _prepare(input, config, weights)
     n, h, w, c = xb.shape
-    g, _ = ensure_batched(grad_output)
-    expected = (n, *lpsc_output_shape((h, w), config), weights.out_channels)
+    size, (ph, pw), mode = config.kernel_size, config.padding, config.pooling_mode
+    grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float64)
+    grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
+    expected = (*grad_win.shape[:3], weights.out_channels)
+    g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
 
     if pooled is None:
         pooled = log_polar_pool(xb, config)
     else:
-        pooled, _ = ensure_batched(pooled)
+        pooled = np.asarray(pooled, dtype=np.float64)
         if pooled.shape != (*expected[:3], len(slots) * c):
             raise ValueError(f"pooled shape {pooled.shape} does not match input {xb.shape}")
     grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
         pooled, _region_kernel(config, weights), g, has_bias=weights.bias is not None
     )
+    n_regions = config.levels_r * config.levels_theta
     grad_kernel = grad_kernel.reshape(len(slots), c, -1)
-    grad_regions = grad_kernel[: len(offsets)].reshape(weights.regions.shape)
-    grad_center = grad_kernel[len(offsets) :].sum(axis=0)  # the center slot's rows, or zeros
+    grad_regions = grad_kernel[:n_regions].reshape(weights.regions.shape)
+    grad_center = grad_kernel[n_regions:].sum(axis=0)  # the center slot's rows, or zeros
     grad_pooled = grad_pooled.reshape(*expected[:3], len(slots), c)
 
-    size, (ph, pw), mode = config.kernel_size, config.padding, config.pooling_mode
-    grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float64)
-    grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
     win = windows(pad(xb, config.padding), (size, size), config.stride) if mode == "max" else None
     pool_cells_backward(win, grad_win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled)
-
     grad_input = unpad(grad_xp, config.padding)
-    if not batched:
-        grad_input = grad_input[0]
     return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=grad_bias)
 
 

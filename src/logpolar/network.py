@@ -561,9 +561,6 @@ class Network:
         self._caches = None
         self._velocity = None
 
-    def param_count(self) -> int:
-        return sum(int(np.prod(a.shape)) for layer in self.layers for a in layer.params().values())
-
     def forward(self, batch):
         x = np.asarray(batch, dtype=np.float64)
         caches = []

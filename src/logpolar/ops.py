@@ -6,15 +6,15 @@ time, in the order given. ``pool_cells_backward``, its adjoint, adds into
 a writeable windows view of the input gradient. Log-polar pooling runs
 the pair with one slot per region, ``max_pool`` and ``mean_pool`` with
 one slot that holds every tap of the window in row-major order. Window
-pooling is non-overlapping by default (stride = window) with floor
-semantics and no padding; relu'(0) = 0.
+pooling takes (N, H, W, C) batches and is non-overlapping by default
+(stride = window) with floor semantics and no padding; relu'(0) = 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conv import _as_bias, as_pair, ensure_batched, windows
+from .conv import _as_bias, as_batch, as_pair, windows
 
 __all__ = [
     "relu",
@@ -93,33 +93,33 @@ def pool_cells_backward(win, grad_win, slots, mode, pooled, grad):
 
 
 def _pool_setup(x, size, stride):
-    """(batched x, had batch dim, size, stride, windows of x, a window's one slot)."""
-    xb, batched = ensure_batched(x)
+    """(batch x, size, stride, windows of x, a window's one slot)."""
+    xb = as_batch(x)
     size = as_pair(size, "pool size")
     stride = as_pair(size if stride is None else stride, "pool stride")
     if min(*size, *stride) < 1:
         raise ValueError("pool size and stride must be positive")
-    return xb, batched, size, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
+    return xb, size, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
 
 
 def _pool(x, size, stride, mode):
-    _, batched, _, _, cols, slots = _pool_setup(x, size, stride)
+    _, _, _, cols, slots = _pool_setup(x, size, stride)
     out = pool_cells(cols, slots, mode)[:, :, :, 0]
     if mode == "mean":
         out += 0.0  # a window of -0.0s pools to +0.0, as numpy's mean gives it
-    return out if batched else out[0]
+    return out
 
 
 def _pool_backward(x, grad_output, size, stride, mode):
-    xb, batched, size, stride, cols, slots = _pool_setup(x, size, stride)
-    g, _ = ensure_batched(grad_output)
+    xb, size, stride, cols, slots = _pool_setup(x, size, stride)
+    g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != (*cols.shape[:3], cols.shape[5]):
         raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
     pooled = pool_cells(cols, slots, mode) if mode == "max" else None
     grad_x = np.zeros_like(xb)
     grad_cols = windows(grad_x, size, stride, writeable=True)
     pool_cells_backward(cols, grad_cols, slots, mode, pooled, g[:, :, :, None])
-    return grad_x if batched else grad_x[0]
+    return grad_x
 
 
 def max_pool(x, size, stride=None):
@@ -138,12 +138,18 @@ def mean_pool_backward(x, grad_output, size, stride=None):
     return _pool_backward(x, grad_output, size, stride, "mean")
 
 
-def dense(x, weights, bias=None):
-    """Affine map on feature rows: (N, F) @ (F, U) + bias, a (U,) array."""
+def _dense_setup(x, weights):
+    """*x* and *weights* as float64 (N, F) and (F, U) arrays; other shapes raise."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"dense shapes incompatible: x {x.shape}, weights {w.shape}")
+    return x, w
+
+
+def dense(x, weights, bias=None):
+    """Affine map on feature rows: (N, F) @ (F, U) + bias, a (U,) array."""
+    x, w = _dense_setup(x, weights)
     out = x @ w
     if bias is not None:
         out = out + _as_bias(bias, w.shape[1])
@@ -151,8 +157,7 @@ def dense(x, weights, bias=None):
 
 
 def dense_backward(x, weights, grad_output, has_bias=False):
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    x, w = _dense_setup(x, weights)
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != (x.shape[0], w.shape[1]):
         raise ValueError(f"grad_output shape {g.shape} does not match dense output")

@@ -70,7 +70,7 @@ def test_criterion_2_gradient_suite():
                 failures.append(f"{name}: {err:.3e}")
 
         # conventional convolution
-        x = rng.normal(size=(8, 8, 3))
+        x = rng.normal(size=(1, 8, 8, 3))
         k, b = rng.normal(size=(3, 3, 3, 2)), rng.normal(size=2)
         p = rng.normal(size=conv2d_raw(x, k, padding=(1, 1), bias=b).shape)
         gx, gk, _ = conv2d_raw_backward(x, k, p, padding=(1, 1), has_bias=True)
@@ -83,7 +83,7 @@ def test_criterion_2_gradient_suite():
         for mode in ("mean", "sum", "max"):
             c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2,
                            padding=2, pooling_mode=mode)
-            xl = rng.uniform(0.1, 1.0, size=(8, 8, 3))
+            xl = rng.uniform(0.1, 1.0, size=(1, 8, 8, 3))
             w = LpscWeights(center=rng.normal(size=(3, 2)),
                             regions=rng.normal(size=(2, 6, 3, 2)),
                             bias=rng.normal(size=2))
@@ -132,8 +132,8 @@ def test_criterion_2_gradient_suite():
             lambda v: float(np.sum(ops.dense(xd, wd, v) * pdn)), bd))
 
         # pools
-        xp = rng.normal(size=(8, 8, 3))
-        pp = rng.normal(size=(4, 4, 3))
+        xp = rng.normal(size=(1, 8, 8, 3))
+        pp = rng.normal(size=(1, 4, 4, 3))
         check("maxpool", ops.max_pool_backward(xp, pp, 2), finite_difference(
             lambda v: float(np.sum(ops.max_pool(v, 2) * pp)), xp))
         check("meanpool", ops.mean_pool_backward(xp, pp, 2), finite_difference(

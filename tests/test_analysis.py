@@ -102,7 +102,7 @@ class TestCounting:
             assert cells == 8 * 8 * slots * 3
             # the count is the size of the tensor the fast path pools into
             config = build_network(spec, require_logits=False).layers[0].config
-            assert log_polar_pool(np.zeros((8, 8, 3)), config).size == cells
+            assert log_polar_pool(np.zeros((1, 8, 8, 3)), config).size == cells
 
     def test_totals_sum_rows(self):
         spec = NetSpec(

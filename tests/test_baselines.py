@@ -1,5 +1,7 @@
 """Dilated and square-shared convolution baselines."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ RNG = np.random.default_rng(99)
 
 class TestDilated:
     def test_dilation_one_identical_to_conv2d(self):
-        x = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
         w, b = RNG.normal(size=(3, 3, 2, 3)), RNG.normal(size=3)
         cfg = DilatedConfig(kernel_size=3, dilation=1, padding=(1, 1))
         assert np.array_equal(
@@ -33,29 +35,38 @@ class TestDilated:
         # other offset of an interior window leaves that output unchanged
         cfg = DilatedConfig(kernel_size=3, dilation=2, padding=(2, 2))
         w = RNG.normal(size=(3, 3, 1, 1))
-        x = RNG.normal(size=(9, 9, 1))
+        x = RNG.normal(size=(1, 9, 9, 1))
         base = dilated_conv2d(x, w, cfg)
-        center = (4, 4)
+        center = (0, 4, 4)
         for dr in range(-2, 3):
             for dc in range(-2, 3):
                 poked = x.copy()
-                poked[center[0] + dr, center[1] + dc, 0] += 5.0
+                poked[0, center[1] + dr, center[2] + dc, 0] += 5.0
                 changed = dilated_conv2d(poked, w, cfg)[center] != base[center]
                 assert changed == (dr in (-2, 0, 2) and dc in (-2, 0, 2))
 
     def test_matches_loop_oracle(self):
-        x = RNG.normal(size=(10, 9, 2))
+        x = RNG.normal(size=(1, 10, 9, 2))
         w = RNG.normal(size=(3, 3, 2, 2))
         cfg = DilatedConfig(kernel_size=3, dilation=2, stride=(2, 1), padding=(2, 2))
-        want = loop_conv2d(x, w, stride=cfg.stride, padding=cfg.padding, dilation=(2, 2))
+        want = loop_conv2d(x[0], w, stride=cfg.stride, padding=cfg.padding, dilation=(2, 2))
         got = dilated_conv2d(x, w, cfg)
-        assert got.shape == want.shape
-        assert max_rel_error(got, want) < 1e-12
+        assert got.shape == (1, *want.shape)
+        assert max_rel_error(got[0], want) < 1e-12
 
     def test_extent_overflow(self):
         cfg = DilatedConfig(kernel_size=3, dilation=3)  # effective extent 7
         with pytest.raises(ValueError, match="kernel extent"):
-            dilated_conv2d(np.ones((5, 5, 1)), np.ones((3, 3, 1, 1)), cfg)
+            dilated_conv2d(np.ones((1, 5, 5, 1)), np.ones((3, 3, 1, 1)), cfg)
+
+    def test_backward_refuses_the_kernel_its_forward_refuses(self):
+        cfg = DilatedConfig(kernel_size=3, dilation=2)
+        x, w, g = np.ones((1, 6, 6, 1)), np.ones((1, 1, 1, 1)), np.ones((1, 6, 6, 1))
+        message = re.escape("kernel is (1, 1), config wants 3")
+        with pytest.raises(ValueError, match=message):
+            dilated_conv2d(x, w, cfg)
+        with pytest.raises(ValueError, match=message):
+            dilated_conv2d_backward(x, w, cfg, g)
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_kernel_size_must_be_odd(self, k):
@@ -64,7 +75,7 @@ class TestDilated:
             DilatedConfig(kernel_size=k)
 
     def test_backward_finite_differences(self):
-        x = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
         w = RNG.normal(size=(3, 3, 2, 2))
         b = RNG.normal(size=2)
         cfg = DilatedConfig(kernel_size=3, dilation=2, padding=(2, 2))
@@ -81,7 +92,7 @@ class TestDilated:
 
 class TestSquareShare:
     def test_pool_one_identical_to_conv2d(self):
-        x = RNG.normal(size=(7, 7, 2))
+        x = RNG.normal(size=(1, 7, 7, 2))
         w = RNG.normal(size=(3, 3, 2, 2))
         cfg = SquareShareConfig(kernel_size=3, pool_size=1, padding=(1, 1))
         assert np.array_equal(
@@ -100,7 +111,7 @@ class TestSquareShare:
                 assert np.all(block == w[a, b, 0, 0])
 
     def test_matches_expand_then_conv_oracle(self):
-        x = RNG.normal(size=(12, 12, 2))
+        x = RNG.normal(size=(1, 12, 12, 2))
         w = RNG.normal(size=(3, 3, 2, 3))
         cfg = SquareShareConfig(kernel_size=9, pool_size=3, padding=(4, 4))
         # independent expansion by scalar loops, then the library conv
@@ -113,20 +124,29 @@ class TestSquareShare:
         assert np.array_equal(got, want)
 
     def test_matches_loop_oracle(self):
-        x = RNG.normal(size=(10, 10, 1))
+        x = RNG.normal(size=(1, 10, 10, 1))
         w = RNG.normal(size=(2, 2, 1, 2))
         cfg = SquareShareConfig(kernel_size=6, pool_size=3, stride=(2, 2), padding=(3, 3))
         full = expand_square_weights(w, 3)
-        want = loop_conv2d(x, full, stride=(2, 2), padding=(3, 3))
+        want = loop_conv2d(x[0], full, stride=(2, 2), padding=(3, 3))
         got = square_share_conv2d(x, w, cfg)
-        assert max_rel_error(got, want) < 1e-12
+        assert max_rel_error(got[0], want) < 1e-12
+
+    def test_backward_refuses_the_region_grid_its_forward_refuses(self):
+        cfg = SquareShareConfig(kernel_size=4, pool_size=2)
+        x, w, g = np.ones((1, 6, 6, 1)), np.ones((3, 3, 1, 1)), np.ones((1, 3, 3, 1))
+        message = re.escape("region grid is (3, 3), config wants (2, 2)")
+        with pytest.raises(ValueError, match=message):
+            square_share_conv2d(x, w, cfg)
+        with pytest.raises(ValueError, match=message):
+            square_share_conv2d_backward(x, w, cfg, g)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             SquareShareConfig(kernel_size=11, pool_size=5)
 
     def test_backward_finite_differences(self):
-        x = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
         w = RNG.normal(size=(2, 2, 2, 2))
         cfg = SquareShareConfig(kernel_size=6, pool_size=3, padding=(3, 3))
         out = square_share_conv2d(x, w, cfg)

@@ -18,8 +18,6 @@ from logpolar.lpsc import (
     lpsc_backward,
     lpsc_forward_fast,
     lpsc_forward_reference,
-    lpsc_output_shape,
-    region_offsets,
     save_lpsc_weights,
 )
 
@@ -119,80 +117,79 @@ def make_weights(config, cin, cout, rng, bias=True):
 class TestLogPolarPool:
     def test_region_channel_shape(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2, padding=(2, 2))
-        x = RNG.normal(size=(8, 8, 3))
+        x = RNG.normal(size=(1, 8, 8, 3))
         pooled = log_polar_pool(x, c)
         # 12 region slots, then the center slot, each C_in = 3 channels wide
-        assert pooled.shape == (8, 8, (2 * 6 + 1) * 3)
-        assert log_polar_pool(x[None], c).shape == (1, 8, 8, (2 * 6 + 1) * 3)
+        assert pooled.shape == (1, 8, 8, (2 * 6 + 1) * 3)
         # unit stride at padding r: the window centers are the input pixels
-        assert np.array_equal(pooled[:, :, 2 * 6 * 3 :], x)
+        assert np.array_equal(pooled[..., 2 * 6 * 3 :], x)
         no_center = dataclasses.replace(c, center_conv=False)
-        assert np.array_equal(log_polar_pool(x, no_center), pooled[:, :, : 2 * 6 * 3])
+        assert np.array_equal(log_polar_pool(x, no_center), pooled[..., : 2 * 6 * 3])
 
     def test_constant_input_mean(self):
         # levels_theta=4 leaves no region empty on the size-5 kernel, so a
         # constant input pools to that constant in every region channel
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2)
-        x = np.full((7, 7, 1), 3.25)
+        x = np.full((1, 7, 7, 1), 3.25)
         pooled = log_polar_pool(x, c)
-        assert np.array_equal(pooled, np.full((3, 3, 8 + 1), 3.25))
-        assert np.array_equal(pooled[:, :, 8:], x[2:5, 2:5])  # center slot: the window centers
+        assert np.array_equal(pooled, np.full((1, 3, 3, 8 + 1), 3.25))
+        assert np.array_equal(pooled[..., 8:], x[:, 2:5, 2:5])  # center slot: the window centers
 
     def test_single_location_sum_mode_outer_shell(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, pooling_mode="sum")
         mask = build_mask(c)
-        x = RNG.normal(size=(5, 5, 2))
+        x = RNG.normal(size=(1, 5, 5, 2))
         pooled = log_polar_pool(x, c)
-        assert pooled.shape == (1, 1, 17 * 2)
-        slots = pooled[0, 0].reshape(17, 2)  # region k = (level-1)*8 + sector-1, then channel
-        assert np.array_equal(slots[16], x[2, 2])  # the center slot, last
+        assert pooled.shape == (1, 1, 1, 17 * 2)
+        slots = pooled[0, 0, 0].reshape(17, 2)  # region k = (level-1)*8 + sector-1, then channel
+        assert np.array_equal(slots[16], x[0, 2, 2])  # the center slot, last
         for k in range(16):
-            np.testing.assert_allclose(slots[k], x[mask.index_grid == k + 1].sum(axis=0), rtol=1e-14)
+            np.testing.assert_allclose(slots[k], x[0][mask.index_grid == k + 1].sum(axis=0), rtol=1e-14)
         # the outer shell holds one cell on each axis
-        assert np.array_equal(slots[8], x[2, 4])  # shell 2, sector 1 = offset (0, 2)
-        assert np.array_equal(slots[10], x[0, 2])  # sector 3 = offset (-2, 0)
-        assert np.array_equal(slots[12], x[2, 0])  # sector 5 = offset (0, -2)
-        assert np.array_equal(slots[14], x[4, 2])  # sector 7 = offset (2, 0)
+        assert np.array_equal(slots[8], x[0, 2, 4])  # shell 2, sector 1 = offset (0, 2)
+        assert np.array_equal(slots[10], x[0, 0, 2])  # sector 3 = offset (-2, 0)
+        assert np.array_equal(slots[12], x[0, 2, 0])  # sector 5 = offset (0, -2)
+        assert np.array_equal(slots[14], x[0, 4, 2])  # sector 7 = offset (2, 0)
         # empty outer sectors (diagonals fall outside) pool to zero
         assert not slots[[9, 11, 13, 15]].any()
 
     def test_mask_larger_than_padded_input(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
         with pytest.raises(ValueError, match="larger than padded input"):
-            log_polar_pool(np.ones((3, 3, 1)), c)
+            log_polar_pool(np.ones((1, 3, 3, 1)), c)
 
 
 class TestForward:
     def test_zero_weights_zero_output(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
-        x = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
         w = LpscWeights(center=np.zeros((2, 3)), regions=np.zeros((2, 8, 2, 3)))
         assert not lpsc_forward_fast(x, c, w).any()
         assert not lpsc_forward_reference(x, c, w).any()
 
     def test_identity_center_returns_input(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
-        x = RNG.normal(size=(9, 9, 1))
+        x = RNG.normal(size=(1, 9, 9, 1))
         w = LpscWeights(center=np.ones((1, 1)), regions=np.zeros((2, 8, 1, 1)))
         for fwd in (lpsc_forward_fast, lpsc_forward_reference):
             assert np.array_equal(fwd(x, c, w), x)
 
     def test_one_pixel_input_sees_only_center(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
-        x = np.full((1, 1, 1), 1.75)
+        x = np.full((1, 1, 1, 1), 1.75)
         w = make_weights(c, 1, 3, RNG, bias=False)
         want = 1.75 * w.center[0]
         for fwd in (lpsc_forward_fast, lpsc_forward_reference):
-            np.testing.assert_allclose(fwd(x, c, w)[0, 0], want, rtol=1e-14)
+            np.testing.assert_allclose(fwd(x, c, w)[0, 0, 0], want, rtol=1e-14)
 
     def test_constant_input_closed_form(self):
         # interior window, no empty regions: out = c * sum(all weights)
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2)
         const = 0.6
-        x = np.full((7, 7, 2), const)
+        x = np.full((1, 7, 7, 2), const)
         w = make_weights(c, 2, 3, RNG, bias=False)
         want = const * (w.center.sum(axis=0) + w.regions.sum(axis=(0, 1, 2)))
-        got = lpsc_forward_reference(x, c, w)[1, 1]
+        got = lpsc_forward_reference(x, c, w)[0, 1, 1]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_reference_matches_scalar_loop_all_modes(self):
@@ -201,10 +198,10 @@ class TestForward:
                 kernel_size=5, levels_r=2, levels_theta=6, growth=2,
                 stride=(2, 1), padding=(2, 1), pooling_mode=mode,
             )
-            x = RNG.normal(size=(7, 6, 2))
+            x = RNG.normal(size=(1, 7, 6, 2))
             w = make_weights(c, 2, 2, RNG)
-            want = loop_lpsc(x, build_mask(c), w, c.stride, c.padding, mode, True)
-            got = lpsc_forward_reference(x, c, w)
+            want = loop_lpsc(x[0], build_mask(c), w, c.stride, c.padding, mode, True)
+            got = lpsc_forward_reference(x, c, w)[0]
             assert max_rel_error(got, want) < 1e-12
 
     @pytest.mark.parametrize("mode", ["mean", "sum", "max"])
@@ -215,7 +212,7 @@ class TestForward:
             kernel_size=5, levels_r=2, levels_theta=8, growth=2,
             stride=stride, padding=(2, 2), pooling_mode=mode, center_conv=center,
         )
-        x = RNG.normal(size=(16, 16, 3))
+        x = RNG.normal(size=(1, 16, 16, 3))
         w = make_weights(c, 3, 4, RNG)
         got = lpsc_forward_fast(x, c, w)
         want = lpsc_forward_reference(x, c, w)
@@ -227,7 +224,7 @@ class TestForward:
             kernel_size=7, levels_r=2, levels_theta=6, growth=2,
             stride=(2, 1), padding=(3, 1), pooling_mode="mean",
         )
-        x = RNG.normal(size=(13, 11, 2))
+        x = RNG.normal(size=(1, 13, 11, 2))
         w = make_weights(c, 2, 3, RNG)
         got = lpsc_forward_fast(x, c, w)
         want = lpsc_forward_reference(x, c, w)
@@ -240,13 +237,13 @@ class TestForward:
         w = make_weights(c, 2, 2, RNG)
         out = lpsc_forward_fast(x, c, w)
         for n in range(3):
-            assert np.array_equal(out[n], lpsc_forward_fast(x[n], c, w))
+            assert np.array_equal(out[n : n + 1], lpsc_forward_fast(x[n : n + 1], c, w))
 
     def test_channel_mismatch(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
         w = make_weights(c, 3, 2, RNG)
         with pytest.raises(ValueError, match="channels"):
-            lpsc_forward_fast(np.ones((8, 8, 2)), c, w)
+            lpsc_forward_fast(np.ones((1, 8, 8, 2)), c, w)
 
 
 class TestAlgebraicProperties:
@@ -257,7 +254,7 @@ class TestAlgebraicProperties:
             pooling_mode="sum",
         )
         mask = build_mask(c_mean)
-        x = RNG.normal(size=(10, 10, 2))
+        x = RNG.normal(size=(1, 10, 10, 2))
         w = make_weights(c_mean, 2, 3, RNG)
         scaled = LpscWeights(
             center=w.center.copy(),
@@ -271,8 +268,8 @@ class TestAlgebraicProperties:
     def test_linearity_in_input(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
         w = make_weights(c, 2, 2, RNG, bias=False)
-        x = RNG.normal(size=(8, 8, 2))
-        y = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
+        y = RNG.normal(size=(1, 8, 8, 2))
         a, b = 1.3, -0.7
         lhs = lpsc_forward_fast(a * x + b * y, c, w)
         rhs = a * lpsc_forward_fast(x, c, w) + b * lpsc_forward_fast(y, c, w)
@@ -280,7 +277,7 @@ class TestAlgebraicProperties:
 
     def test_linearity_in_weights(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
-        x = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
         w1 = make_weights(c, 2, 2, RNG, bias=False)
         w2 = make_weights(c, 2, 2, RNG, bias=False)
         combined = LpscWeights(
@@ -295,11 +292,11 @@ class TestAlgebraicProperties:
         # stride 2, no padding: input pixels farther than R from every
         # window center cannot influence the output
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, stride=(2, 2))
-        x = RNG.normal(size=(9, 9, 1))
+        x = RNG.normal(size=(1, 9, 9, 1))
         w = make_weights(c, 1, 2, RNG)
         base = lpsc_forward_fast(x, c, w)
         poked = x.copy()
-        poked[8, 8, 0] += 100.0  # distance^2 from nearest center (6,6) is 8 > 4
+        poked[0, 8, 8, 0] += 100.0  # distance^2 from nearest center (6,6) is 8 > 4
         assert np.array_equal(lpsc_forward_fast(poked, c, w), base)
 
     def test_locality_elliptical_norm(self):
@@ -309,11 +306,11 @@ class TestAlgebraicProperties:
             kernel_size=5, levels_r=2, levels_theta=8, growth=2, eccentricity=0.8
         )
         assert build_mask(c).index_grid[4, 2] == 0
-        x = RNG.normal(size=(5, 5, 1))
+        x = RNG.normal(size=(1, 5, 5, 1))
         w = make_weights(c, 1, 2, RNG)
         base = lpsc_forward_fast(x, c, w)
         poked = x.copy()
-        poked[4, 2, 0] += 50.0
+        poked[0, 4, 2, 0] += 50.0
         assert np.array_equal(lpsc_forward_fast(poked, c, w), base)
         # the circular kernel, by contrast, does see that cell
         circ = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
@@ -324,13 +321,13 @@ class TestAlgebraicProperties:
     def test_permuting_values_within_one_region(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2)
         mask = build_mask(c)
-        x = RNG.normal(size=(5, 5, 1))
+        x = RNG.normal(size=(1, 5, 5, 1))
         w = make_weights(c, 1, 2, RNG)
         cells = np.argwhere(mask.index_grid == 1)  # shell 1, sector 1: two cells
         assert len(cells) == 2
         permuted = x.copy()
         (a0, b0), (a1, b1) = cells
-        permuted[a0, b0, 0], permuted[a1, b1, 0] = x[a1, b1, 0], x[a0, b0, 0]
+        permuted[0, a0, b0, 0], permuted[0, a1, b1, 0] = x[0, a1, b1, 0], x[0, a0, b0, 0]
         for mode_cfg in (c, LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2, pooling_mode="sum")):
             base = lpsc_forward_reference(x, mode_cfg, w)
             swapped = lpsc_forward_reference(permuted, mode_cfg, w)
@@ -339,12 +336,12 @@ class TestAlgebraicProperties:
     def test_mean_mode_depends_only_on_region_means(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2)
         mask = build_mask(c)
-        x = RNG.normal(size=(5, 5, 1))
+        x = RNG.normal(size=(1, 5, 5, 1))
         w = make_weights(c, 1, 2, RNG)
         flattened = x.copy()
         cells = np.argwhere(mask.index_grid == 2)
-        mean_val = x[cells[:, 0], cells[:, 1], 0].mean()
-        flattened[cells[:, 0], cells[:, 1], 0] = mean_val
+        mean_val = x[0, cells[:, 0], cells[:, 1], 0].mean()
+        flattened[0, cells[:, 0], cells[:, 1], 0] = mean_val
         base = lpsc_forward_reference(x, c, w)
         got = lpsc_forward_reference(flattened, c, w)
         assert max_rel_error(got, base) < 1e-12
@@ -354,24 +351,25 @@ class TestAlgebraicProperties:
             kernel_size=5, levels_r=2, levels_theta=4, growth=2, pooling_mode="sum"
         )
         mask = build_mask(c)
-        x = RNG.normal(size=(5, 5, 1))
+        x = RNG.normal(size=(1, 5, 5, 1))
         w = make_weights(c, 1, 1, RNG, bias=False)
         scaled = x.copy()
         cells = np.argwhere(mask.index_grid == 3)
-        scaled[cells[:, 0], cells[:, 1], 0] *= 3.0
+        scaled[0, cells[:, 0], cells[:, 1], 0] *= 3.0
         base = lpsc_forward_reference(x, c, w)
         got = lpsc_forward_reference(scaled, c, w)
-        region_part = w.regions[0, 2, 0, 0] * x[cells[:, 0], cells[:, 1], 0].sum()
+        region_part = w.regions[0, 2, 0, 0] * x[0, cells[:, 0], cells[:, 1], 0].sum()
         np.testing.assert_allclose(got - base, 2.0 * region_part, rtol=1e-10)
 
 
 class TestBackward:
     def test_zero_grad_output(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
-        x = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
         w = make_weights(c, 2, 2, RNG)
-        gh, gw = lpsc_output_shape((8, 8), c)
-        gx, gw_ = lpsc_backward(x, c, w, np.zeros((gh, gw, 2)))
+        out = lpsc_forward_fast(x, c, w)
+        assert out.shape == (1, 8, 8, 2)  # padding r at unit stride keeps the extent
+        gx, gw_ = lpsc_backward(x, c, w, np.zeros(out.shape))
         assert not gx.any()
         assert not gw_.center.any() and not gw_.regions.any() and not gw_.bias.any()
 
@@ -384,7 +382,7 @@ class TestBackward:
         )
         rng = np.random.default_rng(5 + len(mode))
         # positive inputs keep max-mode selections away from ties
-        x = rng.uniform(0.1, 1.0, size=(8, 8, 2))
+        x = rng.uniform(0.1, 1.0, size=(1, 8, 8, 2))
         w = make_weights(c, 2, 2, rng)
         out = lpsc_forward_reference(x, c, w)
         p = rng.normal(size=out.shape)
@@ -413,9 +411,9 @@ class TestBackward:
     def test_empty_regions_get_zero_gradient(self):
         # size-5, levels_theta=8: outer-shell diagonal sectors are empty
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
-        x = RNG.normal(size=(8, 8, 1))
+        x = RNG.normal(size=(1, 8, 8, 1))
         w = make_weights(c, 1, 2, RNG)
-        g = RNG.normal(size=(8, 8, 2))
+        g = RNG.normal(size=(1, 8, 8, 2))
         _, gws = lpsc_backward(x, c, w, g)
         mask = build_mask(c)
         for level in range(2):
@@ -426,25 +424,40 @@ class TestBackward:
     def test_constant_input_weight_gradient(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2)
         const = 0.8
-        x = np.full((7, 7, 1), const)
+        x = np.full((1, 7, 7, 1), const)
         w = make_weights(c, 1, 2, RNG, bias=False)
-        g = RNG.normal(size=(3, 3, 2))
+        g = RNG.normal(size=(1, 3, 3, 2))
         _, gws = lpsc_backward(x, c, w, g)
-        want = const * g.sum(axis=(0, 1))
+        want = const * g.sum(axis=(0, 1, 2))
         for level in range(2):
             for sector in range(4):
                 np.testing.assert_allclose(gws.regions[level, sector, 0], want, rtol=1e-12)
 
     def test_grad_shape_mismatch(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
-        x = RNG.normal(size=(8, 8, 1))
+        x = RNG.normal(size=(1, 8, 8, 1))
         w = make_weights(c, 1, 2, RNG)
         with pytest.raises(ValueError, match="grad_output"):
-            lpsc_backward(x, c, w, np.zeros((3, 3, 2)))
+            lpsc_backward(x, c, w, np.zeros((1, 3, 3, 2)))
+
+    @pytest.mark.parametrize(
+        "regions, cin, message",
+        [((2, 6), 1, r"weights cover \(2, 6\) regions, config wants \(2, 8\)"),
+         ((2, 8), 3, "input has 1 channels but weights expect 3")],
+        ids=["region-grid", "channels"],
+    )
+    def test_every_path_refuses_the_same_weights(self, regions, cin, message):
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
+        w = LpscWeights(center=np.ones((cin, 2)), regions=np.ones((*regions, cin, 2)))
+        x, g = np.ones((1, 6, 6, 1)), np.ones((1, 6, 6, 2))
+        for call in (lambda: lpsc_forward_fast(x, c, w), lambda: lpsc_forward_reference(x, c, w),
+                     lambda: lpsc_backward(x, c, w, g)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_forward_pooled_tensor_reused(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2, stride=(1, 2))
-        x = RNG.normal(size=(7, 8, 2))  # unbatched
+        x = RNG.normal(size=(1, 7, 8, 2))
         w = make_weights(c, 2, 3, RNG)
         out, pooled = lpsc_forward_fast(x, c, w, return_pooled=True)
         assert np.array_equal(out, lpsc_forward_fast(x, c, w))
@@ -514,13 +527,15 @@ class TestWeightFile:
 
 class TestRegionOffsets:
     def test_row_major_order_and_population(self):
-        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, pooling_mode="sum")
         mask = build_mask(c)
-        offs = region_offsets(mask)
-        assert len(offs) == 16
-        assert all(len(o) == mask.counts.ravel()[k] for k, o in enumerate(offs))
+        cells = [np.argwhere(mask.index_grid == k) - mask.radius for k in range(1, 17)]
+        assert all(len(o) == mask.counts.ravel()[k] for k, o in enumerate(cells))
         # row-major: sector 2 of shell 1 is the single cell (-1, 1)
-        assert offs[1].tolist() == [[-1, 1]]
+        assert cells[1].tolist() == [[-1, 1]]
+        # and the pooled slot of that region reads exactly that cell
+        x = np.arange(25.0).reshape(1, 5, 5, 1)
+        assert log_polar_pool(x, c)[0, 0, 0, 1] == x[0, 2 - 1, 2 + 1, 0]
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 import logpolar.lpsc
 import logpolar.network
 from logpolar import ops
+from logpolar.analysis import count_costs
 from logpolar.data import Dataset
 from logpolar.lpsc import lpsc_backward, lpsc_forward_fast
 from logpolar.network import (
@@ -244,7 +245,9 @@ class TestBuild:
         lpsc_params = (2 * 6 + 1) * 2 * 4 + 4
         conv_params = 3 * 3 * 4 * 3 + 3
         dense_params = (4 * 4 * 3) * 2 + 2
-        assert net.param_count() == lpsc_params + conv_params + dense_params
+        total = count_costs(spec).total_params
+        assert total == lpsc_params + conv_params + dense_params
+        assert sum(a.size for layer in net.layers for a in layer.params().values()) == total
 
     def test_baseline_layer_parameter_formulas(self):
         spec = NetSpec(

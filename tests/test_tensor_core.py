@@ -11,7 +11,23 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from logpolar import conv2d_raw, load_tensor, save_tensor
 from logpolar import ops
+from logpolar.baselines import (
+    DilatedConfig,
+    SquareShareConfig,
+    dilated_conv2d,
+    dilated_conv2d_backward,
+    square_share_conv2d,
+    square_share_conv2d_backward,
+)
 from logpolar.conv import conv2d_raw_backward, pad, unpad, windows
+from logpolar.geometry import LpscConfig
+from logpolar.lpsc import (
+    LpscWeights,
+    log_polar_pool,
+    lpsc_backward,
+    lpsc_forward_fast,
+    lpsc_forward_reference,
+)
 
 from oracles import finite_difference, loop_conv2d, max_rel_error
 
@@ -120,35 +136,35 @@ class TestWindows:
 
 class TestConv2d:
     def test_scalar_product(self):
-        x = np.array([[[5.0]]])
+        x = np.array([[[[5.0]]]])
         out = conv2d_raw(x, np.full((1, 1, 1, 1), 3.0))
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 15.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 15.0
 
     def test_sum_of_ones(self):
-        x = np.ones((3, 3, 1))
+        x = np.ones((1, 3, 3, 1))
         out = conv2d_raw(x, np.ones((3, 3, 1, 1)))
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 9.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 9.0
 
     def test_matches_loop_oracle(self):
-        x = RNG.normal(size=(8, 8, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
         w = RNG.normal(size=(3, 3, 2, 4))
-        want = loop_conv2d(x, w, stride=(1, 1), padding=(1, 1))
+        want = loop_conv2d(x[0], w, stride=(1, 1), padding=(1, 1))
         got = conv2d_raw(x, w, stride=(1, 1), padding=(1, 1))
-        assert max_rel_error(got, want) < 1e-12
+        assert max_rel_error(got[0], want) < 1e-12
 
     @pytest.mark.parametrize("stride,padding", [((1, 1), (0, 0)), ((2, 2), (1, 1)), ((2, 1), (0, 2))])
     def test_strided_padded_vs_oracle(self, stride, padding):
-        x = RNG.normal(size=(7, 9, 3))
+        x = RNG.normal(size=(1, 7, 9, 3))
         w = RNG.normal(size=(3, 5, 3, 2))
-        want = loop_conv2d(x, w, stride=stride, padding=padding)
+        want = loop_conv2d(x[0], w, stride=stride, padding=padding)
         got = conv2d_raw(x, w, stride=stride, padding=padding)
-        assert got.shape == want.shape
-        assert max_rel_error(got, want) < 1e-12
+        assert got.shape == (1, *want.shape)
+        assert max_rel_error(got[0], want) < 1e-12
 
     def test_identity_kernel_returns_input(self):
-        x = RNG.normal(size=(6, 6, 3))
+        x = RNG.normal(size=(1, 6, 6, 3))
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[1, 1, c, c] = 1.0
@@ -160,15 +176,15 @@ class TestConv2d:
         w = RNG.normal(size=(3, 3, 2, 3))
         batched = conv2d_raw(x, w, padding=(1, 1))
         for n in range(4):
-            assert np.array_equal(batched[n], conv2d_raw(x[n], w, padding=(1, 1)))
+            assert np.array_equal(batched[n : n + 1], conv2d_raw(x[n : n + 1], w, padding=(1, 1)))
 
     def test_channel_mismatch_error(self):
         with pytest.raises(ValueError, match="channels"):
-            conv2d_raw(np.ones((4, 4, 2)), np.ones((3, 3, 3, 1)))
+            conv2d_raw(np.ones((1, 4, 4, 2)), np.ones((3, 3, 3, 1)))
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ValueError, match="kernel extent"):
-            conv2d_raw(np.ones((2, 2, 1)), np.ones((5, 5, 1, 1)))
+            conv2d_raw(np.ones((1, 2, 2, 1)), np.ones((5, 5, 1, 1)))
 
     @pytest.mark.parametrize("shape", [(1,), (2, 2, 4), (4, 1), ()], ids=["1", "2x2x4", "4x1", "0-d"])
     def test_bias_not_one_per_output_channel_rejected(self, shape):
@@ -177,9 +193,9 @@ class TestConv2d:
             conv2d_raw(np.ones((1, 4, 4, 2)), np.ones((3, 3, 2, 4)), bias=np.ones(shape))
 
     def test_raw_accepts_even_kernels(self):
-        x = np.ones((4, 4, 1))
+        x = np.ones((1, 4, 4, 1))
         out = conv2d_raw(x, np.ones((2, 2, 1, 1)), stride=(2, 2))
-        assert out.shape == (2, 2, 1)
+        assert out.shape == (1, 2, 2, 1)
         assert np.all(out == 4.0)
 
     @pytest.mark.parametrize("size", [(0, 1), (1, 0), (0, 0)])
@@ -272,8 +288,8 @@ class TestConv2d:
     @given(st.integers(0, 2**31 - 1), st.floats(-3, 3), st.floats(-3, 3))
     def test_linearity(self, seed, a, b):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(5, 5, 2))
-        y = rng.normal(size=(5, 5, 2))
+        x = rng.normal(size=(1, 5, 5, 2))
+        y = rng.normal(size=(1, 5, 5, 2))
         w = rng.normal(size=(3, 3, 2, 2))
         lhs = conv2d_raw(a * x + b * y, w, padding=(1, 1))
         rhs = a * conv2d_raw(x, w, padding=(1, 1)) + b * conv2d_raw(y, w, padding=(1, 1))
@@ -286,7 +302,7 @@ def _loss_weights(shape, seed=7):
 
 class TestConvBackward:
     def test_zero_grad_output(self):
-        x = RNG.normal(size=(5, 5, 2))
+        x = RNG.normal(size=(1, 5, 5, 2))
         w, b = RNG.normal(size=(3, 3, 2, 2)), np.zeros(2)
         out = conv2d_raw(x, w, padding=(1, 1), bias=b)
         gx, gw, gb = conv2d_raw_backward(x, w, np.zeros_like(out), padding=(1, 1), has_bias=True)
@@ -295,14 +311,14 @@ class TestConvBackward:
         assert not gb.any()
 
     def test_one_by_one_case(self):
-        x = np.array([[[2.0]]])
-        gx, gw, _ = conv2d_raw_backward(x, np.full((1, 1, 1, 1), 3.0), np.full((1, 1, 1), 5.0))
-        assert gx[0, 0, 0] == 15.0  # grad_input = w * g
+        x = np.array([[[[2.0]]]])
+        gx, gw, _ = conv2d_raw_backward(x, np.full((1, 1, 1, 1), 3.0), np.full((1, 1, 1, 1), 5.0))
+        assert gx[0, 0, 0, 0] == 15.0  # grad_input = w * g
         assert gw[0, 0, 0, 0] == 10.0  # grad_kernel = x * g
 
     @pytest.mark.parametrize("stride,padding", [((1, 1), (1, 1)), ((2, 2), (0, 0))])
     def test_matches_finite_differences(self, stride, padding):
-        x = RNG.normal(size=(6, 6, 2))
+        x = RNG.normal(size=(1, 6, 6, 2))
         w = RNG.normal(size=(3, 3, 2, 3))
         b = RNG.normal(size=3)
         geometry = dict(stride=stride, padding=padding)
@@ -318,10 +334,10 @@ class TestConvBackward:
         assert max_rel_error(gb, fb) < 1e-5
 
     def test_grad_shape_mismatch(self):
-        x = RNG.normal(size=(5, 5, 1))
+        x = RNG.normal(size=(1, 5, 5, 1))
         w = RNG.normal(size=(3, 3, 1, 1))
         with pytest.raises(ValueError, match="grad_output"):
-            conv2d_raw_backward(x, w, np.zeros((5, 5, 1)))
+            conv2d_raw_backward(x, w, np.zeros((1, 5, 5, 1)))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -395,8 +411,11 @@ class TestOps:
         fwd, bwd = {"max": (ops.max_pool, ops.max_pool_backward),
                     "mean": (ops.mean_pool, ops.mean_pool_backward)}[mode]
         want_out, want_grad = pool_oracle(x, g, size, stride, mode)
-        if not batched:
-            x, g, want_out, want_grad = x[0], g[0], want_out[0], want_grad[0]
+        if not batched:  # one sample without its batch axis is refused
+            with pytest.raises(ValueError, match="rank-4"):
+                fwd(x[0], size, stride)
+            with pytest.raises(ValueError, match="rank-4"):
+                bwd(x[0], g[0], size, stride)
         assert np.array_equal(fwd(x, size, stride), want_out)
         assert np.array_equal(bwd(x, g, size, stride), want_grad)
 
@@ -420,29 +439,29 @@ class TestOps:
         assert max_rel_error(got, want) < 1e-5
 
     def test_max_pool_values(self):
-        x = np.arange(16.0).reshape(4, 4, 1)
+        x = np.arange(16.0).reshape(1, 4, 4, 1)
         out = ops.max_pool(x, 2)
-        assert np.array_equal(out[:, :, 0], [[5.0, 7.0], [13.0, 15.0]])
+        assert np.array_equal(out[0, :, :, 0], [[5.0, 7.0], [13.0, 15.0]])
 
     def test_mean_pool_values(self):
-        x = np.arange(16.0).reshape(4, 4, 1)
+        x = np.arange(16.0).reshape(1, 4, 4, 1)
         out = ops.mean_pool(x, 2)
-        assert np.array_equal(out[:, :, 0], [[2.5, 4.5], [10.5, 12.5]])
+        assert np.array_equal(out[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_mean_pool_of_negative_zeros_is_positive_zero(self):
         # as numpy's mean gives it; log-polar pooling keeps -0.0 instead
-        out = ops.mean_pool(np.full((2, 2, 1), -0.0), 2)
+        out = ops.mean_pool(np.full((1, 2, 2, 1), -0.0), 2)
         assert out.ravel().tolist() == [0.0] and not np.signbit(out).any()
 
     def test_max_pool_tie_routes_to_first_cell(self):
-        x = np.zeros((2, 2, 1))
-        g = np.ones((1, 1, 1))
+        x = np.zeros((1, 2, 2, 1))
+        g = np.ones((1, 1, 1, 1))
         gx = ops.max_pool_backward(x, g, 2)
-        assert np.array_equal(gx[:, :, 0], [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(gx[0, :, :, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("op,bwd", [(ops.max_pool, ops.max_pool_backward), (ops.mean_pool, ops.mean_pool_backward)])
     def test_pool_backward_fd(self, op, bwd):
-        x = RNG.normal(size=(6, 6, 3))
+        x = RNG.normal(size=(1, 6, 6, 3))
         out = op(x, 2)
         p = _loss_weights(out.shape)
         got = bwd(x, p, 2)
@@ -458,6 +477,18 @@ class TestOps:
         assert max_rel_error(gx, finite_difference(lambda v: float(np.sum(ops.dense(v, w, b) * p)), x)) < 1e-5
         assert max_rel_error(gw, finite_difference(lambda v: float(np.sum(ops.dense(x, v, b) * p)), w)) < 1e-5
         assert max_rel_error(gb, finite_difference(lambda v: float(np.sum(ops.dense(x, w, v) * p)), b)) < 1e-5
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, g_shape",
+        [((2, 3), (4, 5), (2, 5)), ((2, 3, 1), (3, 4), (2, 4)), ((2, 3), (3,), (2, 3))],
+        ids=["features-mismatch", "x-rank-3", "w-rank-1"],
+    )
+    def test_dense_backward_refuses_what_dense_refuses(self, x_shape, w_shape, g_shape):
+        x, w = np.ones(x_shape), np.ones(w_shape)
+        with pytest.raises(ValueError, match="dense shapes incompatible"):
+            ops.dense(x, w)
+        with pytest.raises(ValueError, match="dense shapes incompatible"):
+            ops.dense_backward(x, w, np.ones(g_shape))
 
     @pytest.mark.parametrize("shape", [(1,), (2, 4), (4, 1), ()], ids=["1", "2x4", "4x1", "0-d"])
     def test_dense_bias_not_one_per_unit_rejected(self, shape):
@@ -481,3 +512,38 @@ class TestOps:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
             ops.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+
+_LPSC = LpscConfig(kernel_size=3, levels_r=1, levels_theta=4, growth=2, padding=1)
+_LPSC_WEIGHTS = LpscWeights(np.ones((2, 2)), np.ones((1, 4, 2, 2)))
+_DILATED = DilatedConfig(kernel_size=3, dilation=2, padding=2)
+_SQUARE = SquareShareConfig(kernel_size=2, pool_size=2, stride=2)
+
+# every public operator and adjoint on a 6x6x2 input x, with the gradient g
+# of a same-size 2-channel output (3x3 for the pools and the square-shared one)
+_OPERATORS = {
+    "conv2d_raw": lambda x, g: conv2d_raw(x, np.ones((3, 3, 2, 2)), padding=1),
+    "conv2d_raw_backward": lambda x, g: conv2d_raw_backward(x, np.ones((3, 3, 2, 2)), g, padding=1),
+    "max_pool": lambda x, g: ops.max_pool(x, 2),
+    "max_pool_backward": lambda x, g: ops.max_pool_backward(x, g[..., ::2, ::2, :], 2),
+    "mean_pool": lambda x, g: ops.mean_pool(x, 2),
+    "mean_pool_backward": lambda x, g: ops.mean_pool_backward(x, g[..., ::2, ::2, :], 2),
+    "dilated_conv2d": lambda x, g: dilated_conv2d(x, np.ones((3, 3, 2, 2)), _DILATED),
+    "dilated_conv2d_backward": lambda x, g: dilated_conv2d_backward(
+        x, np.ones((3, 3, 2, 2)), _DILATED, g),
+    "square_share_conv2d": lambda x, g: square_share_conv2d(x, np.ones((1, 1, 2, 2)), _SQUARE),
+    "square_share_conv2d_backward": lambda x, g: square_share_conv2d_backward(
+        x, np.ones((1, 1, 2, 2)), _SQUARE, g[..., ::2, ::2, :]),
+    "log_polar_pool": lambda x, g: log_polar_pool(x, _LPSC),
+    "lpsc_forward_fast": lambda x, g: lpsc_forward_fast(x, _LPSC, _LPSC_WEIGHTS),
+    "lpsc_forward_reference": lambda x, g: lpsc_forward_reference(x, _LPSC, _LPSC_WEIGHTS),
+    "lpsc_backward": lambda x, g: lpsc_backward(x, _LPSC, _LPSC_WEIGHTS, g),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPERATORS))
+def test_operators_take_batches_only(name):
+    x, g = np.ones((1, 6, 6, 2)), np.ones((1, 6, 6, 2))
+    _OPERATORS[name](x, g)  # a batch of one sample runs
+    with pytest.raises(ValueError, match=re.escape("rank-4 (N, H, W, C) batch, got rank 3")):
+        _OPERATORS[name](x[0], g[0])
