@@ -169,13 +169,11 @@ class RfReport:
     bbox: tuple[int, int]  # nonzero-support bounding box (rows, cols)
 
 
-def estimate_rf(network: Network, input_shape, output_location=None, seed=0) -> RfReport:
-    """Backpropagate a unit gradient from one spatial output location."""
-    input_shape = tuple(int(d) for d in input_shape)
-    if len(input_shape) != 3:
-        raise ValueError(f"input_shape must be (H, W, C), got {input_shape}")
+def estimate_rf(network: Network, output_location=None, seed=0) -> RfReport:
+    """Backpropagate a unit gradient from one spatial output location of one
+    random input of the network's own input shape."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.25, 1.0, size=(1,) + input_shape)
+    x = rng.uniform(0.25, 1.0, size=(1, *network.shapes[0]))
     out = network.forward(x)
     if out.ndim != 4:
         raise ValueError("receptive-field estimation needs a spatial network output")
@@ -236,16 +234,12 @@ def visualize_kernel(weights: LpscWeights, mask: LogPolarMask, fill_corners=True
         )
     grid = nearest_region_grid(mask) if fill_corners else mask.index_grid
     cin, cout = weights.center.shape
-    out = np.full((cin, cout, mask.size, mask.size), np.nan)
-    flat_regions = weights.regions.reshape(lr * lt, cin, cout)
-    for i in range(mask.size):
-        for j in range(mask.size):
-            k = grid[i, j]
-            if k == -1:
-                out[:, :, i, j] = weights.center
-            elif k > 0:
-                out[:, :, i, j] = flat_regions[k - 1]
-    return out
+    # row k of the table is what grid value k paints: NaN outside (0), region
+    # k (1..lr*lt), and the center (-1) as the last row
+    table = np.concatenate(
+        [np.full((1, cin, cout), np.nan), weights.regions.reshape(lr * lt, cin, cout), weights.center[None]]
+    )
+    return table[grid].transpose(2, 3, 0, 1)
 
 
 def kernel_to_pgm(kernel_image) -> bytes:

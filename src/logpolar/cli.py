@@ -220,7 +220,7 @@ def cmd_erf(args) -> int:
         except ValueError:
             raise ValueError(f"--loc must be 'center' or 'I,J', got {args.loc!r}") from None
         location = (i, j)
-    report = estimate_rf(network, spec.input_shape, output_location=location, seed=args.seed)
+    report = estimate_rf(network, output_location=location, seed=args.seed)
     if args.out:
         Path(args.out).write_bytes(rf_to_pgm(report))
     print(f"location {report.location[0]},{report.location[1]}")

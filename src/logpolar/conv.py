@@ -14,7 +14,9 @@ through a writeable view. A 1x1 kernel at unit stride maps its windows
 one-to-one onto the padded pixels, so there the input adjoint is the one
 tap's product itself, with no zero-filled buffer and no scatter.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
-baseline); padding is always zero-padding. Output extents follow
+baseline); padding is always zero-padding. ``as_geometry`` is the one
+check of stride, padding and dilation: every operator and config with a
+window reads them through it. Output extents follow
 
     out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
 
@@ -34,6 +36,7 @@ __all__ = [
     "conv2d_raw",
     "conv2d_raw_backward",
     "as_batch",
+    "as_geometry",
     "as_pair",
     "out_extent",
     "pad",
@@ -50,6 +53,21 @@ def as_pair(value, name="value") -> tuple[int, int]:
     if len(pair) != 2:
         raise ValueError(f"{name} must be an int or a pair of ints, got {value!r}")
     return pair
+
+
+def as_geometry(stride, padding, dilation=1):
+    """(stride, padding, dilation) as int pairs; a stride or dilation below 1,
+    or a negative padding, raises."""
+    stride = as_pair(stride, "stride")
+    padding = as_pair(padding, "padding")
+    dilation = as_pair(dilation, "dilation")
+    if min(stride) < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    if min(padding) < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
+    if min(dilation) < 1:
+        raise ValueError(f"dilation must be >= 1, got {dilation}")
+    return stride, padding, dilation
 
 
 def as_batch(x) -> np.ndarray:
@@ -106,18 +124,6 @@ def windows(xp, size, stride, dilation=(1, 1), writeable=False):
     return np.lib.stride_tricks.as_strided(xp, (n, ho, wo, kh, kw, c), strides, writeable=writeable)
 
 
-def _check_geometry(stride, padding, dilation):
-    sh, sw = stride
-    ph, pw = padding
-    dh, dw = dilation
-    if sh < 1 or sw < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    if ph < 0 or pw < 0:
-        raise ValueError(f"padding must be non-negative, got {padding}")
-    if dh < 1 or dw < 1:
-        raise ValueError(f"dilation must be >= 1, got {dilation}")
-
-
 def _prepare(x, weights, stride, padding, dilation):
     """(weights, padded batch, padding, windows' geometry)."""
     xb = as_batch(x)
@@ -130,10 +136,7 @@ def _prepare(x, weights, stride, padding, dilation):
         raise ValueError(
             f"input has {xb.shape[3]} channels but kernel expects {w.shape[2]}"
         )
-    stride = as_pair(stride, "stride")
-    padding = as_pair(padding, "padding")
-    dilation = as_pair(dilation, "dilation")
-    _check_geometry(stride, padding, dilation)
+    stride, padding, dilation = as_geometry(stride, padding, dilation)
     return w, pad(xb, padding), padding, (w.shape[:2], stride, dilation)
 
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import as_pair
+from .conv import as_geometry
 from .raster import pgm_bytes
 
 __all__ = [
@@ -81,8 +81,9 @@ class LpscConfig:
     center_conv: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "stride", as_pair(self.stride, "stride"))
-        object.__setattr__(self, "padding", as_pair(self.padding, "padding"))
+        stride, padding, _ = as_geometry(self.stride, self.padding)
+        object.__setattr__(self, "stride", stride)
+        object.__setattr__(self, "padding", padding)
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
         if self.levels_r < 1:
@@ -97,10 +98,6 @@ class LpscConfig:
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {self.eccentricity}")
-        if self.stride[0] < 1 or self.stride[1] < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
-        if self.padding[0] < 0 or self.padding[1] < 0:
-            raise ValueError(f"padding must be non-negative, got {self.padding}")
         if self.pooling_mode not in POOLING_MODES:
             raise ValueError(
                 f"pooling_mode must be one of {POOLING_MODES}, got {self.pooling_mode!r}"

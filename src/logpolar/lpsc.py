@@ -2,10 +2,12 @@
 
 Two evaluation paths compute the same linear map:
 
-* ``lpsc_forward_reference`` is the normative definition. For each window
-  position it mixes the center pixel through the center weight and every
-  region's pooled cells through that region's weight, scaled by 1/N in
-  mean mode (N = region population in the mask, padding cells included).
+* ``lpsc_forward_reference`` is the normative definition. It walks the
+  mask's ``index_grid`` cell by cell: the center cell adds the center
+  weight, every in-field cell its region's weight, scaled by 1/N in mean
+  mode (N = ``counts[level, sector]``, padding cells included), and in
+  max mode each region's largest cell adds its weight once. It reads the
+  mask alone, not the fast path's slot plan, so it checks that plan.
 * ``lpsc_forward_fast`` is log-polar pooling, then one conventional 1x1
   convolution. The center pixel is a region of one cell: it is pooled
   into one more slot, and its weight is one more block of the kernel.
@@ -16,14 +18,17 @@ tensor (``return_pooled``/``pooled``), so a training step pools each
 input once.
 
 Every path takes an (N, H, W, C_in) batch, and all three check the input
-and the weights against the config in one step, ``_prepare``.
+and the weights against the config in one step, ``_prepare``, which only
+checks. The 1x1 convolution's adjoint checks the output gradient.
 
 Log-polar pooling is ``ops.pool_cells`` over the ``conv.windows`` view
-of the padded input, and its adjoint is ``ops.pool_cells_backward``. A
-slot is a region's mask cells (dr, dc) in row-major order, as window taps
-(r + dr, r + dc). Region k = (level-1)*levels_theta + (sector-1) fills
-channels k*C_in ... (k+1)*C_in - 1, the C order of ``LpscWeights.regions``;
-with ``center_conv`` the window-center cell fills the last C_in channels.
+of the padded input, and its adjoint is ``ops.pool_cells_backward``.
+Only ``log_polar_pool`` and ``lpsc_backward`` read the slot plan,
+``_plan``. A slot is a region's mask cells (dr, dc) in row-major order,
+as window taps (r + dr, r + dc). Region k = (level-1)*levels_theta +
+(sector-1) fills channels k*C_in ... (k+1)*C_in - 1, the C order of
+``LpscWeights.regions``; with ``center_conv`` the window-center cell
+fills the last C_in channels.
 The 1x1 kernel is the region weights reshaped to
 (levels_r*levels_theta*C_in, C_out), stacked over the center block.
 ``mean`` divides each region sum by its mask population, ``sum`` does
@@ -109,8 +114,8 @@ def _plan(config: LpscConfig):
 
 
 def _prepare(input, config: LpscConfig, weights: LpscWeights):
-    """(input as a batch, the slot plan), once the weights are checked
-    against the config's regions and the input's channels."""
+    """*input* as a batch, once the weights are checked against the
+    config's regions and the input's channels."""
     xb = as_batch(input)
     if weights.regions.shape[:2] != (config.levels_r, config.levels_theta):
         raise ValueError(
@@ -121,7 +126,7 @@ def _prepare(input, config: LpscConfig, weights: LpscWeights):
         raise ValueError(
             f"input has {xb.shape[3]} channels but weights expect {weights.in_channels}"
         )
-    return xb, _plan(config)
+    return xb
 
 
 def log_polar_pool(input, config: LpscConfig):
@@ -151,34 +156,35 @@ def lpsc_forward_fast(input, config: LpscConfig, weights: LpscWeights, *, return
     With ``return_pooled`` returns (output, pooled), pooled as
     ``log_polar_pool`` gives it, for ``lpsc_backward`` to reuse.
     """
-    xb, _ = _prepare(input, config, weights)
+    xb = _prepare(input, config, weights)
     pooled = log_polar_pool(xb, config)
     out = conv2d_raw(pooled, _region_kernel(config, weights), bias=weights.bias)
     return (out, pooled) if return_pooled else out
 
 
 def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
-    """Direct evaluation of the region-weighted definition, cell by cell."""
-    xb, slots = _prepare(input, config, weights)
-    r, size, lt = config.radius, config.kernel_size, config.levels_theta
+    """Direct evaluation of the region-weighted definition, cell by cell over the mask."""
+    xb = _prepare(input, config, weights)
+    mask = build_mask(config)
+    size, mode = config.kernel_size, config.pooling_mode
     win = windows(pad(xb, config.padding), (size, size), config.stride)
     out = np.zeros((*win.shape[:3], weights.out_channels), dtype=np.float64)
-    for k, taps in enumerate(slots[: config.levels_r * lt]):
-        if len(taps) == 0:
-            continue
-        w = weights.regions[k // lt, k % lt]
-        if config.pooling_mode == "max":
-            best = win[:, :, :, taps[0][0], taps[0][1]]
-            for a, b in taps[1:]:
-                best = np.maximum(best, win[:, :, :, a, b])
-            out += np.einsum("nijc,cd->nijd", best, w)
-        else:
-            if config.pooling_mode == "mean":
-                w = w / len(taps)
-            for a, b in taps:
-                out += np.einsum("nijc,cd->nijd", win[:, :, :, a, b], w)
-    if config.center_conv:
-        out += np.einsum("nijc,cd->nijd", win[:, :, :, r, r], weights.center)
+    best = {}  # max mode: (level, sector) -> running maximum of its cells so far
+    for (a, b), k in np.ndenumerate(mask.index_grid):
+        cell = win[:, :, :, a, b]
+        if k == -1 and config.center_conv:
+            out += np.einsum("nijc,cd->nijd", cell, weights.center)
+        elif k > 0:
+            region = divmod(int(k) - 1, config.levels_theta)
+            if mode == "max":
+                best[region] = np.maximum(best[region], cell) if region in best else cell
+                continue
+            w = weights.regions[region]
+            if mode == "mean":
+                w = w / mask.counts[region]
+            out += np.einsum("nijc,cd->nijd", cell, w)
+    for region, cell in best.items():
+        out += np.einsum("nijc,cd->nijd", cell, weights.regions[region])
     if weights.bias is not None:
         out += weights.bias
     return out
@@ -193,30 +199,27 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     return_pooled=True)``), which max mode compares cells against; without
     it the input is pooled again.
     """
-    xb, slots = _prepare(input, config, weights)
+    xb, slots = _prepare(input, config, weights), _plan(config)
     n, h, w, c = xb.shape
     size, (ph, pw), mode = config.kernel_size, config.padding, config.pooling_mode
     grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float64)
     grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
-    expected = (*grad_win.shape[:3], weights.out_channels)
-    g = np.asarray(grad_output, dtype=np.float64)
-    if g.shape != expected:
-        raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
+    grid = grad_win.shape[:3]
 
     if pooled is None:
         pooled = log_polar_pool(xb, config)
     else:
         pooled = np.asarray(pooled, dtype=np.float64)
-        if pooled.shape != (*expected[:3], len(slots) * c):
+        if pooled.shape != (*grid, len(slots) * c):
             raise ValueError(f"pooled shape {pooled.shape} does not match input {xb.shape}")
     grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
-        pooled, _region_kernel(config, weights), g, has_bias=weights.bias is not None
+        pooled, _region_kernel(config, weights), grad_output, has_bias=weights.bias is not None
     )
     n_regions = config.levels_r * config.levels_theta
     grad_kernel = grad_kernel.reshape(len(slots), c, -1)
     grad_regions = grad_kernel[:n_regions].reshape(weights.regions.shape)
     grad_center = grad_kernel[n_regions:].sum(axis=0)  # the center slot's rows, or zeros
-    grad_pooled = grad_pooled.reshape(*expected[:3], len(slots), c)
+    grad_pooled = grad_pooled.reshape(*grid, len(slots), c)
 
     win = windows(pad(xb, config.padding), (size, size), config.stride) if mode == "max" else None
     pool_cells_backward(win, grad_win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled)

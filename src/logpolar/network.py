@@ -554,8 +554,7 @@ _LAYER_CLASSES = {cls.kind: cls for cls in (
 class Network:
     """Built network: layers with parameters, caches, and optimizer state."""
 
-    def __init__(self, spec: NetSpec, layers, shapes):
-        self.spec = spec
+    def __init__(self, layers, shapes):
         self.layers = layers
         self.shapes = shapes  # per-layer output shapes, input first
         self._caches = None
@@ -635,7 +634,7 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
             layer.init_params(shape, rng)
         except ValueError as exc:
             raise ValueError(f"{layer.describe()}: {exc}") from None
-    return Network(spec, layers, shapes)
+    return Network(layers, shapes)
 
 
 _EVAL_BATCH = 64

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import _as_bias, as_batch, as_pair, windows
+from .conv import _as_bias, as_batch, as_geometry, as_pair, windows
 
 __all__ = [
     "relu",
@@ -96,9 +96,9 @@ def _pool_setup(x, size, stride):
     """(batch x, size, stride, windows of x, a window's one slot)."""
     xb = as_batch(x)
     size = as_pair(size, "pool size")
-    stride = as_pair(size if stride is None else stride, "pool stride")
-    if min(*size, *stride) < 1:
-        raise ValueError("pool size and stride must be positive")
+    if min(size) < 1:
+        raise ValueError(f"pool size must be positive, got {size}")
+    stride = as_geometry(size if stride is None else stride, 0)[0]
     return xb, size, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
 
 

@@ -204,8 +204,8 @@ def test_criterion_5_receptive_fields():
                     input_shape=(16, 16, 1), num_classes=2),
                 seed=3, require_logits=False)
 
-        assert estimate_rf(conv_stack(1), (16, 16, 1)).bbox == (3, 3)
-        assert estimate_rf(conv_stack(2), (16, 16, 1)).bbox == (5, 5)
+        assert estimate_rf(conv_stack(1)).bbox == (3, 3)
+        assert estimate_rf(conv_stack(2)).bbox == (5, 5)
 
         lpsc_net = build_network(
             NetSpec(
@@ -214,7 +214,7 @@ def test_criterion_5_receptive_fields():
                                            "bias": False})],
                 input_shape=(32, 32, 1), num_classes=2),
             seed=5, require_logits=False)
-        report = estimate_rf(lpsc_net, (32, 32, 1), output_location=(16, 16))
+        report = estimate_rf(lpsc_net, output_location=(16, 16))
         mask = build_mask(cfg(11, 3, 8, 2))
         want = np.zeros((32, 32), dtype=bool)
         want[11:22, 11:22] = mask.index_grid != 0

@@ -160,24 +160,24 @@ class TestCounting:
 class TestReceptiveField:
     def test_single_conv_footprint(self):
         net = build_network(conv_stack_spec(1), require_logits=False)
-        report = estimate_rf(net, (12, 12, 1))
+        report = estimate_rf(net)
         assert report.bbox == (3, 3)
 
     def test_two_stacked_convs(self):
         net = build_network(conv_stack_spec(2), require_logits=False)
-        report = estimate_rf(net, (12, 12, 1))
+        report = estimate_rf(net)
         assert report.bbox == (5, 5)
 
     def test_three_stacked_convs(self):
         net = build_network(conv_stack_spec(3), require_logits=False)
-        report = estimate_rf(net, (12, 12, 1))
+        report = estimate_rf(net)
         assert report.bbox == (7, 7)
 
     def test_lpsc_support_equals_mask_footprint(self):
         config = LpscConfig(kernel_size=11, levels_r=3, levels_theta=8, growth=2, padding=(5, 5))
         spec = lpsc_spec(11, 3, 8, 2, hw=32)
         net = build_network(spec, seed=4, require_logits=False)
-        report = estimate_rf(net, (32, 32, 1), output_location=(16, 16))
+        report = estimate_rf(net, output_location=(16, 16))
         mask = build_mask(config)
         want = np.zeros((32, 32), dtype=bool)
         want[16 - 5 : 16 + 6, 16 - 5 : 16 + 6] = mask.index_grid != 0
@@ -189,11 +189,11 @@ class TestReceptiveField:
     def test_location_out_of_range(self):
         net = build_network(conv_stack_spec(1), require_logits=False)
         with pytest.raises(ValueError, match="location"):
-            estimate_rf(net, (12, 12, 1), output_location=(40, 0))
+            estimate_rf(net, output_location=(40, 0))
 
     def test_pgm_renders_normalized(self):
         net = build_network(conv_stack_spec(1), require_logits=False)
-        report = estimate_rf(net, (12, 12, 1))
+        report = estimate_rf(net)
         blob = rf_to_pgm(report)
         assert blob.startswith(b"P5\n12 12\n255\n")
         assert max(blob[len(b"P5\n12 12\n255\n") :]) == 255

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logpolar.checks import EQUIVALENCE_TOL
+import logpolar.lpsc
+from logpolar.checks import EQUIVALENCE_TOL, equivalence_sweep
 from logpolar.geometry import POOLING_MODES, DegenerateGeometryWarning, LpscConfig, build_mask
 from logpolar.lpsc import (
     LpscWeights,
@@ -230,6 +231,24 @@ class TestForward:
         want = lpsc_forward_reference(x, c, w)
         assert got.shape == want.shape
         assert max_rel_error(got, want) < 1e-10
+
+    def test_reference_sees_a_fault_in_the_slot_plan(self, monkeypatch):
+        # the fast path pools each region from the next region's cells; the
+        # reference reads only the mask, so every equivalence check fails
+        plan = logpolar.lpsc._plan
+
+        def shifted(config):
+            slots = plan(config)
+            n = config.levels_r * config.levels_theta
+            return slots[1:n] + slots[:1] + slots[n:]
+
+        monkeypatch.setattr(logpolar.lpsc, "_plan", shifted)
+        results = equivalence_sweep(full=False)
+        assert results and not any(r.passed for r in results)
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2, padding=(2, 2))
+        x = RNG.normal(size=(1, 8, 8, 2))
+        w = make_weights(c, 2, 3, RNG)
+        assert max_rel_error(lpsc_forward_fast(x, c, w), lpsc_forward_reference(x, c, w)) > EQUIVALENCE_TOL
 
     def test_batched_matches_per_sample(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2, padding=(2, 2))

@@ -547,3 +547,35 @@ def test_operators_take_batches_only(name):
     _OPERATORS[name](x, g)  # a batch of one sample runs
     with pytest.raises(ValueError, match=re.escape("rank-4 (N, H, W, C) batch, got rank 3")):
         _OPERATORS[name](x[0], g[0])
+
+
+# every config and window operator, and the geometry keywords it takes
+_GEOMETRY_TAKERS = {
+    "LpscConfig": (lambda **g: LpscConfig(kernel_size=3, levels_r=1, levels_theta=4, growth=2, **g),
+                   ("stride", "padding")),
+    "DilatedConfig": (lambda **g: DilatedConfig(kernel_size=3, **g), ("stride", "padding", "dilation")),
+    "SquareShareConfig": (lambda **g: SquareShareConfig(kernel_size=4, pool_size=2, **g),
+                          ("stride", "padding")),
+    "conv2d_raw": (lambda **g: conv2d_raw(np.ones((1, 6, 6, 2)), np.ones((3, 3, 2, 2)), **g),
+                   ("stride", "padding", "dilation")),
+    "conv2d_raw_backward": (lambda **g: conv2d_raw_backward(
+        np.ones((1, 6, 6, 2)), np.ones((3, 3, 2, 2)), np.ones((1, 4, 4, 2)), **g),
+        ("stride", "padding", "dilation")),
+    "max_pool": (lambda **g: ops.max_pool(np.ones((1, 6, 6, 2)), 2, **g), ("stride",)),
+}
+_BAD_GEOMETRY = {
+    "stride": (0, "stride must be positive"),
+    "padding": (-1, "padding must be non-negative"),
+    "dilation": (0, "dilation must be >= 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, key", [(name, key) for name, (_, keys) in _GEOMETRY_TAKERS.items() for key in keys]
+)
+def test_window_geometry_has_one_check(name, key):
+    make, _ = _GEOMETRY_TAKERS[name]
+    make()  # the default geometry is accepted
+    value, message = _BAD_GEOMETRY[key]
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got")):
+        make(**{key: value})
