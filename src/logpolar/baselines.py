@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import as_geometry, conv2d_raw, conv2d_raw_backward
+from .conv import as_geometry, check_fields, conv2d_raw, conv2d_raw_backward
 
 __all__ = [
     "DilatedConfig",
@@ -36,9 +36,8 @@ class DilatedConfig:
     padding: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        stride, padding, _ = as_geometry(self.stride, self.padding, self.dilation)
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "padding", padding)
+        check_fields(self)
+        as_geometry(self.stride, self.padding, self.dilation)
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # a dilated kernel has a center tap
             raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
 
@@ -55,9 +54,8 @@ class SquareShareConfig:
     padding: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        stride, padding, _ = as_geometry(self.stride, self.padding)
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "padding", padding)
+        check_fields(self)
+        as_geometry(self.stride, self.padding)
         if self.pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.kernel_size < 1 or self.kernel_size % self.pool_size != 0:

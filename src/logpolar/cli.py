@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: mask, check, train, eval, erf, viz, count, gen-data. Every
-command is deterministic given its flags and --seed. Exit codes: 0 on
-success, 1 on validation errors (bad flags, bad configs, bad files), 2 on
-numerical failures (a failed check, a non-finite loss in training or
-evaluation). A failing command writes nothing; a command writes its
-files before it prints its report, so one that cannot write prints none.
+command is deterministic given its flags and --seed, for a fixed BLAS
+library and thread count. Exit codes: 0 on success, 1 on validation
+errors (bad flags, bad configs, bad files), 2 on numerical failures (a
+failed check, a non-finite loss in training or evaluation). A failing
+command writes nothing; a command writes its files before it prints its
+report, so one that cannot write prints none.
 
 All file outputs land under explicit --out paths; nothing writes to the
 working directory implicitly.
@@ -47,11 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise SystemExit(EXIT_VALIDATION)
 
 
 def _at_least(least):

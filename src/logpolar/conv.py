@@ -14,7 +14,8 @@ through a writeable view. A 1x1 kernel at unit stride maps its windows
 one-to-one onto the padded pixels, so there the input adjoint is the one
 tap's product itself, with no zero-filled buffer and no scatter.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
-baseline); padding is always zero-padding. ``as_geometry`` is the one
+baseline); padding is always zero-padding. ``as_field`` is the one type
+check of a config field or a spec option; ``as_geometry`` the one range
 check of stride, padding and dilation: every operator and config with a
 window reads them through it. Output extents follow
 
@@ -22,12 +23,13 @@ window reads them through it. Output extents follow
 
 All operations are pure functions of their arguments and never mutate
 inputs; each output element sums the taps in row-major (a, b) order, one
-GEMM per tap, so results do not depend on threading.
+GEMM per tap; a GEMM's rounding may change with the BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +38,10 @@ __all__ = [
     "conv2d_raw",
     "conv2d_raw_backward",
     "as_batch",
+    "as_field",
     "as_geometry",
     "as_pair",
+    "check_fields",
     "out_extent",
     "pad",
     "unpad",
@@ -45,14 +49,43 @@ __all__ = [
 ]
 
 
+_FIELD_TYPES = {  # annotation -> (what a value must be, the types it may have)
+    int: ("an integer", (int, np.integer)),
+    float: ("a number", (int, float, np.integer, np.floating)),
+    bool: ("true or false", bool),
+    str: ("a string", str),
+}
+_PAIR = tuple[int, int]
+
+
+def as_field(value, annotation, name="value"):
+    """*value* as a field of type *annotation*, or a ValueError naming *name*: an
+    int, a finite real (stored as float), a bool, a str, or an int pair (``as_pair``)."""
+    if annotation == _PAIR:
+        return as_pair(value, name)
+    what, types = _FIELD_TYPES[annotation]
+    # bool is an int subclass: only a bool field takes one
+    if not isinstance(value, types) or isinstance(value, bool) != (annotation is bool):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if annotation is float and not abs(value) <= np.finfo(float).max.item():
+        raise ValueError(f"{name} must be finite, got {value!r}")  # inf, nan, or past any float
+    return annotation(value)
+
+
+def check_fields(config) -> None:
+    """Set each field of the dataclass *config* to its ``as_field`` value; a wrong type raises."""
+    types = typing.get_type_hints(type(config))
+    for f in fields(config):
+        object.__setattr__(config, f.name, as_field(getattr(config, f.name), types[f.name], f.name))
+
+
 def as_pair(value, name="value") -> tuple[int, int]:
-    """Normalize an int or 2-sequence to an (int, int) pair."""
-    if isinstance(value, (int, np.integer)):
-        return (int(value), int(value))
-    pair = tuple(int(v) for v in value)
-    if len(pair) != 2:
-        raise ValueError(f"{name} must be an int or a pair of ints, got {value!r}")
-    return pair
+    """An int, or a tuple or list of two (each an ``as_field`` int), as an (int, int) pair."""
+    pair = value if isinstance(value, (tuple, list)) and len(value) == 2 else (value, value)
+    try:
+        return (as_field(pair[0], int, name), as_field(pair[1], int, name))
+    except ValueError:
+        raise ValueError(f"{name} must be an integer or a pair of integers, got {value!r}") from None
 
 
 def as_geometry(stride, padding, dilation=1):
@@ -133,9 +166,7 @@ def _prepare(x, weights, stride, padding, dilation):
     if w.shape[0] < 1 or w.shape[1] < 1:
         raise ValueError(f"kernel spatial dims must be >= 1, got {w.shape[0]}x{w.shape[1]}")
     if xb.shape[3] != w.shape[2]:
-        raise ValueError(
-            f"input has {xb.shape[3]} channels but kernel expects {w.shape[2]}"
-        )
+        raise ValueError(f"input has {xb.shape[3]} channels but kernel expects {w.shape[2]}")
     stride, padding, dilation = as_geometry(stride, padding, dilation)
     return w, pad(xb, padding), padding, (w.shape[:2], stride, dilation)
 

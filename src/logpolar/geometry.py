@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import as_geometry
+from .conv import as_geometry, check_fields
 from .raster import pgm_bytes
 
 __all__ = [
@@ -81,21 +81,16 @@ class LpscConfig:
     center_conv: bool = True
 
     def __post_init__(self):
-        stride, padding, _ = as_geometry(self.stride, self.padding)
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "padding", padding)
+        check_fields(self)
+        as_geometry(self.stride, self.padding)
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
         if self.levels_r < 1:
             raise ValueError(f"levels_r must be >= 1, got {self.levels_r}")
         if self.levels_theta < 2 or self.levels_theta % 2 != 0:
-            raise ValueError(
-                f"levels_theta must be even and >= 2, got {self.levels_theta}"
-            )
-        if not 1.0 < self.growth < math.inf:
-            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+            raise ValueError(f"levels_theta must be even and >= 2, got {self.levels_theta}")
+        if self.growth <= 1.0:
+            raise ValueError(f"growth must be > 1, got {self.growth}")
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError(f"eccentricity must lie in [0, 1), got {self.eccentricity}")
         if self.pooling_mode not in POOLING_MODES:
@@ -169,9 +164,8 @@ def region_radii(config: LpscConfig) -> np.ndarray:
     always finds a shell for any in-field cell.
     """
     rr = float(config.radius * config.radius)
-    g = float(config.growth)
-    r1 = max(2.0, rr / g ** (config.levels_r - 1))
-    radii = np.array([r1 * g**l for l in range(config.levels_r)], dtype=np.float64)
+    r1 = max(2.0, rr / config.growth ** (config.levels_r - 1))
+    radii = np.array([r1 * config.growth**l for l in range(config.levels_r)], dtype=np.float64)
     radii[-1] = max(radii[-1], rr)
     return radii
 

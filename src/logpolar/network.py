@@ -61,16 +61,14 @@ key of ``[train]``, is a field of the layer's configuration
 ``size`` and ``pooling_mode`` ``pooling``. A dilated kernel's size is odd.
 The pools take ``size`` and ``stride``, dense ``units`` and ``bias``.
 
-A key that its section does not know is an error, naming the section
-and the key; so is a value of the wrong type: integer options take
-integers only, ``growth``/``alpha``/``eccentricity`` numbers, ``pooling``
-a word, ``stride``/``padding`` an integer or a pair, and a flag (``bias``,
-``center_conv``) true/false (yes/no, on/off). A layer's integers count
-something and must be >= 1 (``padding`` >= 0), and its numbers must be
-finite. In ``[net]`` and ``[train]``, ``classes`` (>= 2), ``batch_size``
-and ``epochs`` (>= 1) and ``seed`` (>= 0) take integers, and the rates
-finite numbers >= 0. A file that is not INI (a key or a section given
-twice, a line that is not ``key = value``) is an error naming the file.
+A key that its section does not know is an error naming the section and
+the key, and so is a wrong-typed value: a config's annotations own its
+field types (``conv.as_field``), so library callers get the same check,
+and a flag takes true/false (yes/no, on/off). Each config checks its own
+ranges. ``_opt`` reads the options no config owns, named above, and
+``[net] classes``: such integers count something, so must be >= 1
+(``padding`` >= 0, ``classes`` >= 2). A file that is not INI (a key or a
+section given twice, a line not ``key = value``) is an error naming it.
 
 A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
@@ -100,7 +98,7 @@ from .baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
-from .conv import ConvKernel, as_pair, conv2d_raw, conv2d_raw_backward, out_extent
+from .conv import ConvKernel, as_field, check_fields, conv2d_raw, conv2d_raw_backward, out_extent
 from .geometry import LpscConfig
 from .lpsc import (
     LpscWeights,
@@ -142,7 +140,8 @@ class NetSpec:
     num_classes: int
 
     def __post_init__(self):
-        self.input_shape = tuple(int(d) for d in self.input_shape)
+        self.input_shape = tuple(as_field(d, int, "input_shape") for d in self.input_shape)
+        self.num_classes = as_field(self.num_classes, int, "num_classes")
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ValueError(f"input_shape must be (H, W, C), each >= 1, got {self.input_shape}")
         if self.num_classes < 2:
@@ -159,12 +158,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("learning_rate", "weight_decay"):
-            if not 0 <= getattr(self, key) < math.inf:
-                raise ValueError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        check_fields(self)
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+        for key, least in (("learning_rate", 0), ("weight_decay", 0), ("batch_size", 1),
+                           ("epochs", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
@@ -215,54 +213,35 @@ def _where(layer):
     return layer if isinstance(layer, str) else layer.describe()
 
 
-_INTS = (int, np.integer)
-_OPTION_TYPES = {  # cast -> (what the value must be, the types it may have)
-    int: ("an integer", _INTS),
-    float: ("a number", (*_INTS, float, np.floating)),
-    str: ("a string", str),
-    bool: ("true or false", bool),
-    as_pair: ("an integer or a pair of integers", _INTS),
-}
-_CASTS = {int: int, float: float, str: str, bool: bool, tuple[int, int]: as_pair}
-
-
-def _opt(layer, options, key, default=None, cast=int):
-    """Pop option *key* of *layer* (or of a spec section, named as text) and
-    convert it with *cast*; a value of another type is an error. A layer's
-    integers count something, so must be >= 1 (padding >= 0), and its
-    numbers must be finite; NetSpec and TrainConfig bound the sections'."""
-    where = _where(layer)
+def _read(options, key, default, annotation):
+    """Pop option *key*, or *default* if it is absent, typed by ``conv.as_field``."""
     value = options.pop(key, default)
     if value is None:
-        raise ValueError(f"{where}: missing required option {key!r}")
-    what, types = _OPTION_TYPES[cast]
-    pair = cast is as_pair and isinstance(value, (tuple, list)) and len(value) == 2
-    parts = value if pair else (value,)
-    # bool is an int subclass: only a flag may be one
-    if not all(isinstance(v, types) and isinstance(v, bool) == (cast is bool) for v in parts):
-        raise ValueError(f"{where}: option {key!r} must be {what}, got {value!r}")
-    if not isinstance(layer, str):
+        raise ValueError(f"missing required option {key!r}")
+    return as_field(value, annotation, f"option {key!r}")
+
+
+def _opt(layer, options, key, default=None, annotation=int):
+    """``_read`` an option of *layer* (or of a section, named as text) that no config
+    owns: such integers count something, so must be >= 1 (padding >= 0). Errors name *layer*."""
+    try:
+        value = _read(options, key, default, annotation)
         least = 0 if key == "padding" else 1
-        if cast in (int, as_pair) and min(parts) < least:
-            raise ValueError(f"{where}: option {key!r} must be >= {least}, got {value!r}")
-        if cast is float and not math.isfinite(value):
-            raise ValueError(f"{where}: option {key!r} must be finite, got {value!r}")
-    return cast(value)
+        if annotation is not bool and np.min(value) < least:
+            raise ValueError(f"option {key!r} must be >= {least}, got {value!r}")
+        return value
+    except ValueError as exc:
+        raise ValueError(f"{_where(layer)}: {exc}") from None
 
 
 def _config(layer, cls, options, **spec_keys):
-    """The dataclass *cls* read from *options*: every field is popped through
-    ``_opt`` under its spec key (``spec_keys[field]``, else the field's name),
-    with the field's default, cast by the field's annotation. A ValueError
-    names *layer*."""
+    """The dataclass *cls* from *options*, each field ``_read`` under its spec key (``spec_keys``,
+    else its name) with its default; the config checks the ranges. Errors name *layer*."""
     hints = typing.get_type_hints(cls)
-    values = {
-        f.name: _opt(layer, options, spec_keys.get(f.name, f.name),
-                     None if f.default is MISSING else f.default, _CASTS[hints[f.name]])
-        for f in fields(cls)
-    }
     try:
-        return cls(**values)
+        return cls(**{f.name: _read(options, spec_keys.get(f.name, f.name),
+                                    None if f.default is MISSING else f.default, hints[f.name])
+                      for f in fields(cls)})
     except ValueError as exc:
         raise ValueError(f"{_where(layer)}: {exc}") from None
 
@@ -330,7 +309,7 @@ class _WindowLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
         self.out_channels = _opt(self, options, "out_channels")
-        self.use_bias = _opt(self, options, "bias", True, cast=bool)
+        self.use_bias = _opt(self, options, "bias", True, bool)
         if self.config_class is not None:
             self.config = _config(self, self.config_class, options, **self.spec_keys)
 
@@ -357,8 +336,8 @@ class ConvLayer(_WindowLayer):
     def __init__(self, index, options):
         super().__init__(index, options)
         self.kernel_size = _opt(self, options, "kernel_size")
-        self.stride = _opt(self, options, "stride", 1, cast=as_pair)
-        self.padding = _opt(self, options, "padding", 0, cast=as_pair)
+        self.stride = _opt(self, options, "stride", 1, tuple[int, int])
+        self.padding = _opt(self, options, "padding", 0, tuple[int, int])
 
     def window(self):
         return self.kernel_size, self.stride, self.padding
@@ -522,7 +501,7 @@ class DenseLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
         self.units = _opt(self, options, "units")
-        self.use_bias = _opt(self, options, "bias", True, cast=bool)
+        self.use_bias = _opt(self, options, "bias", True, bool)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1:

@@ -88,10 +88,11 @@ def lpsc_cfg(tmp_path):
     return path
 
 
-def lpsc_process(argv, hash_seed="0"):
-    """Run ``python -m logpolar *argv`` in a new process under PYTHONHASHSEED=*hash_seed*."""
+def lpsc_process(argv, hash_seed="0", **env):
+    """Run ``python -m logpolar *argv`` in a new process under PYTHONHASHSEED=*hash_seed*
+    and any further environment variables *env*."""
     src = str(Path(logpolar.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src, **env)
     return subprocess.run([sys.executable, "-m", "logpolar", *argv], env=env,
                           capture_output=True, text=True)
 
@@ -329,6 +330,31 @@ class TestTrainEval:
         assert runs[0][1].startswith("loss=")
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_train_identical_for_one_blas_thread_count(self, tmp_path, threads):
+        # the README promises determinism for a fixed BLAS library and thread count only.
+        # The second lpsc layer's block GEMM, (8192x400) @ (400x16), is large enough for
+        # OpenBLAS to split over threads: on OpenBLAS 0.3.31 this spec's checkpoints differ
+        # between 1 and 2 threads, and repeat byte for byte under either
+        lpsc = "kind = lpsc\nout_channels = 16\nsize = 9\nlevels_r = 3\nlevels_theta = 8\n" \
+               "growth = 2\npadding = 4\n"
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(f"[net]\ninput = 16x16x1\nclasses = 2\n\n[layer.1]\n{lpsc}\n[layer.2]\n"
+                       f"kind = relu\n\n[layer.3]\n{lpsc}\n[layer.4]\nkind = maxpool\n\n"
+                       "[layer.5]\nkind = flatten\n\n[layer.6]\nkind = dense\nunits = 2\n\n"
+                       "[train]\nbatch_size = 32\n")
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            train = lpsc_process(["train", "--net", str(cfg), "--out", str(out), "--data",
+                                  "edges", "--n-per-class", "16", "--epochs", "2"],
+                                 OPENBLAS_NUM_THREADS=threads)
+            assert train.returncode == 0, train.stderr
+            files = [out / "history.csv", *(out / "checkpoint").iterdir()]
+            runs.append({str(p.relative_to(out)): p.read_bytes() for p in files})
+        assert {"checkpoint/manifest.txt", "checkpoint/layer.3.lpscw"} <= set(runs[0])
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
         "data,spec_input,images",
@@ -358,9 +384,11 @@ class TestTrainEval:
             ("epochs = 3", "epochs = 0", "[train]: epochs must be >= 1"),
             ("seed = 1", "seed = 1.0", "[train]: option 'seed' must be an integer"),
             ("learning_rate = 0.05", "learning_rate = fast", "[train]: option 'learning_rate' must be a number"),
-            ("learning_rate = 0.05", "learning_rate = inf", "[train]: learning_rate must be finite"),
-            ("weight_decay = 0.0005", "weight_decay = nan", "[train]: weight_decay must be finite"),
-            ("momentum = 0.9", "momentum = nan", "[train]: momentum must lie in [0, 1)"),
+            ("learning_rate = 0.05", "learning_rate = inf",
+             "[train]: option 'learning_rate' must be finite, got inf"),
+            ("weight_decay = 0.0005", "weight_decay = nan",
+             "[train]: option 'weight_decay' must be finite, got nan"),
+            ("momentum = 0.9", "momentum = nan", "[train]: option 'momentum' must be finite, got nan"),
             ("classes = 2", "classes = 2.5", "[net]: option 'classes' must be an integer"),
             ("classes = 2", "classes = 1", "[net]: classes must be >= 2"),
             ("input = 16x16x1", "input = 16x0x1", "[net] input must be three dims >= 1"),
@@ -559,7 +587,8 @@ class TestCount:
             ("out_channels = 4", "out_channels = -3", "layer.1 (lpsc)", "option 'out_channels' must be"),
             ("out_channels = 4", "out_channels = 0", "layer.1 (lpsc)", "option 'out_channels' must be"),
             ("units = 2", "units = 0", "layer.5 (dense)", "option 'units' must be"),
-            ("padding = 2", "padding = 2,-1", "layer.1 (lpsc)", "option 'padding' must be"),
+            ("padding = 2", "padding = 2,-1", "layer.1 (lpsc)",
+             "padding must be non-negative, got (2, -1)"),
             ("growth = 2", "growth = inf", "layer.1 (lpsc)", "option 'growth' must be"),
             ("growth = 2", "growth = 2\nalpha = inf", "layer.1 (lpsc)", "option 'alpha' must be"),
             (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 0", "layer.1 (conv)",

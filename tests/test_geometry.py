@@ -56,7 +56,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("growth", math.inf), ("growth", math.nan), ("alpha", math.inf), ("alpha", -math.inf),
-         ("alpha", math.nan)],
+         ("alpha", math.nan), pytest.param("growth", 10**400, id="growth-past-every-float"),
+         pytest.param("alpha", -(10**400), id="alpha-past-every-float")],
     )
     def test_growth_and_alpha_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -1,6 +1,7 @@
 """Network building, SGD semantics, training loop, spec files, checkpoints."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ class TestBuild:
     def test_input_dim_below_one_rejected(self, shape):
         with pytest.raises(ValueError, match=r"input_shape must be \(H, W, C\), each >= 1"):
             NetSpec(layers=[LayerSpec("flatten")], input_shape=shape, num_classes=2)
+
+    @pytest.mark.parametrize(
+        "shape, classes, message",
+        [((16.7, 16, 1), 2, "input_shape must be an integer, got 16.7"),
+         ((16, True, 1), 2, "input_shape must be an integer, got True"),
+         ((16, 16, 1), 2.5, "num_classes must be an integer, got 2.5"),
+         ((16, 16, 1), True, "num_classes must be an integer, got True")],
+        ids=["shape-float", "shape-bool", "classes-float", "classes-bool"],
+    )
+    def test_input_dim_or_classes_not_an_integer_rejected(self, shape, classes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NetSpec(layers=[LayerSpec("flatten")], input_shape=shape, num_classes=classes)
 
     def test_dense_without_flatten_is_an_error(self):
         spec = NetSpec(

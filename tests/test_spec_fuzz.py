@@ -172,8 +172,10 @@ def test_mutated_spec_builds_or_names_its_place(root, base):
     "base, section, key, value",
     [("lpsc", "layer.1", "levels_r", str(2**31 - 1)), ("lpsc", "layer.1", "padding", str(2**31)),
      ("baselines", "layer.6", "units", str(2**31)), ("baselines", "layer.2", "kind", ""),
-     ("lpsc", "layer.1", "size", str(10**200 + 1))],
-    ids=["levels_r-huge", "padding-huge", "units-huge", "kind-empty", "size-huge"],
+     ("lpsc", "layer.1", "size", str(10**200 + 1)), ("lpsc", "layer.1", "growth", str(10**400)),
+     ("lpsc", "train", "learning_rate", str(10**400))],
+    ids=["levels_r-huge", "padding-huge", "units-huge", "kind-empty", "size-huge",
+         "growth-past-every-float", "learning_rate-past-every-float"],
 )
 def test_mutation_found_by_the_fuzz_names_its_place(tmp_path, base, section, key, value):
     with warnings.catch_warnings():
@@ -181,22 +183,27 @@ def test_mutation_found_by_the_fuzz_names_its_place(tmp_path, base, section, key
         builds_or_names_its_place(tmp_path / "net.cfg", change_one_key(base, section, key, value))
 
 
-# field -> (the spec's text, the value the built config holds); every value
-# differs from the field's default and from the base layer's own value
+# field -> (the spec's text, the value the built config holds, wrong-typed values); every
+# value differs from the field's default and from the base layer's own value. A wrong-typed
+# value is a float for an int, 1 for a bool, "x" for a float and (2.9, 1) or a bare float for a
+# pair; the window operators' own probes are in test_tensor_core's geometry table
 SETTINGS = {
     LpscConfig: {
-        "kernel_size": ("7", 7), "levels_r": ("3", 3), "levels_theta": ("8", 8),
-        "growth": ("1.5", 1.5), "alpha": ("0.25", 0.25), "eccentricity": ("0.5", 0.5),
-        "stride": ("2,1", (2, 1)), "padding": ("3", (3, 3)), "pooling_mode": ("max", "max"),
-        "center_conv": ("off", False),
+        "kernel_size": ("7", 7, (5.0,)), "levels_r": ("3", 3, (1.5,)),
+        "levels_theta": ("8", 8, (4.0,)), "growth": ("1.5", 1.5, ("x",)),
+        "alpha": ("0.25", 0.25, ("x",)), "eccentricity": ("0.5", 0.5, ("x",)),
+        "stride": ("2,1", (2, 1), ((2.9, 1), 1.5, True)), "padding": ("3", (3, 3), ((2.9, 1), 0.5)),
+        "pooling_mode": ("max", "max", (1,)), "center_conv": ("off", False, (1, "no")),
     },
-    DilatedConfig: {"kernel_size": ("5", 5), "dilation": ("3", 3), "stride": ("2", (2, 2)),
-                    "padding": ("1,2", (1, 2))},
-    SquareShareConfig: {"kernel_size": ("8", 8), "pool_size": ("3", 3), "stride": ("1,2", (1, 2)),
-                        "padding": ("2", (2, 2))},
-    TrainConfig: {"learning_rate": ("0.125", 0.125), "momentum": ("0.5", 0.5),
-                  "weight_decay": ("0.001", 0.001), "batch_size": ("8", 8), "epochs": ("7", 7),
-                  "seed": ("9", 9)},
+    DilatedConfig: {"kernel_size": ("5", 5, (3.0,)), "dilation": ("3", 3, (1.5,)),
+                    "stride": ("2", (2, 2), ((2.9, 1), 1.5)),
+                    "padding": ("1,2", (1, 2), ((2.9, 1), 0.5))},
+    SquareShareConfig: {"kernel_size": ("8", 8, (4.0,)), "pool_size": ("3", 3, (2.0,)),
+                        "stride": ("1,2", (1, 2), ((2.9, 1), 1.5)),
+                        "padding": ("2", (2, 2), ((2.9, 1), 0.5))},
+    TrainConfig: {"learning_rate": ("0.125", 0.125, ("x",)), "momentum": ("0.5", 0.5, ("x",)),
+                  "weight_decay": ("0.001", 0.001, ("x",)), "batch_size": ("8", 8, (2.5,)),
+                  "epochs": ("7", 7, (2.5,)), "seed": ("9", 9, (1.5,))},
 }
 BASE_LAYERS = {
     LpscConfig: {"kind": "lpsc", "out_channels": "2", "size": "9", "levels_r": "2",
@@ -206,6 +213,8 @@ BASE_LAYERS = {
     TrainConfig: {"kind": "relu"},
 }
 SPEC_KEY = {"kernel_size": "size", "pooling_mode": "pooling"}  # lpsc only
+REQUIRED = {LpscConfig: {"kernel_size": 5, "levels_r": 1, "levels_theta": 4, "growth": 2},
+            DilatedConfig: {"kernel_size": 3}, SquareShareConfig: {"kernel_size": 4}, TrainConfig: {}}
 
 
 def test_settings_cover_every_field():
@@ -219,7 +228,7 @@ def test_settings_cover_every_field():
     ids=lambda v: v.__name__ if isinstance(v, type) else v,
 )
 def test_every_config_field_is_set_from_its_key(tmp_path, cls, name):
-    text, want = SETTINGS[cls][name]
+    text, want, _ = SETTINGS[cls][name]
     key = SPEC_KEY.get(name, name) if cls is LpscConfig else name
     sections = {"net": {"input": "24x24x1", "classes": "2"}, "layer.1": dict(BASE_LAYERS[cls]),
                 "train": {}}
@@ -235,3 +244,15 @@ def test_every_config_field_is_set_from_its_key(tmp_path, cls, name):
     config = train_cfg if cls is TrainConfig else build_network(spec, require_logits=False).layers[0].config
     assert getattr(config, name) == want
     assert want != next(f.default for f in fields(cls) if f.name == name)  # MISSING if required
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls, table in SETTINGS.items() for name in table],
+    ids=lambda v: v.__name__ if isinstance(v, type) else v,
+)
+def test_every_config_field_refuses_a_wrong_type(cls, name):
+    cls(**REQUIRED[cls])  # the required fields alone build
+    for wrong in SETTINGS[cls][name][2]:
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            cls(**{**REQUIRED[cls], name: wrong})

@@ -561,12 +561,20 @@ _GEOMETRY_TAKERS = {
     "conv2d_raw_backward": (lambda **g: conv2d_raw_backward(
         np.ones((1, 6, 6, 2)), np.ones((3, 3, 2, 2)), np.ones((1, 4, 4, 2)), **g),
         ("stride", "padding", "dilation")),
-    "max_pool": (lambda **g: ops.max_pool(np.ones((1, 6, 6, 2)), 2, **g), ("stride",)),
+    "max_pool": (lambda size=2, **g: ops.max_pool(np.ones((1, 6, 6, 2)), size, **g),
+                 ("size", "stride")),
 }
+_NOT_INTEGERS = (True, 0.5, 1.5, 2.5, (2.9, 1), (2.9, 2))  # bools, bare floats, non-integral entries
+# key -> [(value, message)]: a value out of range, then each of _NOT_INTEGERS, whose message
+# goes on "or a pair of integers" except from an int field (a dilated config's dilation)
 _BAD_GEOMETRY = {
-    "stride": (0, "stride must be positive"),
-    "padding": (-1, "padding must be non-negative"),
-    "dilation": (0, "dilation must be >= 1"),
+    key: [(low, message)] + [(v, f"{name} must be an integer") for v in _NOT_INTEGERS]
+    for key, name, low, message in [
+        ("stride", "stride", 0, "stride must be positive"),
+        ("padding", "padding", -1, "padding must be non-negative"),
+        ("dilation", "dilation", 0, "dilation must be >= 1"),
+        ("size", "pool size", 0, "pool size must be positive"),
+    ]
 }
 
 
@@ -576,6 +584,6 @@ _BAD_GEOMETRY = {
 def test_window_geometry_has_one_check(name, key):
     make, _ = _GEOMETRY_TAKERS[name]
     make()  # the default geometry is accepted
-    value, message = _BAD_GEOMETRY[key]
-    with pytest.raises(ValueError, match=re.escape(f"{message}, got")):
-        make(**{key: value})
+    for value, message in _BAD_GEOMETRY[key]:
+        with pytest.raises(ValueError, match=re.escape(message) + ".*, got"):
+            make(**{key: value})
