@@ -80,12 +80,11 @@ def check_fields(config) -> None:
 
 
 def as_pair(value, name="value") -> tuple[int, int]:
-    """An int, or a tuple or list of two (each an ``as_field`` int), as an (int, int) pair."""
+    """An int, or a tuple or list of two, as an (int, int) pair; ints as ``as_field`` takes them."""
     pair = value if isinstance(value, (tuple, list)) and len(value) == 2 else (value, value)
-    try:
-        return (as_field(pair[0], int, name), as_field(pair[1], int, name))
-    except ValueError:
-        raise ValueError(f"{name} must be an integer or a pair of integers, got {value!r}") from None
+    if not all(isinstance(v, _FIELD_TYPES[int][1]) and not isinstance(v, bool) for v in pair):
+        raise ValueError(f"{name} must be an integer or a pair of integers, got {value!r}")
+    return (int(pair[0]), int(pair[1]))
 
 
 def as_geometry(stride, padding, dilation=1):

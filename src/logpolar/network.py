@@ -65,10 +65,10 @@ A key that its section does not know is an error naming the section and
 the key, and so is a wrong-typed value: a config's annotations own its
 field types (``conv.as_field``), so library callers get the same check,
 and a flag takes true/false (yes/no, on/off). Each config checks its own
-ranges. ``_opt`` reads the options no config owns, named above, and
-``[net] classes``: such integers count something, so must be >= 1
-(``padding`` >= 0, ``classes`` >= 2). A file that is not INI (a key or a
-section given twice, a line not ``key = value``) is an error naming it.
+ranges. ``_opt`` reads the layer options no config owns, named above:
+they count something, so must be >= 1 (``padding`` >= 0). ``[net]
+classes`` must be >= 2. A file that is not INI (a key or a section given
+twice, a line not ``key = value``) is an error naming it.
 
 A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
@@ -208,11 +208,6 @@ def _init(rng, shape, out, use_bias, cells=None):
     return rng.uniform(-limit, limit, size=(*shape, out)), (np.zeros(out) if use_bias else None)
 
 
-def _where(layer):
-    """A layer's own description, or a spec section named as text."""
-    return layer if isinstance(layer, str) else layer.describe()
-
-
 def _read(options, key, default, annotation):
     """Pop option *key*, or *default* if it is absent, typed by ``conv.as_field``."""
     value = options.pop(key, default)
@@ -222,8 +217,8 @@ def _read(options, key, default, annotation):
 
 
 def _opt(layer, options, key, default=None, annotation=int):
-    """``_read`` an option of *layer* (or of a section, named as text) that no config
-    owns: such integers count something, so must be >= 1 (padding >= 0). Errors name *layer*."""
+    """``_read`` an option of *layer* that no config owns: such integers count
+    something, so must be >= 1 (padding >= 0). Errors name *layer*."""
     try:
         value = _read(options, key, default, annotation)
         least = 0 if key == "padding" else 1
@@ -231,19 +226,19 @@ def _opt(layer, options, key, default=None, annotation=int):
             raise ValueError(f"option {key!r} must be >= {least}, got {value!r}")
         return value
     except ValueError as exc:
-        raise ValueError(f"{_where(layer)}: {exc}") from None
+        raise ValueError(f"{layer.describe()}: {exc}") from None
 
 
-def _config(layer, cls, options, **spec_keys):
+def _config(where, cls, options, **spec_keys):
     """The dataclass *cls* from *options*, each field ``_read`` under its spec key (``spec_keys``,
-    else its name) with its default; the config checks the ranges. Errors name *layer*."""
+    else its name) with its default; the config checks the ranges. Errors start with *where*."""
     hints = typing.get_type_hints(cls)
     try:
         return cls(**{f.name: _read(options, spec_keys.get(f.name, f.name),
                                     None if f.default is MISSING else f.default, hints[f.name])
                       for f in fields(cls)})
     except ValueError as exc:
-        raise ValueError(f"{_where(layer)}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _named(**arrays):
@@ -311,7 +306,7 @@ class _WindowLayer(_Layer):
         self.out_channels = _opt(self, options, "out_channels")
         self.use_bias = _opt(self, options, "bias", True, bool)
         if self.config_class is not None:
-            self.config = _config(self, self.config_class, options, **self.spec_keys)
+            self.config = _config(self.describe(), self.config_class, options, **self.spec_keys)
 
     def window(self):
         """(extent, stride, padding) of the window."""
@@ -705,9 +700,12 @@ def parse_net_file(path):
     if extra:
         raise ValueError(f"{path}: unknown [net] keys {sorted(extra)}")
     options = {key: _parse_value(value) for key, value in net.items() if key != "input"}
-    classes = _opt(f"{path}: [net]", options, "classes")
-    if classes < 2:
-        raise ValueError(f"{path}: [net]: classes must be >= 2, got {classes}")
+    try:
+        classes = _read(options, "classes", None, int)
+        if classes < 2:
+            raise ValueError(f"classes must be >= 2, got {classes}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: [net]: {exc}") from None
 
     layer_sections = []
     for section in parser.sections():

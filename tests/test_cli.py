@@ -391,6 +391,7 @@ class TestTrainEval:
             ("momentum = 0.9", "momentum = nan", "[train]: option 'momentum' must be finite, got nan"),
             ("classes = 2", "classes = 2.5", "[net]: option 'classes' must be an integer"),
             ("classes = 2", "classes = 1", "[net]: classes must be >= 2"),
+            ("classes = 2", "classes = 0", "[net]: classes must be >= 2, got 0"),
             ("input = 16x16x1", "input = 16x0x1", "[net] input must be three dims >= 1"),
             ("input = 16x16x1", "input = 16x16x262145",
              "[net] input 16x16x262145 holds 67109120 numbers per sample, more than 67108864"),
@@ -399,7 +400,8 @@ class TestTrainEval:
             ("classes = 2", "classes = 2\nno value here", "malformed spec"),
         ],
         ids=["batch_size-float", "epochs-bool", "epochs-zero", "seed-float", "lr-word", "lr-inf",
-             "weight_decay-nan", "momentum-nan", "classes-float", "classes-one", "input-zero",
+             "weight_decay-nan", "momentum-nan", "classes-float", "classes-one", "classes-zero",
+             "input-zero",
              "input-past-the-sample-bound",
              "key-twice", "section-twice", "not-key-value"],
     )

@@ -565,16 +565,21 @@ _GEOMETRY_TAKERS = {
                  ("size", "stride")),
 }
 _NOT_INTEGERS = (True, 0.5, 1.5, 2.5, (2.9, 1), (2.9, 2))  # bools, bare floats, non-integral entries
-# key -> [(value, message)]: a value out of range, then each of _NOT_INTEGERS, whose message
-# goes on "or a pair of integers" except from an int field (a dilated config's dilation)
+
+
+def _bad(low, message, name, what="an integer or a pair of integers"):
+    """[(value, the message it raises, up to ", got")]: *low* out of range, then each of _NOT_INTEGERS."""
+    return [(low, message)] + [(v, f"{name} must be {what}") for v in _NOT_INTEGERS]
+
+
+# key, or (taker, key) where it differs, -> the rows _bad gives
 _BAD_GEOMETRY = {
-    key: [(low, message)] + [(v, f"{name} must be an integer") for v in _NOT_INTEGERS]
-    for key, name, low, message in [
-        ("stride", "stride", 0, "stride must be positive"),
-        ("padding", "padding", -1, "padding must be non-negative"),
-        ("dilation", "dilation", 0, "dilation must be >= 1"),
-        ("size", "pool size", 0, "pool size must be positive"),
-    ]
+    "stride": _bad(0, "stride must be positive", "stride"),
+    "padding": _bad(-1, "padding must be non-negative", "padding"),
+    "dilation": _bad(0, "dilation must be >= 1", "dilation"),
+    "size": _bad(0, "pool size must be positive", "pool size"),
+    # a dilated config's dilation is an int field, not a pair
+    ("DilatedConfig", "dilation"): _bad(0, "dilation must be >= 1", "dilation", "an integer"),
 }
 
 
@@ -584,6 +589,6 @@ _BAD_GEOMETRY = {
 def test_window_geometry_has_one_check(name, key):
     make, _ = _GEOMETRY_TAKERS[name]
     make()  # the default geometry is accepted
-    for value, message in _BAD_GEOMETRY[key]:
-        with pytest.raises(ValueError, match=re.escape(message) + ".*, got"):
+    for value, message in _BAD_GEOMETRY.get((name, key), _BAD_GEOMETRY[key]):
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got")):
             make(**{key: value})
