@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,7 @@ _FIELD_TYPES = {  # annotation -> (what a value must be, the types it may have)
     str: ("a string", str),
 }
 _PAIR = tuple[int, int]
+_hints = lru_cache(maxsize=None)(typing.get_type_hints)  # of a class: resolved once, read only
 
 
 def as_field(value, annotation, name="value"):
@@ -74,7 +76,7 @@ def as_field(value, annotation, name="value"):
 
 def check_fields(config) -> None:
     """Set each field of the dataclass *config* to its ``as_field`` value; a wrong type raises."""
-    types = typing.get_type_hints(type(config))
+    types = _hints(type(config))
     for f in fields(config):
         object.__setattr__(config, f.name, as_field(getattr(config, f.name), types[f.name], f.name))
 
