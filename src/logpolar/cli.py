@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import checks
 from .analysis import count_costs, estimate_rf, kernel_to_pgm, rf_to_pgm, visualize_kernel
+from .conv import renamed
 from .data import Dataset, load_idx, make_oriented_edges, save_idx
 from .geometry import LpscConfig, build_mask, mask_to_pgm, mask_to_text
 from .lpsc import load_lpsc_weights
@@ -65,38 +65,24 @@ def _at_least(least):
     return parse
 
 
-def _finite(least=-math.inf, below=math.inf):
-    """An argparse type: a finite number in [least, below); argparse names the flag."""
-
-    def parse(text):
-        value = float(text)
-        if not (math.isfinite(value) and least <= value < below):
-            bounds = f" in [{least:g}, {below:g})" if math.isfinite(below) else ""
-            raise argparse.ArgumentTypeError(f"must be finite{bounds}, got {text}")
-        return value
-
-    parse.__name__ = "float"  # argparse words a non-number as "invalid float value"
-    return parse
-
-
 def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+_MASK_FLAGS = {"kernel_size": "size", "levels_r": "lr", "levels_theta": "lt", "growth": "g",
+               "alpha": "alpha", "eccentricity": "ecc"}
+
+
 def _mask_config(args) -> LpscConfig:
-    return LpscConfig(
-        kernel_size=args.size,
-        levels_r=args.lr,
-        levels_theta=args.lt,
-        growth=args.g,
-        alpha=args.alpha,
-        eccentricity=args.ecc,
-    )
+    """The config of the mask flags (``_MASK_FLAGS``: field -> flag); its errors name the flag."""
+    try:
+        return LpscConfig(**{field: getattr(args, flag) for field, flag in _MASK_FLAGS.items()})
+    except ValueError as exc:
+        raise renamed(exc, {f: f"argument --{flag}:" for f, flag in _MASK_FLAGS.items()}) from None
 
 
 def cmd_mask(args) -> int:
-    config = _mask_config(args)
-    mask = build_mask(config)
+    mask = build_mask(_mask_config(args))
     if args.out:
         Path(args.out).write_bytes(mask_to_pgm(mask))
     print(" ".join(f"R{i + 1}={_fmt(r)}" for i, r in enumerate(mask.radii)))
@@ -140,7 +126,10 @@ def cmd_check(args) -> int:
 def _load_dataset(args, spec, seed):
     """The --data samples: images of the spec's input shape, labels below its classes."""
     if args.data == "edges":
-        dataset = make_oriented_edges(args.n_per_class, size=spec.input_shape[0], seed=seed)
+        try:
+            dataset = make_oriented_edges(args.n_per_class, size=spec.input_shape[0], seed=seed)
+        except ValueError as exc:
+            raise renamed(exc, {"size": "--data edges: the spec's input side"}) from None
     else:
         if not args.images or not args.labels:
             raise ValueError("--data idx needs --images and --labels")
@@ -159,7 +148,10 @@ def _setup(args, **flags):
     with the flags that were given, the network, then the --data samples."""
     spec, cfg = parse_net_file(args.net)
     given = {key: value for key, value in flags.items() if value is not None}
-    cfg = dataclasses.replace(cfg or TrainConfig(), **given)  # runs TrainConfig's checks
+    try:
+        cfg = dataclasses.replace(cfg or TrainConfig(), **given)  # runs TrainConfig's checks
+    except ValueError as exc:
+        raise renamed(exc, {key: f"argument --{key}:" for key in given}) from None
     network = build_network(spec, seed=cfg.seed)
     return cfg, network, _load_dataset(args, spec, cfg.seed)
 
@@ -174,20 +166,17 @@ def _write_history(path, history):
 
 
 def cmd_train(args) -> int:
+    if not 0 <= args.val_fraction < 1:
+        raise ValueError(
+            f"argument --val-fraction: must be finite in [0, 1), got {args.val_fraction}")
     cfg, network, dataset = _setup(args, epochs=args.epochs, seed=args.seed)
     val = None
     if args.val_fraction > 0:
         n_val = max(1, int(len(dataset) * args.val_fraction))
         if n_val >= len(dataset):
             raise ValueError(f"--val-fraction {args.val_fraction:g} leaves no sample to train on")
-        val = Dataset(
-            images=dataset.images[-n_val:], labels=dataset.labels[-n_val:],
-            num_classes=dataset.num_classes,
-        )
-        dataset = Dataset(
-            images=dataset.images[:-n_val], labels=dataset.labels[:-n_val],
-            num_classes=dataset.num_classes,
-        )
+        val, dataset = [Dataset(dataset.images[part], dataset.labels[part], dataset.num_classes)
+                        for part in (np.s_[-n_val:], np.s_[:-n_val])]  # the tail is held out
     history = train(network, dataset, cfg, val=val)
     loss, acc = evaluate(network, dataset)  # a non-finite loss stops the run before any write
     out = Path(args.out)
@@ -229,9 +218,8 @@ def cmd_erf(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    mask = build_mask(_mask_config(args))  # a bad flag is reported before the weights are read
     weights = load_lpsc_weights(args.weights)
-    config = _mask_config(args)
-    mask = build_mask(config)
     images = visualize_kernel(weights, mask, fill_corners=not args.no_fill)
     if args.pair:
         try:
@@ -273,13 +261,13 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _add_mask_flags(p, required=True):
-    p.add_argument("--size", type=int, required=required, help="kernel size 2R+1 (odd)")
-    p.add_argument("--lr", type=int, required=required, help="number of distance levels")
-    p.add_argument("--lt", type=int, required=required, help="number of direction levels (even)")
-    p.add_argument("--g", type=_finite(), required=required, help="radial growth rate (> 1)")
-    p.add_argument("--alpha", type=_finite(), default=0.0, help="initial angle in radians")
-    p.add_argument("--ecc", type=_finite(), default=0.0, help="ellipse eccentricity in [0, 1)")
+def _add_mask_flags(p):
+    p.add_argument("--size", type=int, required=True, help="kernel size 2R+1 (odd)")
+    p.add_argument("--lr", type=int, required=True, help="number of distance levels")
+    p.add_argument("--lt", type=int, required=True, help="number of direction levels (even)")
+    p.add_argument("--g", type=float, required=True, help="radial growth rate (> 1)")
+    p.add_argument("--alpha", type=float, default=0.0, help="initial angle in radians")
+    p.add_argument("--ecc", type=float, default=0.0, help="ellipse eccentricity in [0, 1)")
 
 
 def _add_data_flags(p):
@@ -307,16 +295,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a network from a spec file")
     p.add_argument("--net", required=True, help="network spec file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=_at_least(1), help="override [train] epochs")
-    p.add_argument("--seed", type=_at_least(0), help="override [train] seed")
-    p.add_argument("--val-fraction", type=_finite(0, 1), default=0.0, help="tail fraction held out")
+    p.add_argument("--epochs", type=int, help="override [train] epochs")
+    p.add_argument("--seed", type=int, help="override [train] seed")
+    p.add_argument("--val-fraction", type=float, default=0.0, help="tail fraction held out")
     _add_data_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--net", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--seed", type=int)
     _add_data_flags(p)
     p.set_defaults(func=cmd_eval)
 

@@ -17,7 +17,8 @@ tap's product itself, with no zero-filled buffer and no scatter.
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
 check of stride, padding and dilation: every operator and config with a
-window reads them through it. Output extents follow
+window reads them through it. A config's error starts with its field's
+name, which ``renamed`` swaps for the user's. Output extents follow
 
     out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
 
@@ -45,6 +46,7 @@ __all__ = [
     "check_fields",
     "out_extent",
     "pad",
+    "renamed",
     "unpad",
     "windows",
 ]
@@ -72,6 +74,12 @@ def as_field(value, annotation, name="value"):
     if annotation is float and not abs(value) <= np.finfo(float).max.item():
         raise ValueError(f"{name} must be finite, got {value!r}")  # inf, nan, or past any float
     return annotation(value)
+
+
+def renamed(exc, names):
+    """*exc* with its leading field name replaced by ``names[field]``; any other error as it is."""
+    field, _, rest = str(exc).partition(" ")
+    return ValueError(f"{names[field]} {rest}") if field in names else exc
 
 
 def check_fields(config) -> None:

@@ -179,12 +179,9 @@ def squared_cell_distance(drow, dcol, alpha=0.0, eccentricity=0.0) -> float:
     x = float(dcol)
     y = float(-drow)
     if eccentricity > 0.0:
-        if alpha != 0.0:
-            ca, sa = math.cos(alpha), math.sin(alpha)
-            u = x * ca + y * sa
-            v = -x * sa + y * ca
-        else:
-            u, v = x, y
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        u = x * ca + y * sa
+        v = -x * sa + y * ca
         return u * u + v * v / (1.0 - eccentricity * eccentricity)
     return x * x + y * y
 

@@ -62,13 +62,13 @@ key of ``[train]``, is a field of the layer's configuration
 The pools take ``size`` and ``stride``, dense ``units`` and ``bias``.
 
 A key that its section does not know is an error naming the section and
-the key, and so is a wrong-typed value: a config's annotations own its
-field types (``conv.as_field``), so library callers get the same check,
-and a flag takes true/false (yes/no, on/off). Each config checks its own
-ranges. ``_opt`` reads the layer options no config owns, named above:
-they count something, so must be >= 1 (``padding`` >= 0). ``[net]
-classes`` must be >= 2. A file that is not INI (a key or a section given
-twice, a line not ``key = value``) is an error naming it.
+the key, as is a bad value: each config owns its field types
+(``conv.as_field``) and ranges, for library callers too, and a range error
+names the spec key as a type error does (``conv.renamed``). A flag takes
+true/false (yes/no, on/off). ``_opt`` reads the layer options no config
+owns, named above: they count something, so must be >= 1 (``padding``
+>= 0). ``[net] classes`` must be >= 2. A file that is not INI (a key or a
+section given twice, a line not ``key = value``) is an error naming it.
 
 A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
@@ -98,7 +98,15 @@ from .baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
-from .conv import ConvKernel, as_field, check_fields, conv2d_raw, conv2d_raw_backward, out_extent
+from .conv import (
+    ConvKernel,
+    as_field,
+    check_fields,
+    conv2d_raw,
+    conv2d_raw_backward,
+    out_extent,
+    renamed,
+)
 from .geometry import LpscConfig
 from .lpsc import (
     LpscWeights,
@@ -231,14 +239,14 @@ def _opt(layer, options, key, default=None, annotation=int):
 
 def _config(where, cls, options, **spec_keys):
     """The dataclass *cls* from *options*, each field ``_read`` under its spec key (``spec_keys``,
-    else its name) with its default; the config checks the ranges. Errors start with *where*."""
+    else its name) with its default; the config checks ranges. Errors name *where*, then the key."""
     hints = typing.get_type_hints(cls)
     try:
         return cls(**{f.name: _read(options, spec_keys.get(f.name, f.name),
                                     None if f.default is MISSING else f.default, hints[f.name])
                       for f in fields(cls)})
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {renamed(exc, spec_keys)}") from None
 
 
 def _named(**arrays):
@@ -699,13 +707,7 @@ def parse_net_file(path):
     extra = set(net) - {"input", "classes"}
     if extra:
         raise ValueError(f"{path}: unknown [net] keys {sorted(extra)}")
-    options = {key: _parse_value(value) for key, value in net.items() if key != "input"}
-    try:
-        classes = _read(options, "classes", None, int)
-        if classes < 2:
-            raise ValueError(f"classes must be >= 2, got {classes}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: [net]: {exc}") from None
+    net_options = {key: _parse_value(value) for key, value in net.items() if key != "input"}
 
     layer_sections = []
     for section in parser.sections():
@@ -732,7 +734,11 @@ def parse_net_file(path):
         options = {key: _parse_value(value) for key, value in body.items()}
         layers.append(LayerSpec(kind=kind, options=options))
 
-    spec = NetSpec(layers=layers, input_shape=dims, num_classes=classes)
+    try:
+        spec = NetSpec(layers=layers, input_shape=dims,
+                       num_classes=_read(net_options, "classes", None, int))
+    except ValueError as exc:
+        raise ValueError(f"{path}: [net]: {renamed(exc, {'num_classes': 'classes'})}") from None
 
     train_cfg = None
     if "train" in parser:

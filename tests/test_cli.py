@@ -376,6 +376,18 @@ class TestTrainEval:
         assert f"images are {images}" in err and f"input is {spec_input}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_edges_below_their_least_side_name_the_spec_input(self, tmp_path, capsys, command):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(LPSC_CFG.replace("input = 16x16x1", "input = 6x6x1"))  # builds: 6x6 in, 2 out
+        out = tmp_path / "run"
+        argv = [command, "--net", str(cfg), "--data", "edges", "--n-per-class", "4"]
+        argv += ["--out", str(out)] if command == "train" else ["--checkpoint", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "lpsc: error: --data edges: the spec's input side must be >= 8, got 6" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "old, new, message",
         [
@@ -441,12 +453,20 @@ class TestTrainEval:
              "--n-per-class: must be >= 1, got 0"),
             (["gen-data", "--out", "{out}", "--n-per-class", "0"], "--n-per-class: must be >= 1, got 0"),
             (["gen-data", "--out", "{out}", "--size", "4"], "--size: must be >= 8, got 4"),
+            # LpscConfig's own range checks, named by the flag that set the field
+            (MASK + ["--g", "2", "--size", "4"], "--size: must be odd and >= 3, got 4"),
+            (MASK + ["--g", "2", "--lt", "7"], "--lt: must be even and >= 2, got 7"),
+            (MASK + ["--g", "1"], "--g: must be > 1, got 1.0"),
+            (MASK + ["--g", "2", "--ecc", "1.5"], "--ecc: must lie in [0, 1), got 1.5"),
+            (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "2", "--size", "4"],
+             "--size: must be odd and >= 3, got 4"),
         ],
         ids=["train-epochs-zero", "train-epochs-negative", "train-seed", "eval-seed", "check-seed",
              "erf-seed", "gen-data-seed", "train-val-fraction-negative", "train-val-fraction-above-one",
              "mask-g-inf", "mask-alpha-inf", "mask-alpha-nan", "mask-ecc-nan", "viz-g-inf",
              "viz-alpha-inf", "train-n-per-class-zero", "eval-n-per-class-zero",
-             "gen-data-n-per-class-zero", "gen-data-size-below-eight"],
+             "gen-data-n-per-class-zero", "gen-data-size-below-eight", "mask-size-even",
+             "mask-lt-odd", "mask-g-one", "mask-ecc-past-one", "viz-size-even"],
     )
     def test_flag_below_its_bound_exits_1(self, tmp_path, lpsc_cfg, capsys, argv, flag):
         out = tmp_path / "run"
@@ -475,8 +495,8 @@ class TestTrainEval:
     def test_train_overrides_pass_train_config_checks(self, tmp_path, lpsc_cfg):
         out = tmp_path / "run"
         args = build_parser().parse_args(["train", "--net", str(lpsc_cfg), "--out", str(out)])
-        args.epochs = 0  # past the flag's own bound
-        with pytest.raises(ValueError, match="epochs must be >= 1"):
+        args.epochs = 0  # argparse takes any integer; TrainConfig owns the bound
+        with pytest.raises(ValueError, match="^argument --epochs: must be >= 1, got 0$"):
             cmd_train(args)
         assert not out.exists()
 
@@ -600,11 +620,15 @@ class TestCount:
             ("size = 2", "size = 0", "layer.3 (maxpool)", "option 'size' must be"),
             (LPSC_LAYER, "kind = dilated\nout_channels = 4\nkernel_size = 4", "layer.1 (dilated)",
              "kernel_size must be odd and >= 1, got 4"),
+            # LpscConfig's range errors name the spec key, not the field
+            ("size = 5", "size = 4", "layer.1 (lpsc)", "size must be odd and >= 3, got 4"),
+            ("padding = 2", "padding = 2\npooling = median", "layer.1 (lpsc)",
+             "pooling must be one of ('mean', 'sum', 'max'), got 'median'"),
         ],
         ids=["units", "out_channels", "stride", "size", "growth", "pair", "out_channels-negative",
              "out_channels-zero", "units-zero", "padding-negative", "growth-inf", "alpha-inf",
              "conv-kernel_size-zero", "conv-stride-zero", "maxpool-size-zero",
-             "dilated-kernel_size-even"],
+             "dilated-kernel_size-even", "size-even", "pooling-unknown"],
     )
     def test_option_of_wrong_type_rejected(self, tmp_path, capsys, old, new, layer, message):
         cfg = tmp_path / "typed.cfg"

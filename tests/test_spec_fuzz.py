@@ -21,7 +21,7 @@ import pytest
 
 from logpolar.baselines import DilatedConfig, SquareShareConfig
 from logpolar.geometry import DegenerateGeometryWarning, LpscConfig
-from logpolar.network import TrainConfig, build_network, parse_net_file
+from logpolar.network import NetSpec, TrainConfig, build_network, parse_net_file
 
 TRAIN = """
 [train]
@@ -206,6 +206,18 @@ SETTINGS = {
                   "weight_decay": ("0.001", 0.001, ("x",)), "batch_size": ("8", 8, (2.5,)),
                   "epochs": ("7", 7, (2.5,)), "seed": ("9", 9, (1.5,))},
 }
+# field -> a value of its type that the config refuses (a flag has no range: another wrong type)
+PAST_RANGE = {
+    LpscConfig: {"kernel_size": 4, "levels_r": 0, "levels_theta": 7, "growth": 1.0,
+                 "alpha": float("inf"), "eccentricity": 1.0, "stride": (0, 1), "padding": (1, -1),
+                 "pooling_mode": "median", "center_conv": None},
+    DilatedConfig: {"kernel_size": 4, "dilation": 0, "stride": 0, "padding": -1},
+    SquareShareConfig: {"kernel_size": 0, "pool_size": 0, "stride": (1, 0), "padding": -2},
+    TrainConfig: {"learning_rate": -0.5, "momentum": 1.0, "weight_decay": -1e-3, "batch_size": 0,
+                  "epochs": 0, "seed": -1},
+    NetSpec: {"input_shape": (16, 0, 1), "num_classes": 1},  # a LayerSpec checks its own kind
+}
+NET_SPEC_WRONG_TYPES = {"input_shape": (16, 16.5, 1), "num_classes": 2.5}
 BASE_LAYERS = {
     LpscConfig: {"kind": "lpsc", "out_channels": "2", "size": "9", "levels_r": "2",
                  "levels_theta": "6", "growth": "2"},
@@ -217,12 +229,16 @@ SPEC_KEY = {"kernel_size": "size", "pooling_mode": "pooling"}  # lpsc only
 TYPE_WORDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
               tuple[int, int]: "an integer or a pair of integers"}  # annotation -> its type error
 REQUIRED = {LpscConfig: {"kernel_size": 5, "levels_r": 1, "levels_theta": 4, "growth": 2},
-            DilatedConfig: {"kernel_size": 3}, SquareShareConfig: {"kernel_size": 4}, TrainConfig: {}}
+            DilatedConfig: {"kernel_size": 3}, SquareShareConfig: {"kernel_size": 4}, TrainConfig: {},
+            NetSpec: {"layers": [], "input_shape": (16, 16, 1), "num_classes": 2}}
 
 
 def test_settings_cover_every_field():
     for cls, table in SETTINGS.items():
         assert sorted(table) == sorted(f.name for f in fields(cls)), cls.__name__
+    for cls, table in PAST_RANGE.items():
+        assert sorted(table) == sorted(f.name for f in fields(cls) if f.name != "layers"), cls
+    assert sorted(NET_SPEC_WRONG_TYPES) == sorted(PAST_RANGE[NetSpec])
 
 
 @pytest.mark.parametrize(
@@ -260,3 +276,17 @@ def test_every_config_field_refuses_a_wrong_type(cls, name):
     for wrong in SETTINGS[cls][name][2]:
         with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be {what}, got {wrong!r}")):
             cls(**{**REQUIRED[cls], name: wrong})
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [(cls, name, value) for cls, table in PAST_RANGE.items() for name, value in table.items()]
+    + [(cls, name, SETTINGS[cls][name][2][0]) for cls in SETTINGS for name in SETTINGS[cls]]
+    + [(NetSpec, name, value) for name, value in NET_SPEC_WRONG_TYPES.items()],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_every_config_error_starts_with_its_field(cls, name, value):
+    # the contract conv.renamed relies on to put a spec key or a flag in the field's place
+    with pytest.raises(ValueError) as info:
+        cls(**{**REQUIRED[cls], name: value})
+    assert str(info.value).split(" ", 1)[0] == name
