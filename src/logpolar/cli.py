@@ -44,12 +44,10 @@ EXIT_NUMERICAL = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that treats usage problems as validation errors (exit 1)."""
+    """argparse whose usage errors are validation errors: main prints them as any other."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        raise ValueError(message)
 
 
 def _at_least(least):
@@ -341,14 +339,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # a non-finite result exits 2 with one line, not warnings
             return args.func(args)
+    except SystemExit as exc:  # -h prints its help and exits 0
+        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     except (ValueError, OSError) as exc:
         print(f"lpsc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

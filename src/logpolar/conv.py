@@ -16,9 +16,9 @@ tap's product itself, with no zero-filled buffer and no scatter.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
-check of stride, padding and dilation: every operator and config with a
-window reads them through it. A config's error starts with its field's
-name, which ``renamed`` swaps for the user's. Output extents follow
+check of stride, padding and dilation: every operator, config and layer
+with a window reads them through it. A config's error starts with its
+field's name, which ``renamed`` swaps for the user's. Output extents follow
 
     out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
 

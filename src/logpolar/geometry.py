@@ -65,6 +65,14 @@ class DegenerateGeometryWarning(UserWarning):
     """Raised when the floor on R_1 leaves at least one shell empty."""
 
 
+def _power(base: float, exponent: int) -> float:
+    """``base ** exponent``, or inf past the largest float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LpscConfig:
     """Full hyper-parameter set of one log-polar convolution kernel."""
@@ -101,11 +109,7 @@ class LpscConfig:
             rr = float(self.radius * self.radius)
         except OverflowError:  # past any float, so past every threshold
             rr = math.inf
-        try:
-            spread = self.growth ** (self.levels_r - 2)
-        except OverflowError:  # past any float, so past R^2 as well
-            spread = math.inf
-        if self.levels_r >= 2 and rr / spread <= 2.0:
+        if self.levels_r >= 2 and rr / _power(self.growth, self.levels_r - 2) <= 2.0:
             # the floor R_1 = 2 swallows at least one further shell: the
             # second-to-last threshold already reaches past R^2
             warnings.warn(
@@ -164,8 +168,8 @@ def region_radii(config: LpscConfig) -> np.ndarray:
     always finds a shell for any in-field cell.
     """
     rr = float(config.radius * config.radius)
-    r1 = max(2.0, rr / config.growth ** (config.levels_r - 1))
-    radii = np.array([r1 * config.growth**l for l in range(config.levels_r)], dtype=np.float64)
+    r1 = max(2.0, rr / _power(config.growth, config.levels_r - 1))
+    radii = np.array([r1 * _power(config.growth, l) for l in range(config.levels_r)])
     radii[-1] = max(radii[-1], rr)
     return radii
 

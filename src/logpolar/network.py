@@ -65,10 +65,13 @@ A key that its section does not know is an error naming the section and
 the key, as is a bad value: each config owns its field types
 (``conv.as_field``) and ranges, for library callers too, and a range error
 names the spec key as a type error does (``conv.renamed``). A flag takes
-true/false (yes/no, on/off). ``_opt`` reads the layer options no config
-owns, named above: they count something, so must be >= 1 (``padding``
->= 0). ``[net] classes`` must be >= 2. A file that is not INI (a key or a
-section given twice, a line not ``key = value``) is an error naming it.
+true/false (yes/no, on/off). ``_opt`` reads the integer options no config
+owns (conv ``kernel_size``, pool ``size``, ``units``, ``out_channels``),
+each >= 1; every layer's ``stride`` and ``padding`` goes through
+``conv.as_geometry`` (a pool's ``stride`` is one integer). Only
+``build_network`` names the layer (``layer.N (kind): ``). ``[net]
+classes`` must be >= 2. A file that is not INI (a key or a section given
+twice, a line not ``key = value``) is an error naming it.
 
 A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
@@ -83,7 +86,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -100,7 +102,9 @@ from .baselines import (
 )
 from .conv import (
     ConvKernel,
+    _hints,
     as_field,
+    as_geometry,
     check_fields,
     conv2d_raw,
     conv2d_raw_backward,
@@ -148,6 +152,8 @@ class NetSpec:
     num_classes: int
 
     def __post_init__(self):
+        if not isinstance(self.input_shape, (tuple, list)):  # before it is iterated
+            raise ValueError(f"input_shape must be (H, W, C), each >= 1, got {self.input_shape!r}")
         self.input_shape = tuple(as_field(d, int, "input_shape") for d in self.input_shape)
         self.num_classes = as_field(self.num_classes, int, "num_classes")
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
@@ -224,29 +230,21 @@ def _read(options, key, default, annotation):
     return as_field(value, annotation, f"option {key!r}")
 
 
-def _opt(layer, options, key, default=None, annotation=int):
-    """``_read`` an option of *layer* that no config owns: such integers count
-    something, so must be >= 1 (padding >= 0). Errors name *layer*."""
-    try:
-        value = _read(options, key, default, annotation)
-        least = 0 if key == "padding" else 1
-        if annotation is not bool and np.min(value) < least:
-            raise ValueError(f"option {key!r} must be >= {least}, got {value!r}")
-        return value
-    except ValueError as exc:
-        raise ValueError(f"{layer.describe()}: {exc}") from None
+def _opt(options, key, default=None, annotation=int):
+    """``_read`` an option that no config owns: an integer one counts something, so is >= 1."""
+    value = _read(options, key, default, annotation)
+    if annotation is int and value < 1:
+        raise ValueError(f"option {key!r} must be >= 1, got {value!r}")
+    return value
 
 
-def _config(where, cls, options, **spec_keys):
+def _config(cls, options, **spec_keys):
     """The dataclass *cls* from *options*, each field ``_read`` under its spec key (``spec_keys``,
-    else its name) with its default; the config checks ranges. Errors name *where*, then the key."""
-    hints = typing.get_type_hints(cls)
-    try:
-        return cls(**{f.name: _read(options, spec_keys.get(f.name, f.name),
-                                    None if f.default is MISSING else f.default, hints[f.name])
-                      for f in fields(cls)})
-    except ValueError as exc:
-        raise ValueError(f"{where}: {renamed(exc, spec_keys)}") from None
+    else its name) with its default; the config checks ranges."""
+    hints = _hints(cls)
+    return cls(**{f.name: _read(options, spec_keys.get(f.name, f.name),
+                                None if f.default is MISSING else f.default, hints[f.name])
+                  for f in fields(cls)})
 
 
 def _named(**arrays):
@@ -262,6 +260,7 @@ class _Layer:
     """
 
     kind = "?"
+    spec_keys = {}  # config field -> spec key, where the two differ
 
     def __init__(self, index, options=None):
         self.index = index
@@ -290,14 +289,11 @@ class _Layer:
         raise NotImplementedError
 
 
-def _out_shape(layer, in_shape, extent, stride, padding, channels):
+def _out_shape(in_shape, extent, stride, padding, channels):
     """(Ho, Wo, channels) of a layer whose window spans *extent* cells of (H, W, C) input."""
     if len(in_shape) != 3:
-        raise ValueError(f"{layer.describe()}: expects (H, W, C) input, got {in_shape}")
-    try:
-        ho, wo = (out_extent(n, extent, s, p) for n, s, p in zip(in_shape, stride, padding))
-    except ValueError as exc:
-        raise ValueError(f"{layer.describe()}: {exc}") from None
+        raise ValueError(f"expects (H, W, C) input, got {in_shape}")
+    ho, wo = (out_extent(n, extent, s, p) for n, s, p in zip(in_shape, stride, padding))
     return (ho, wo, channels)
 
 
@@ -307,14 +303,13 @@ class _WindowLayer(_Layer):
     the rest of its options and slides the config's window."""
 
     config_class = None
-    spec_keys = {}  # config field -> spec key, where the two differ
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.out_channels = _opt(self, options, "out_channels")
-        self.use_bias = _opt(self, options, "bias", True, bool)
+        self.out_channels = _opt(options, "out_channels")
+        self.use_bias = _opt(options, "bias", True, bool)
         if self.config_class is not None:
-            self.config = _config(self.describe(), self.config_class, options, **self.spec_keys)
+            self.config = _config(self.config_class, options, **self.spec_keys)
 
     def window(self):
         """(extent, stride, padding) of the window."""
@@ -325,7 +320,7 @@ class _WindowLayer(_Layer):
         return self.window()[0] ** 2
 
     def out_shape(self, in_shape):
-        return _out_shape(self, in_shape, *self.window(), self.out_channels)
+        return _out_shape(in_shape, *self.window(), self.out_channels)
 
     def sample_arrays(self, in_shape, out_shape):
         (h, w, c), (ph, pw) = in_shape, self.window()[2]
@@ -338,9 +333,9 @@ class ConvLayer(_WindowLayer):
 
     def __init__(self, index, options):
         super().__init__(index, options)
-        self.kernel_size = _opt(self, options, "kernel_size")
-        self.stride = _opt(self, options, "stride", 1, tuple[int, int])
-        self.padding = _opt(self, options, "padding", 0, tuple[int, int])
+        self.kernel_size = _opt(options, "kernel_size")
+        self.stride, self.padding, _ = as_geometry(_read(options, "stride", 1, tuple[int, int]),
+                                                   _read(options, "padding", 0, tuple[int, int]))
 
     def window(self):
         return self.kernel_size, self.stride, self.padding
@@ -458,11 +453,11 @@ class ReluLayer(_Layer):
 class _PoolLayer(_Layer):
     def __init__(self, index, options):
         super().__init__(index)
-        self.size = _opt(self, options, "size", 2)
-        self.stride = _opt(self, options, "stride", self.size)
+        self.size = _opt(options, "size", 2)
+        self.stride = as_geometry(_read(options, "stride", self.size, int), 0)[0]  # an int key
 
     def out_shape(self, in_shape):
-        return _out_shape(self, in_shape, self.size, (self.stride,) * 2, (0, 0), in_shape[-1])
+        return _out_shape(in_shape, self.size, self.stride, (0, 0), in_shape[-1])
 
 
 class MaxPoolLayer(_PoolLayer):
@@ -503,14 +498,12 @@ class DenseLayer(_Layer):
 
     def __init__(self, index, options):
         super().__init__(index)
-        self.units = _opt(self, options, "units")
-        self.use_bias = _opt(self, options, "bias", True, bool)
+        self.units = _opt(options, "units")
+        self.use_bias = _opt(options, "bias", True, bool)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1:
-            raise ValueError(
-                f"{self.describe()}: expects flattened (F,) input, got {in_shape}; add a flatten layer"
-            )
+            raise ValueError(f"expects flattened (F,) input, got {in_shape}; add a flatten layer")
         return (self.units,)
 
     def init_params(self, in_shape, rng):
@@ -598,13 +591,17 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
     shapes = [tuple(spec.input_shape)]
     _per_sample("input", shapes[0])
     for i, layer_spec in enumerate(spec.layers, start=1):
-        options = dict(layer_spec.options)
-        layer = _LAYER_CLASSES[layer_spec.kind](i, options)
-        if options:
-            raise ValueError(f"{layer.describe()}: unknown options {sorted(options)}")
-        shapes.append(layer.out_shape(shapes[-1]))
-        for what, shape in layer.sample_arrays(*shapes[-2:]).items():
-            _per_sample(f"{layer.describe()}: {what}", shape)
+        options, cls = dict(layer_spec.options), _LAYER_CLASSES[layer_spec.kind]
+        try:
+            layer = cls(i, options)
+            if options:
+                raise ValueError(f"unknown options {sorted(options)}")
+            shapes.append(layer.out_shape(shapes[-1]))
+            for what, shape in layer.sample_arrays(*shapes[-2:]).items():
+                _per_sample(what, shape)
+        except ValueError as exc:  # the one place that names the layer, and its spec keys
+            exc = renamed(exc, cls.spec_keys)
+            raise ValueError(f"layer.{i} ({layer_spec.kind}): {exc}") from None
         layers.append(layer)
     if require_logits and shapes[-1] != (spec.num_classes,):
         raise ValueError(
@@ -743,7 +740,10 @@ def parse_net_file(path):
     train_cfg = None
     if "train" in parser:
         body = {key: _parse_value(value) for key, value in parser["train"].items()}
-        train_cfg = _config(f"{path}: [train]", TrainConfig, body)
+        try:
+            train_cfg = _config(TrainConfig, body)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [train]: {exc}") from None
         if body:
             raise ValueError(f"{path}: unknown [train] keys {sorted(body)}")
     return spec, train_cfg

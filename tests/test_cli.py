@@ -14,6 +14,7 @@ import logpolar
 from logpolar import checks
 from logpolar.cli import build_parser, cmd_train, main
 from logpolar.data import load_idx
+from logpolar.geometry import DegenerateGeometryWarning
 from logpolar.network import parse_net_file
 from logpolar.tensor import load_tensor, save_tensor
 
@@ -115,6 +116,22 @@ class TestMask:
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["mask", "--size", "5", "--lr", "2", "--lt", "8", "--g", "2", "--bogus"]) == 1
+
+    def test_shell_chain_past_every_float_exits_0(self, capsys):
+        with pytest.warns(DegenerateGeometryWarning):
+            assert main(["mask", "--size", "5", "--lr", "2000", "--lt", "4", "--g", "2"]) == 0
+        assert capsys.readouterr().out.startswith("R1=2 R2=4 R3=8 ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--size", "x"], "argument --size: invalid int value: 'x'"),
+         (["--size", "4"], "argument --size: must be odd and >= 3, got 4"),
+         (["--size", "5", "--bogus"], "unrecognized arguments: --bogus")],
+        ids=["argparse-type", "config-range", "argparse-unknown"],
+    )
+    def test_flag_error_is_one_stderr_line(self, capsys, argv, message):
+        assert main(["mask", "--lr", "2", "--lt", "8", "--g", "2", *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"lpsc: error: {message}"]
 
     def test_pgm_output(self, tmp_path, capsys):
         out = tmp_path / "mask.pgm"
@@ -616,7 +633,7 @@ class TestCount:
             (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 0", "layer.1 (conv)",
              "option 'kernel_size' must be"),
             (LPSC_LAYER, "kind = conv\nout_channels = 4\nkernel_size = 3\nstride = 0", "layer.1 (conv)",
-             "option 'stride' must be"),
+             "stride must be positive, got (0, 0)"),
             ("size = 2", "size = 0", "layer.3 (maxpool)", "option 'size' must be"),
             (LPSC_LAYER, "kind = dilated\nout_channels = 4\nkernel_size = 4", "layer.1 (dilated)",
              "kernel_size must be odd and >= 1, got 4"),
@@ -635,6 +652,13 @@ class TestCount:
         cfg.write_text(LPSC_CFG.replace(old, new))
         assert main(["count", "--net", str(cfg)]) == 1
         assert f"{layer}: {message}" in capsys.readouterr().err
+
+    def test_shell_chain_past_every_float_counts(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(LPSC_CFG.replace("levels_r = 2", "levels_r = 1100"))
+        with pytest.warns(DegenerateGeometryWarning):
+            assert main(["count", "--net", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("net", NETS, ids=lambda p: p.name)
     def test_shipped_specs_parse_and_count(self, net, capsys):

@@ -80,6 +80,14 @@ class TestConfigValidation:
         with pytest.warns(DegenerateGeometryWarning):
             LpscConfig(kernel_size=5, levels_r=3, levels_theta=8, growth=2)
 
+    def test_shell_chain_past_every_float_builds(self):
+        # 2.0 ** 1099 is past the largest float: the outer thresholds are inf, not an error
+        with pytest.warns(DegenerateGeometryWarning):
+            mask = build_mask(LpscConfig(5, 1100, 4, 2.0))
+        assert mask.counts.shape == (1100, 4)
+        assert np.array_equal(mask.radii[:2], [2.0, 4.0]) and mask.radii[-1] == math.inf
+        assert int(mask.counts.sum()) == int((mask.index_grid > 0).sum()) == 12
+
     def test_healthy_geometry_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

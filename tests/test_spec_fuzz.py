@@ -139,8 +139,10 @@ def builds_or_names_its_place(path, text):
         spec, _ = parse_net_file(path)
         build_network(spec, seed=0, require_logits=False)
     except ValueError as exc:
-        message = str(exc)
-        assert message.startswith(f"{path}: ") or re.match(r"layer\.\d+ \(\w+\): ", message), message
+        message, layer = str(exc), r"layer\.\d+ \(\w+\): "
+        assert message.startswith(f"{path}: ") or re.match(layer, message), message
+        if not message.startswith(f"{path}: "):
+            assert len(re.findall(layer, message)) == 1, message  # one place names the layer
 
 
 def change_one_key(base, section, key, value):
@@ -282,7 +284,8 @@ def test_every_config_field_refuses_a_wrong_type(cls, name):
     "cls, name, value",
     [(cls, name, value) for cls, table in PAST_RANGE.items() for name, value in table.items()]
     + [(cls, name, SETTINGS[cls][name][2][0]) for cls in SETTINGS for name in SETTINGS[cls]]
-    + [(NetSpec, name, value) for name, value in NET_SPEC_WRONG_TYPES.items()],
+    + [(NetSpec, name, value) for name, value in NET_SPEC_WRONG_TYPES.items()]
+    + [(NetSpec, "input_shape", value) for value in (16, None)],  # not a sequence at all
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
 def test_every_config_error_starts_with_its_field(cls, name, value):

@@ -28,6 +28,7 @@ from logpolar.lpsc import (
     lpsc_forward_fast,
     lpsc_forward_reference,
 )
+from logpolar.network import LayerSpec, NetSpec, build_network
 
 from oracles import finite_difference, loop_conv2d, max_rel_error
 
@@ -549,7 +550,13 @@ def test_operators_take_batches_only(name):
         _OPERATORS[name](x[0], g[0])
 
 
-# every config and window operator, and the geometry keywords it takes
+def _layer(kind, **options):
+    """A one-layer network of *kind* on (6, 6, 2) input."""
+    spec = NetSpec(layers=[LayerSpec(kind, options)], input_shape=(6, 6, 2), num_classes=2)
+    return build_network(spec, require_logits=False)
+
+
+# every config, window operator and window layer, and the geometry keywords it takes
 _GEOMETRY_TAKERS = {
     "LpscConfig": (lambda **g: LpscConfig(kernel_size=3, levels_r=1, levels_theta=4, growth=2, **g),
                    ("stride", "padding")),
@@ -563,6 +570,9 @@ _GEOMETRY_TAKERS = {
         ("stride", "padding", "dilation")),
     "max_pool": (lambda size=2, **g: ops.max_pool(np.ones((1, 6, 6, 2)), size, **g),
                  ("size", "stride")),
+    # the spec's layers, built from their options
+    "conv layer": (lambda **g: _layer("conv", out_channels=2, kernel_size=3, **g), ("stride", "padding")),
+    "maxpool layer": (lambda **g: _layer("maxpool", **g), ("stride",)),
 }
 _NOT_INTEGERS = (True, 0.5, 1.5, 2.5, (2.9, 1), (2.9, 2))  # bools, bare floats, non-integral entries
 
@@ -580,6 +590,10 @@ _BAD_GEOMETRY = {
     "size": _bad(0, "pool size must be positive", "pool size"),
     # a dilated config's dilation is an int field, not a pair
     ("DilatedConfig", "dilation"): _bad(0, "dilation must be >= 1", "dilation", "an integer"),
+    # a layer's type error names the spec option; a pool's stride is an int key, not a pair
+    ("conv layer", "stride"): _bad(0, "stride must be positive", "option 'stride'"),
+    ("conv layer", "padding"): _bad(-1, "padding must be non-negative", "option 'padding'"),
+    ("maxpool layer", "stride"): _bad(0, "stride must be positive", "option 'stride'", "an integer"),
 }
 
 
