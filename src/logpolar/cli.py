@@ -345,7 +345,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as exc:  # -h prints its help and exits 0
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a flag asked for too much
         print(f"lpsc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:

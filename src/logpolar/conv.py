@@ -59,6 +59,7 @@ _FIELD_TYPES = {  # annotation -> (what a value must be, the types it may have)
     str: ("a string", str),
 }
 _PAIR = tuple[int, int]
+_MAX_NUMBERS = 2**26  # per parameter array, per array of one sample in a forward pass, per mask
 _hints = lru_cache(maxsize=None)(typing.get_type_hints)  # of a class: resolved once, read only
 
 

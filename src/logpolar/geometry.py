@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .conv import as_geometry, check_fields
+from .conv import _MAX_NUMBERS, as_geometry, check_fields
 from .raster import pgm_bytes
 
 __all__ = [
@@ -75,7 +75,7 @@ def _power(base: float, exponent: int) -> float:
 
 @dataclass(frozen=True)
 class LpscConfig:
-    """Full hyper-parameter set of one log-polar convolution kernel."""
+    """Full hyper-parameter set of one log-polar convolution kernel (a mask of <= 2**26 cells)."""
 
     kernel_size: int
     levels_r: int
@@ -93,6 +93,9 @@ class LpscConfig:
         as_geometry(self.stride, self.padding)
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
+        if self.kernel_size**2 > _MAX_NUMBERS:
+            raise ValueError(f"kernel_size must be at most {math.isqrt(_MAX_NUMBERS)}, a mask of "
+                             f"{_MAX_NUMBERS} cells, got {self.kernel_size}")
         if self.levels_r < 1:
             raise ValueError(f"levels_r must be >= 1, got {self.levels_r}")
         if self.levels_theta < 2 or self.levels_theta % 2 != 0:
@@ -105,11 +108,7 @@ class LpscConfig:
             raise ValueError(
                 f"pooling_mode must be one of {POOLING_MODES}, got {self.pooling_mode!r}"
             )
-        try:
-            rr = float(self.radius * self.radius)
-        except OverflowError:  # past any float, so past every threshold
-            rr = math.inf
-        if self.levels_r >= 2 and rr / _power(self.growth, self.levels_r - 2) <= 2.0:
+        if self.levels_r >= 2 and self.radius**2 / _power(self.growth, self.levels_r - 2) <= 2.0:
             # the floor R_1 = 2 swallows at least one further shell: the
             # second-to-last threshold already reaches past R^2
             warnings.warn(
@@ -117,7 +116,7 @@ class LpscConfig:
                 f"for kernel_size={self.kernel_size}, levels_r={self.levels_r}, "
                 f"growth={self.growth}",
                 DegenerateGeometryWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of LpscConfig(...), past the generated __init__
             )
 
     @property

@@ -61,17 +61,19 @@ key of ``[train]``, is a field of the layer's configuration
 ``size`` and ``pooling_mode`` ``pooling``. A dilated kernel's size is odd.
 The pools take ``size`` and ``stride``, dense ``units`` and ``bias``.
 
-A key that its section does not know is an error naming the section and
-the key, as is a bad value: each config owns its field types
-(``conv.as_field``) and ranges, for library callers too, and a range error
-names the spec key as a type error does (``conv.renamed``). A flag takes
-true/false (yes/no, on/off). ``_opt`` reads the integer options no config
-owns (conv ``kernel_size``, pool ``size``, ``units``, ``out_channels``),
-each >= 1; every layer's ``stride`` and ``padding`` goes through
-``conv.as_geometry`` (a pool's ``stride`` is one integer). Only
-``build_network`` names the layer (``layer.N (kind): ``). ``[net]
-classes`` must be >= 2. A file that is not INI (a key or a section given
-twice, a line not ``key = value``) is an error naming it.
+The layer sections run ``[layer.1]`` ... ``[layer.n]`` with no gap, so that
+N names the layer in its errors, cost row and checkpoint files. Any other
+section, or a key its section does not know, is an error naming it, as is a
+bad value: ``LayerSpec`` alone checks a ``kind``, each config owns its field
+types (``conv.as_field``) and ranges, for library callers too, and a range
+error names the spec key as a type error does (``conv.renamed``). A flag
+takes true/false (yes/no, on/off). ``_opt`` reads the integer options no
+config owns (conv ``kernel_size``, pool ``size``, ``units``,
+``out_channels``), each >= 1; every layer's ``stride`` and ``padding`` goes
+through ``conv.as_geometry`` (a pool's ``stride`` is one integer). Only
+``build_network`` names the layer (``layer.N (kind): ``). ``[net] classes``
+must be >= 2. A file that is not INI (a key or a section given twice, a line
+not ``key = value``) is an error naming it.
 
 A layer's ``params()`` names each of its arrays once (an absent bias is
 left out); its ``backward`` returns the gradients under the same names.
@@ -87,6 +89,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import count, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,7 @@ from .baselines import (
     square_share_conv2d_backward,
 )
 from .conv import (
+    _MAX_NUMBERS,
     ConvKernel,
     _hints,
     as_field,
@@ -141,8 +145,8 @@ class LayerSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _LAYER_CLASSES:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+        if self.kind not in tuple(_LAYER_CLASSES):  # a tuple: an unhashable kind is refused too
+            raise ValueError(f"kind must be one of {tuple(_LAYER_CLASSES)}, got {self.kind!r}")
 
 
 @dataclass
@@ -179,9 +183,6 @@ class TrainConfig:
                            ("epochs", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
-
-
-_MAX_NUMBERS = 2**26  # per parameter array, and per array of one sample in a forward pass
 
 
 def _per_sample(what, shape):
@@ -706,30 +707,22 @@ def parse_net_file(path):
         raise ValueError(f"{path}: unknown [net] keys {sorted(extra)}")
     net_options = {key: _parse_value(value) for key, value in net.items() if key != "input"}
 
-    layer_sections = []
-    for section in parser.sections():
-        if section.startswith("layer."):
-            try:
-                idx = int(section.split(".", 1)[1])
-            except ValueError:
-                raise ValueError(f"{path}: bad layer section name [{section}]") from None
-            layer_sections.append((idx, section))
-        elif section not in ("net", "train"):
-            raise ValueError(f"{path}: unknown section [{section}]")
-    layer_sections.sort()
+    layer_sections = list(takewhile(parser.has_section, map("layer.{}".format, count(1))))
+    expected = f"[layer.{len(layer_sections) + 1}]"
+    for section in parser.sections():  # in file order
+        if section not in ("net", "train", *layer_sections):
+            raise ValueError(f"{path}: unknown section [{section}]; "
+                             f"the next layer section is {expected}")
     if not layer_sections:
-        raise ValueError(f"{path}: no [layer.N] sections")
+        raise ValueError(f"{path}: no {expected} section")
 
     layers = []
-    for _, section in layer_sections:
-        body = dict(parser[section])
-        kind = body.pop("kind", None)
-        if kind is None:
-            raise ValueError(f"{path}: [{section}] needs a kind")
-        if kind not in _LAYER_CLASSES:
-            raise ValueError(f"{path}: [{section}] unknown layer kind {kind!r}")
-        options = {key: _parse_value(value) for key, value in body.items()}
-        layers.append(LayerSpec(kind=kind, options=options))
+    for section in layer_sections:
+        options = {key: _parse_value(value) for key, value in parser[section].items()}
+        try:
+            layers.append(LayerSpec(options.pop("kind", None), options))
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}]: {exc}") from None
 
     try:
         spec = NetSpec(layers=layers, input_shape=dims,

@@ -126,8 +126,10 @@ class TestMask:
         "argv, message",
         [(["--size", "x"], "argument --size: invalid int value: 'x'"),
          (["--size", "4"], "argument --size: must be odd and >= 3, got 4"),
-         (["--size", "5", "--bogus"], "unrecognized arguments: --bogus")],
-        ids=["argparse-type", "config-range", "argparse-unknown"],
+         (["--size", "5", "--bogus"], "unrecognized arguments: --bogus"),
+         (["--size", "100001"],
+          "argument --size: must be at most 8192, a mask of 67108864 cells, got 100001")],
+        ids=["argparse-type", "config-range", "argparse-unknown", "config-mask-bound"],
     )
     def test_flag_error_is_one_stderr_line(self, capsys, argv, message):
         assert main(["mask", "--lr", "2", "--lt", "8", "--g", "2", *argv]) == 1
@@ -641,11 +643,13 @@ class TestCount:
             ("size = 5", "size = 4", "layer.1 (lpsc)", "size must be odd and >= 3, got 4"),
             ("padding = 2", "padding = 2\npooling = median", "layer.1 (lpsc)",
              "pooling must be one of ('mean', 'sum', 'max'), got 'median'"),
+            ("size = 5", "size = 100001", "layer.1 (lpsc)",
+             "size must be at most 8192, a mask of 67108864 cells, got 100001"),
         ],
         ids=["units", "out_channels", "stride", "size", "growth", "pair", "out_channels-negative",
              "out_channels-zero", "units-zero", "padding-negative", "growth-inf", "alpha-inf",
              "conv-kernel_size-zero", "conv-stride-zero", "maxpool-size-zero",
-             "dilated-kernel_size-even", "size-even", "pooling-unknown"],
+             "dilated-kernel_size-even", "size-even", "pooling-unknown", "size-past-the-mask-bound"],
     )
     def test_option_of_wrong_type_rejected(self, tmp_path, capsys, old, new, layer, message):
         cfg = tmp_path / "typed.cfg"
@@ -753,6 +757,17 @@ class TestGenData:
 
     def test_unknown_task(self, tmp_path, capsys):
         assert main(["gen-data", "--task", "spirals", "--out", str(tmp_path / "d")]) == 1
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_data_past_any_address_space_is_one_stderr_line(self, tmp_path, lpsc_cfg, capsys,
+                                                             command):
+        # 2e12 16x16 images are 3.64 PiB, past any 64-bit user address space: refused at once
+        argv = ["--net", str(lpsc_cfg)] if command == "train" else []
+        out = tmp_path / "out"
+        assert main([command, *argv, "--n-per-class", "1000000000000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lpsc: error: Unable to allocate"), err
+        assert not out.exists()
 
 
 class TestViz:

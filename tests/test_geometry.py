@@ -88,6 +88,20 @@ class TestConfigValidation:
         assert np.array_equal(mask.radii[:2], [2.0, 4.0]) and mask.radii[-1] == math.inf
         assert int(mask.counts.sum()) == int((mask.index_grid > 0).sum()) == 12
 
+    def test_degenerate_geometry_warning_names_the_caller(self):
+        with pytest.warns(DegenerateGeometryWarning) as rec:
+            LpscConfig(kernel_size=5, levels_r=3, levels_theta=8, growth=2)
+        assert rec[0].filename == __file__
+
+    @pytest.mark.parametrize("size", [8193, 100001, 10**160 + 1], ids=["8193", "100001", "160-digit"])
+    def test_mask_past_the_array_bound_refused(self, size):
+        # refused from the size alone, before any mask is allocated
+        with pytest.raises(ValueError, match=rf"^kernel_size must be at most 8192, .*, got {size}$"):
+            LpscConfig(kernel_size=size, levels_r=2, levels_theta=4, growth=2)
+
+    def test_largest_mask_size_builds(self):
+        assert LpscConfig(kernel_size=8191, levels_r=2, levels_theta=4, growth=2).radius == 4095
+
     def test_healthy_geometry_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

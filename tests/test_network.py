@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,6 +560,16 @@ class TestSpecFiles:
         path.write_text("[net]\ninput = 4x4x1\nclasses = 2\n\n[layer.1]\nunits = 2\n")
         with pytest.raises(ValueError, match="kind"):
             parse_net_file(path)
+
+    def test_readme_spec_example_builds(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        spec, cfg = parse_net_file(path)
+        assert [l.kind for l in spec.layers] == ["lpsc", "relu", "maxpool", "flatten", "dense"]
+        assert spec.layers[0].options["pooling"] == "mean" and cfg.seed == 1
+        assert build_network(spec, seed=cfg.seed).shapes[-1] == (2,)
 
 
 class TestCheckpoints:

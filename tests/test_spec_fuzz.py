@@ -186,6 +186,32 @@ def test_mutation_found_by_the_fuzz_names_its_place(tmp_path, base, section, key
         builds_or_names_its_place(tmp_path / "net.cfg", change_one_key(base, section, key, value))
 
 
+LAYER_KINDS = ("('conv', 'lpsc', 'dilated', 'square_share', 'relu', 'maxpool', 'meanpool', "
+               "'flatten', 'dense')")
+ADDED_SECTIONS = ["layer.0", "layer.-3", "layer.01", "layer.1_0", "layer.+2", "layer.x"]
+
+
+@pytest.mark.parametrize(
+    "old, new, section, message",
+    [("[layer.5]", "[layer.7]", "layer.7",
+      "unknown section [layer.7]; the next layer section is [layer.5]"),
+     *((TRAIN, f"[{name}]\nkind = relu\n{TRAIN}", name,
+        f"unknown section [{name}]; the next layer section is [layer.6]") for name in ADDED_SECTIONS),
+     ("[layer.2]\nkind = relu", "[layer.2]", "layer.2",
+      f"[layer.2]: kind must be one of {LAYER_KINDS}, got None"),
+     ("kind = relu", "kind = bogus", "layer.2",
+      f"[layer.2]: kind must be one of {LAYER_KINDS}, got 'bogus'")],
+    ids=["gap", "zero", "negative", "leading-zero", "underscore", "plus", "not-a-number",
+         "kind-missing", "kind-unknown"],
+)
+def test_every_layer_section_is_named_as_the_file_holds_it(tmp_path, old, new, section, message):
+    path = tmp_path / "net.cfg"
+    path.write_text(SPECS["lpsc"].replace(old, new))
+    with pytest.raises(ValueError) as info:
+        parse_net_file(path)
+    assert str(info.value) == f"{path}: {message}" and f"[{section}]" in message
+
+
 # field -> (the spec's text, the value the built config holds, wrong-typed values); every
 # value differs from the field's default and from the base layer's own value. A wrong-typed
 # value is a float for an int, 1 for a bool, "x" for a float and (2.9, 1) or a bare float for a
