@@ -83,10 +83,11 @@ def dilated_conv2d(input, weights, config: DilatedConfig, bias=None):
     return conv2d_raw(input, w, config.stride, config.padding, d, bias=bias)
 
 
-def dilated_conv2d_backward(input, weights, config: DilatedConfig, grad_output, has_bias=False):
-    """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias)."""
+def dilated_conv2d_backward(input, weights, config: DilatedConfig, grad_output):
+    """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias), the
+    bias gradient always returned."""
     w, d = _dilated_kernel(weights, config), (config.dilation, config.dilation)
-    return conv2d_raw_backward(input, w, grad_output, config.stride, config.padding, d, has_bias)
+    return conv2d_raw_backward(input, w, grad_output, config.stride, config.padding, d)
 
 
 def expand_square_weights(region_weights, pool_size: int) -> np.ndarray:
@@ -112,12 +113,12 @@ def square_share_conv2d(input, region_weights, config: SquareShareConfig, bias=N
     return conv2d_raw(input, full, config.stride, config.padding, bias=bias)
 
 
-def square_share_conv2d_backward(input, region_weights, config: SquareShareConfig, grad_output, has_bias=False):
-    """Adjoints; the region-weight gradient sums its block of the full-kernel gradient."""
+def square_share_conv2d_backward(input, region_weights, config: SquareShareConfig, grad_output):
+    """Adjoints: (grad_input, grad_regions, grad_bias), the bias gradient always
+    returned; the region-weight gradient sums its block of the full-kernel gradient."""
     full = _square_kernel(region_weights, config)
-    grad_x, grad_full, grad_b = conv2d_raw_backward(
-        input, full, grad_output, config.stride, config.padding, has_bias=has_bias
-    )
+    grad_x, grad_full, grad_b = conv2d_raw_backward(input, full, grad_output, config.stride,
+                                                    config.padding)
     p = config.pool_size
     side = config.regions_per_side
     grad_regions = grad_full.reshape(side, p, side, p, *grad_full.shape[2:]).sum(axis=(1, 3))

@@ -4,7 +4,8 @@ Subcommands: mask, check, train, eval, erf, viz, count, gen-data. Every
 command is deterministic given its flags and --seed, for a fixed BLAS
 library and thread count. Exit codes: 0 on success, 1 on validation
 errors (bad flags, bad configs, bad files), 2 on numerical failures (a
-failed check, a non-finite loss in training or evaluation). A failing
+failed check, a non-finite loss in training or evaluation). An error, and
+each warning (say, a degenerate geometry), is one stderr line. A failing
 command writes nothing; a command writes its files before it prints its
 report, so one that cannot write prints none.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +341,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    format_warning = warnings.formatwarning  # a run's warning is one line naming the tool
+    warnings.formatwarning = lambda message, *_: f"lpsc: warning: {message}\n"
     try:
         args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # a non-finite result exits 2 with one line, not warnings
@@ -351,6 +355,8 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"lpsc: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:  # a library caller's warnings keep their form
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -224,10 +224,9 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
     return out
 
 
-def conv2d_raw_backward(
-    x, weights, grad_output, stride=(1, 1), padding=(0, 0), dilation=(1, 1), has_bias=False
-):
-    """Adjoints of conv2d_raw: (grad_input, grad_weights, grad_bias)."""
+def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), dilation=(1, 1)):
+    """Adjoints of conv2d_raw: (grad_input, grad_weights, grad_bias), the bias
+    gradient (*grad_output* summed over positions) always returned."""
     w, xp, padding, geometry = _prepare(x, weights, stride, padding, dilation)
     cols = windows(xp, *geometry)
     g = np.asarray(grad_output, dtype=np.float64)
@@ -247,5 +246,4 @@ def conv2d_raw_backward(
         for a, b in np.ndindex(*w.shape[:2]):
             grad_windows[:, :, :, a, b] += _tap_matmul(g, w[a, b].T)
     grad_x = unpad(grad_xp, padding)
-    grad_b = g.sum(axis=(0, 1, 2)) if has_bias else None
-    return grad_x, grad_w, grad_b
+    return grad_x, grad_w, g.sum(axis=(0, 1, 2))

@@ -213,7 +213,7 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
         if pooled.shape != (*grid, len(slots) * c):
             raise ValueError(f"pooled shape {pooled.shape} does not match input {xb.shape}")
     grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
-        pooled, _region_kernel(config, weights), grad_output, has_bias=weights.bias is not None
+        pooled, _region_kernel(config, weights), grad_output
     )
     n_regions = config.levels_r * config.levels_theta
     grad_kernel = grad_kernel.reshape(len(slots), c, -1)
@@ -224,7 +224,8 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     win = windows(pad(xb, config.padding), (size, size), config.stride) if mode == "max" else None
     pool_cells_backward(win, grad_win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled)
     grad_input = unpad(grad_xp, config.padding)
-    return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=grad_bias)
+    bias = None if weights.bias is None else grad_bias  # bias-less weights get no bias gradient
+    return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=bias)
 
 
 def _weights_layout(fields):

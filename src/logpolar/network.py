@@ -75,13 +75,15 @@ through ``conv.as_geometry`` (a pool's ``stride`` is one integer). Only
 must be >= 2. A file that is not INI (a key or a section given twice, a line
 not ``key = value``) is an error naming it.
 
-A layer's ``params()`` names each of its arrays once (an absent bias is
-left out); its ``backward`` returns the gradients under the same names.
-Checkpoints are a directory with a ``manifest.txt`` (one ``<layer-index>
-<kind> <param> <filename>`` line per file): an lpsc layer is one LPSCW
-file (param ``weights``), every other array a TNSR file. The manifest is
-ASCII text and names only files in its directory. Loading restores every
-parameter exactly once, in place, or raises naming the manifest.
+A layer's ``params()`` alone says which parameters it has, each named once
+(an absent bias is left out, as is lpsc's center without ``center_conv``);
+its ``backward``, SGD, the cost table and checkpoints follow it. Checkpoints
+are a directory with a ``manifest.txt`` (one ``<layer-index> <kind> <param>
+<filename>`` line per file): an lpsc layer is one LPSCW file (param
+``weights``; a center-free layer's center block is written, not restored),
+every other array a TNSR file. The manifest is ASCII text and names only
+files in its directory. Loading restores every parameter exactly once, in
+place, or raises naming the manifest.
 """
 
 from __future__ import annotations
@@ -147,6 +149,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in tuple(_LAYER_CLASSES):  # a tuple: an unhashable kind is refused too
             raise ValueError(f"kind must be one of {tuple(_LAYER_CLASSES)}, got {self.kind!r}")
+        if not isinstance(self.options, dict):
+            raise ValueError(f"options must be a dict, got {self.options!r}")
 
 
 @dataclass
@@ -156,6 +160,9 @@ class NetSpec:
     num_classes: int
 
     def __post_init__(self):
+        if not (isinstance(self.layers, (list, tuple))
+                and all(isinstance(layer, LayerSpec) for layer in self.layers)):
+            raise ValueError(f"layers must be a list of LayerSpec, got {self.layers!r}")
         if not isinstance(self.input_shape, (tuple, list)):  # before it is iterated
             raise ValueError(f"input_shape must be (H, W, C), each >= 1, got {self.input_shape!r}")
         self.input_shape = tuple(as_field(d, int, "input_shape") for d in self.input_shape)
@@ -249,7 +256,7 @@ def _config(cls, options, **spec_keys):
 
 
 def _named(**arrays):
-    """A layer's arrays (or their gradients) by name, leaving out an absent bias."""
+    """A layer's arrays by name, leaving out an absent one (a bias, lpsc's center)."""
     return {name: a for name, a in arrays.items() if a is not None}
 
 
@@ -282,6 +289,10 @@ class _Layer:
 
     def params(self) -> dict:
         return {}
+
+    def _grads(self, **grads):
+        """The gradients of ``params()``, by name; any other is dropped."""
+        return {name: grads[name] for name in self.params()}
 
     def forward(self, x):
         raise NotImplementedError
@@ -353,10 +364,8 @@ class ConvLayer(_WindowLayer):
         return out, x
 
     def backward(self, grad, cache):
-        gx, gw, gb = conv2d_raw_backward(
-            cache, self.weights, grad, self.stride, self.padding, has_bias=self.use_bias
-        )
-        return gx, _named(kernel=gw, bias=gb)
+        gx, gw, gb = conv2d_raw_backward(cache, self.weights, grad, self.stride, self.padding)
+        return gx, self._grads(kernel=gw, bias=gb)
 
 
 class LpscLayer(_WindowLayer):
@@ -376,7 +385,8 @@ class LpscLayer(_WindowLayer):
         self.weights = LpscWeights(center=center, regions=regions, bias=bias)
 
     def params(self):
-        return _named(**vars(self.weights))
+        center = self.weights.center if self.config.center_conv else None
+        return _named(center=center, regions=self.weights.regions, bias=self.weights.bias)
 
     def forward(self, x):
         out, pooled = lpsc_forward_fast(x, self.config, self.weights, return_pooled=True)
@@ -385,7 +395,7 @@ class LpscLayer(_WindowLayer):
     def backward(self, grad, cache):
         x, pooled = cache
         gx, gw = lpsc_backward(x, self.config, self.weights, grad, pooled=pooled)
-        return gx, _named(**vars(gw))
+        return gx, self._grads(**vars(gw))
 
 
 class DilatedLayer(_WindowLayer):
@@ -409,10 +419,8 @@ class DilatedLayer(_WindowLayer):
         return dilated_conv2d(x, self.kernel.weights, self.config, bias=self.kernel.bias), x
 
     def backward(self, grad, cache):
-        gx, gw, gb = dilated_conv2d_backward(
-            cache, self.kernel.weights, self.config, grad, has_bias=self.use_bias
-        )
-        return gx, _named(kernel=gw, bias=gb)
+        gx, gw, gb = dilated_conv2d_backward(cache, self.kernel.weights, self.config, grad)
+        return gx, self._grads(kernel=gw, bias=gb)
 
 
 class SquareShareLayer(_WindowLayer):
@@ -432,10 +440,8 @@ class SquareShareLayer(_WindowLayer):
         return square_share_conv2d(x, self.regions, self.config, bias=self.bias), x
 
     def backward(self, grad, cache):
-        gx, gw, gb = square_share_conv2d_backward(
-            cache, self.regions, self.config, grad, has_bias=self.use_bias
-        )
-        return gx, _named(regions=gw, bias=gb)
+        gx, gw, gb = square_share_conv2d_backward(cache, self.regions, self.config, grad)
+        return gx, self._grads(regions=gw, bias=gb)
 
 
 class ReluLayer(_Layer):
@@ -517,8 +523,8 @@ class DenseLayer(_Layer):
         return ops.dense(x, self.weights, self.bias), x
 
     def backward(self, grad, cache):
-        gx, gw, gb = ops.dense_backward(cache, self.weights, grad, has_bias=self.use_bias)
-        return gx, _named(weights=gw, bias=gb)
+        gx, gw, gb = ops.dense_backward(cache, self.weights, grad)
+        return gx, self._grads(weights=gw, bias=gb)
 
 
 _LAYER_CLASSES = {cls.kind: cls for cls in (
@@ -566,9 +572,8 @@ class Network:
                 for layer in self.layers
             ]
         for layer, layer_grads, velocity in zip(self.layers, grads, self._velocity):
-            params = layer.params()
-            for name, g in layer_grads.items():
-                sgd_update(params[name], g, velocity[name], cfg)
+            for name, param in layer.params().items():
+                sgd_update(param, layer_grads[name], velocity[name], cfg)
 
 
 def sgd_update(param, grad, velocity, cfg: TrainConfig):
@@ -801,6 +806,8 @@ def load_checkpoint(network: Network, directory):
             if pname != "weights":
                 raise ValueError(f"{manifest}: lpsc line names {pname!r}, expected 'weights'")
             arrays = _named(**vars(load_lpsc_weights(directory / fname)))
+            if not layer.config.center_conv:  # the file's center block is written, not restored
+                del arrays["center"]
         else:
             arrays = {pname: load_tensor(directory / fname)}
         for name, arr in arrays.items():

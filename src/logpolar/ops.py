@@ -156,15 +156,14 @@ def dense(x, weights, bias=None):
     return out
 
 
-def dense_backward(x, weights, grad_output, has_bias=False):
+def dense_backward(x, weights, grad_output):
+    """Adjoints of dense: (grad_x, grad_weights, grad_bias), the bias
+    gradient (*grad_output* summed over rows) always returned."""
     x, w = _dense_setup(x, weights)
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != (x.shape[0], w.shape[1]):
         raise ValueError(f"grad_output shape {g.shape} does not match dense output")
-    grad_x = g @ w.T
-    grad_w = x.T @ g
-    grad_b = g.sum(axis=0) if has_bias else None
-    return grad_x, grad_w, grad_b
+    return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
 def softmax(logits):

@@ -73,7 +73,7 @@ def test_criterion_2_gradient_suite():
         x = rng.normal(size=(1, 8, 8, 3))
         k, b = rng.normal(size=(3, 3, 3, 2)), rng.normal(size=2)
         p = rng.normal(size=conv2d_raw(x, k, padding=(1, 1), bias=b).shape)
-        gx, gk, _ = conv2d_raw_backward(x, k, p, padding=(1, 1), has_bias=True)
+        gx, gk, _ = conv2d_raw_backward(x, k, p, padding=(1, 1))
         check("conv input", gx, finite_difference(
             lambda v: float(np.sum(conv2d_raw(v, k, padding=(1, 1), bias=b) * p)), x))
         check("conv kernel", gk, finite_difference(
@@ -102,7 +102,7 @@ def test_criterion_2_gradient_suite():
         dc = DilatedConfig(kernel_size=3, dilation=2, padding=(2, 2))
         kd, bdi = rng.normal(size=(3, 3, 3, 2)), rng.normal(size=2)
         pd = rng.normal(size=dilated_conv2d(x, kd, dc, bias=bdi).shape)
-        gxd, gkd, _ = dilated_conv2d_backward(x, kd, dc, pd, has_bias=True)
+        gxd, gkd, _ = dilated_conv2d_backward(x, kd, dc, pd)
         check("dilated input", gxd, finite_difference(
             lambda v: float(np.sum(dilated_conv2d(v, kd, dc, bias=bdi) * pd)), x))
         check("dilated kernel", gkd, finite_difference(
@@ -123,7 +123,7 @@ def test_criterion_2_gradient_suite():
         wd = rng.normal(size=(7, 4))
         bd = rng.normal(size=4)
         pdn = rng.normal(size=(5, 4))
-        gxn, gwn, gbn = ops.dense_backward(xd, wd, pdn, has_bias=True)
+        gxn, gwn, gbn = ops.dense_backward(xd, wd, pdn)
         check("dense input", gxn, finite_difference(
             lambda v: float(np.sum(ops.dense(v, wd, bd) * pdn)), xd))
         check("dense weights", gwn, finite_difference(
@@ -175,23 +175,25 @@ def test_criterion_3_geometry_suite():
 
 
 def test_criterion_4_parameter_counting():
-    with criterion(4, "parameter counts are exact: 25 and 13 per pair, 121 conventional"):
-        def lpsc_params(lr, lt):
+    with criterion(4, "parameter counts are exact: 25 and 13 per pair (24 without the center), "
+                      "121 conventional"):
+        def lpsc_params(lr, lt, center_conv=True):
             spec = NetSpec(
                 layers=[LayerSpec("lpsc", {"out_channels": 1, "size": 11, "levels_r": lr,
                                            "levels_theta": lt, "growth": 2, "padding": 5,
-                                           "bias": False})],
+                                           "center_conv": center_conv, "bias": False})],
                 input_shape=(16, 16, 1), num_classes=2)
             return count_costs(spec).layers[0].params
 
         assert lpsc_params(3, 8) == 25
+        assert lpsc_params(3, 8, center_conv=False) == 24
         assert lpsc_params(2, 6) == 13
         conv_spec = NetSpec(
             layers=[LayerSpec("conv", {"out_channels": 1, "kernel_size": 11, "padding": 5,
                                        "bias": False})],
             input_shape=(16, 16, 1), num_classes=2)
         assert count_costs(conv_spec).layers[0].params == 121
-        print("  25 / 13 / 121 parameters, exactly")
+        print("  25 (24 without the center) / 13 / 121 parameters, exactly")
 
 
 def test_criterion_5_receptive_fields():

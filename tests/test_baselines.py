@@ -81,7 +81,7 @@ class TestDilated:
         cfg = DilatedConfig(kernel_size=3, dilation=2, padding=(2, 2))
         out = dilated_conv2d(x, w, cfg, bias=b)
         p = RNG.normal(size=out.shape)
-        gx, gw, gb = dilated_conv2d_backward(x, w, cfg, p, has_bias=True)
+        gx, gw, gb = dilated_conv2d_backward(x, w, cfg, p)
         fx = finite_difference(lambda v: float(np.sum(dilated_conv2d(v, w, cfg, bias=b) * p)), x)
         fw = finite_difference(lambda v: float(np.sum(dilated_conv2d(x, v, cfg, bias=b) * p)), w)
         fb = finite_difference(lambda v: float(np.sum(dilated_conv2d(x, w, cfg, bias=v) * p)), b)

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,24 @@ class TestCount:
         with pytest.warns(DegenerateGeometryWarning):
             assert main(["count", "--net", str(cfg)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["count", "mask"])
+    def test_warning_is_one_stderr_line(self, tmp_path, capsys, command):
+        if command == "count":
+            cfg = tmp_path / "edges_lpsc.cfg"
+            cfg.write_text(NETS[-1].read_text().replace("levels_r = 2", "levels_r = 3"))
+            argv = ["count", "--net", str(cfg)]
+        else:
+            argv = ["mask", "--size", "5", "--lr", "3", "--lt", "8", "--g", "2"]
+        format_warning = warnings.formatwarning
+        with pytest.warns(DegenerateGeometryWarning):  # in process, a library caller's warning
+            assert main(argv) == 0
+        assert warnings.formatwarning is format_warning
+        stdout = capsys.readouterr().out
+        run = lpsc_process(argv)
+        assert (run.returncode, run.stdout) == (0, stdout)
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("lpsc: warning: degenerate geometry: R_1 floor of 2 leaves ")
 
     @pytest.mark.parametrize("net", NETS, ids=lambda p: p.name)
     def test_shipped_specs_parse_and_count(self, net, capsys):

@@ -426,7 +426,8 @@ class TestLpscLayerPath:
         want_gx, want = lpsc_backward(x, layer.config, layer.weights, g)
         assert np.array_equal(gx, want_gx)
         assert sorted(grads) == sorted(layer.params())
-        assert np.array_equal(grads["center"], want.center)
+        if center_conv:
+            assert np.array_equal(grads["center"], want.center)
         assert np.array_equal(grads["regions"], want.regions)
         if bias:
             assert np.array_equal(grads["bias"], want.bias)
@@ -692,3 +693,58 @@ class TestParameterContract:
         assert files == sorted(f.name for f in (tmp_path / "b").iterdir())
         for name in files:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+PARAMETER_LAYERS = {  # row -> (kind, options, weights besides a bias on 6x6x2 input)
+    "conv": ("conv", KIND_OPTIONS["conv"], 3 * 3 * 2 * 2),
+    "dilated": ("dilated", KIND_OPTIONS["dilated"], 3 * 3 * 2 * 2),
+    "square_share": ("square_share", KIND_OPTIONS["square_share"], 2 * 2 * 2 * 2),
+    "dense": ("dense", {"units": 2}, 6 * 6 * 2 * 2),
+    "lpsc": ("lpsc", KIND_OPTIONS["lpsc"], (2 * 4 + 1) * 2 * 2),
+    "lpsc-no-center": ("lpsc", {**KIND_OPTIONS["lpsc"], "center_conv": False}, 2 * 4 * 2 * 2),
+}
+
+
+def held_arrays(layer):
+    """Every array *layer* holds, as an attribute or in a weight record, by attribute path."""
+    held = {}
+    for name, value in vars(layer).items():
+        for part, array in vars(value).items() if hasattr(value, "__dict__") else [("", value)]:
+            if isinstance(array, np.ndarray):
+                held[f"{name}.{part}"] = array
+    return held
+
+
+@pytest.mark.parametrize("row", list(PARAMETER_LAYERS))
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+def test_params_alone_say_what_a_layer_has(tmp_path, row, bias):
+    """Gradients, SGD, the cost table and checkpoints all follow ``params()``."""
+    kind, options, weights = PARAMETER_LAYERS[row]
+    first = [LayerSpec("flatten")] if kind == "dense" else []
+    spec = NetSpec(layers=[*first, LayerSpec(kind, {**options, "bias": bias})],
+                   input_shape=(6, 6, 2), num_classes=2)
+    net = build_network(spec, seed=1, require_logits=False)
+    layer = net.layers[-1]
+    params = layer.params()
+    owned = {path for path, a in held_arrays(layer).items() if any(a is p for p in params.values())}
+    assert len(owned) == len(params)
+
+    rng = np.random.default_rng(20)
+    out = net.forward(rng.uniform(0, 1, size=(2, 6, 6, 2)))
+    _, grads = net.backward(rng.normal(size=out.shape))
+    assert sorted(grads[-1]) == sorted(params)
+
+    before = {path: a.copy() for path, a in held_arrays(layer).items()}
+    net.sgd_step(grads, TrainConfig(learning_rate=0.1, weight_decay=0.01))
+    after = held_arrays(layer)
+    assert {path for path in after if not np.array_equal(after[path], before[path])} == owned
+
+    assert count_costs(spec).layers[-1].params == sum(p.size for p in params.values())
+    assert sum(p.size for p in params.values()) == weights + 2 * bias
+
+    save_checkpoint(net, tmp_path / "ck")
+    other = build_network(spec, seed=2, require_logits=False)
+    kept = {path: a.copy() for path, a in held_arrays(other.layers[-1]).items()}
+    load_checkpoint(other, tmp_path / "ck")
+    for path, array in held_arrays(other.layers[-1]).items():  # an array no param names keeps its draw
+        assert array.tobytes() == (after if path in owned else kept)[path].tobytes()

@@ -21,7 +21,7 @@ import pytest
 
 from logpolar.baselines import DilatedConfig, SquareShareConfig
 from logpolar.geometry import DegenerateGeometryWarning, LpscConfig
-from logpolar.network import NetSpec, TrainConfig, build_network, parse_net_file
+from logpolar.network import LayerSpec, NetSpec, TrainConfig, build_network, parse_net_file
 
 TRAIN = """
 [train]
@@ -258,7 +258,8 @@ TYPE_WORDS = {int: "an integer", float: "a number", bool: "true or false", str: 
               tuple[int, int]: "an integer or a pair of integers"}  # annotation -> its type error
 REQUIRED = {LpscConfig: {"kernel_size": 5, "levels_r": 1, "levels_theta": 4, "growth": 2},
             DilatedConfig: {"kernel_size": 3}, SquareShareConfig: {"kernel_size": 4}, TrainConfig: {},
-            NetSpec: {"layers": [], "input_shape": (16, 16, 1), "num_classes": 2}}
+            NetSpec: {"layers": [], "input_shape": (16, 16, 1), "num_classes": 2},
+            LayerSpec: {"kind": "relu"}}
 
 
 def test_settings_cover_every_field():
@@ -311,7 +312,10 @@ def test_every_config_field_refuses_a_wrong_type(cls, name):
     [(cls, name, value) for cls, table in PAST_RANGE.items() for name, value in table.items()]
     + [(cls, name, SETTINGS[cls][name][2][0]) for cls in SETTINGS for name in SETTINGS[cls]]
     + [(NetSpec, name, value) for name, value in NET_SPEC_WRONG_TYPES.items()]
-    + [(NetSpec, "input_shape", value) for value in (16, None)],  # not a sequence at all
+    + [(NetSpec, "input_shape", value) for value in (16, None)]  # not a sequence at all
+    # a library caller's layer list: LayerSpecs in a list or tuple, each with a dict of options
+    + [(NetSpec, "layers", value) for value in (["relu"], "relu", None, (LayerSpec("relu"), 5))]
+    + [(LayerSpec, "options", value) for value in (5, None, [("size", 5)])],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
 )
 def test_every_config_error_starts_with_its_field(cls, name, value):

@@ -217,7 +217,7 @@ class TestConv2d:
         out = conv2d_raw(x, w, padding=(1, 0), bias=np.ones(c_out))
         assert out.shape == (n, 7 - size[0] + 1, 5 - size[1], c_out)
         assert np.all(out == 1.0)  # bias only
-        gx, gw, gb = conv2d_raw_backward(x, w, np.ones(out.shape), padding=(1, 0), has_bias=True)
+        gx, gw, gb = conv2d_raw_backward(x, w, np.ones(out.shape), padding=(1, 0))
         assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (c_out,)
         assert not gx.any() and not gw.any() and np.all(gb == n * out.shape[1] * out.shape[2])
 
@@ -306,7 +306,7 @@ class TestConvBackward:
         x = RNG.normal(size=(1, 5, 5, 2))
         w, b = RNG.normal(size=(3, 3, 2, 2)), np.zeros(2)
         out = conv2d_raw(x, w, padding=(1, 1), bias=b)
-        gx, gw, gb = conv2d_raw_backward(x, w, np.zeros_like(out), padding=(1, 1), has_bias=True)
+        gx, gw, gb = conv2d_raw_backward(x, w, np.zeros_like(out), padding=(1, 1))
         assert not gx.any()
         assert not gw.any()
         assert not gb.any()
@@ -325,7 +325,7 @@ class TestConvBackward:
         geometry = dict(stride=stride, padding=padding)
         out = conv2d_raw(x, w, bias=b, **geometry)
         p = _loss_weights(out.shape)
-        gx, gw, gb = conv2d_raw_backward(x, w, p, has_bias=True, **geometry)
+        gx, gw, gb = conv2d_raw_backward(x, w, p, **geometry)
 
         fx = finite_difference(lambda xv: float(np.sum(conv2d_raw(xv, w, bias=b, **geometry) * p)), x)
         fw = finite_difference(lambda wv: float(np.sum(conv2d_raw(x, wv, bias=b, **geometry) * p)), w)
@@ -474,7 +474,7 @@ class TestOps:
         w = RNG.normal(size=(7, 4))
         b = RNG.normal(size=4)
         p = _loss_weights((5, 4))
-        gx, gw, gb = ops.dense_backward(x, w, p, has_bias=True)
+        gx, gw, gb = ops.dense_backward(x, w, p)
         assert max_rel_error(gx, finite_difference(lambda v: float(np.sum(ops.dense(v, w, b) * p)), x)) < 1e-5
         assert max_rel_error(gw, finite_difference(lambda v: float(np.sum(ops.dense(x, v, b) * p)), w)) < 1e-5
         assert max_rel_error(gb, finite_difference(lambda v: float(np.sum(ops.dense(x, w, v) * p)), b)) < 1e-5
