@@ -25,7 +25,7 @@ import numpy as np
 
 from . import checks
 from .analysis import count_costs, estimate_rf, kernel_to_pgm, rf_to_pgm, visualize_kernel
-from .conv import renamed
+from .conv import renamed, renamed_warnings
 from .data import Dataset, load_idx, make_oriented_edges, save_idx
 from .geometry import LpscConfig, build_mask, mask_to_pgm, mask_to_text
 from .lpsc import load_lpsc_weights
@@ -74,11 +74,14 @@ _MASK_FLAGS = {"kernel_size": "size", "levels_r": "lr", "levels_theta": "lt", "g
 
 
 def _mask_config(args) -> LpscConfig:
-    """The config of the mask flags (``_MASK_FLAGS``: field -> flag); its errors name the flag."""
+    """The config of the mask flags (``_MASK_FLAGS``: field -> flag); its errors and
+    warnings name the flag."""
+    names = {f: f"argument --{flag}:" for f, flag in _MASK_FLAGS.items()}
     try:
-        return LpscConfig(**{field: getattr(args, flag) for field, flag in _MASK_FLAGS.items()})
+        with renamed_warnings(names):
+            return LpscConfig(**{field: getattr(args, flag) for field, flag in _MASK_FLAGS.items()})
     except ValueError as exc:
-        raise renamed(exc, {f: f"argument --{flag}:" for f, flag in _MASK_FLAGS.items()}) from None
+        raise renamed(exc, names) from None
 
 
 def cmd_mask(args) -> int:

@@ -12,7 +12,13 @@ copied into an im2col matrix. The adjoint takes each tap's weight
 gradient as one GEMM too, and adds each tap of the input gradient back
 through a writeable view. A 1x1 kernel at unit stride maps its windows
 one-to-one onto the padded pixels, so there the input adjoint is the one
-tap's product itself, with no zero-filled buffer and no scatter.
+tap's product itself, with no zero-filled buffer and no scatter. A
+channel-major batch, stored as (C, N, H, W) memory as ``lpsc`` stores
+its pooled tensor, is the (C, N*H*W) matrix P: its 1x1 convolution runs
+as ``(K.T @ P).T``, its weight gradient as ``P @ g`` and its input
+gradient as ``K @ g.T``, which lands channel-major as the input is. The
+output gradient g is read as C-contiguous rows whatever its memory order,
+so the gradients do not depend on that order.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
@@ -29,7 +35,9 @@ GEMM per tap; a GEMM's rounding may change with the BLAS thread count.
 
 from __future__ import annotations
 
+import contextlib
 import typing
+import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -47,6 +55,7 @@ __all__ = [
     "out_extent",
     "pad",
     "renamed",
+    "renamed_warnings",
     "unpad",
     "windows",
 ]
@@ -81,6 +90,18 @@ def renamed(exc, names):
     """*exc* with its leading field name replaced by ``names[field]``; any other error as it is."""
     field, _, rest = str(exc).partition(" ")
     return ValueError(f"{names[field]} {rest}") if field in names else exc
+
+
+@contextlib.contextmanager
+def renamed_warnings(names, prefix=""):
+    """Re-issue each warning of the block, from where it was issued, as *prefix*
+    plus its ``renamed`` message; a block that raises drops its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        text = prefix + str(renamed(w.message, names))
+        warnings.warn_explicit(text, w.category, w.filename, w.lineno)
 
 
 def check_fields(config) -> None:
@@ -184,18 +205,37 @@ def _prepare(x, weights, stride, padding, dilation):
 def _tap_matmul(tap, m):
     """(N, Ho, Wo, K) *tap* times (K, M) *m*, as one 2-D GEMM where that copies nothing.
 
-    A strided tap goes to ``matmul`` as it is, which runs one GEMM per
-    (Wo, K) row block without copying the tap. A one-channel tap (K = 1)
-    is reshaped to a column instead: numpy's ``matmul`` has no BLAS path
-    for an inner dimension of 1, and the column, 1/M of the product's
-    size, is the only copy.
+    A C-contiguous tap is the (N*Ho*Wo, K) matrix. A channel-major tap,
+    whose ``transpose(3, 0, 1, 2)`` is C-contiguous, is the (K, N*Ho*Wo)
+    matrix P, and runs as ``(m.T @ P).T``: the product comes back as a
+    channel-major view. Any other strided tap goes to ``matmul`` as it
+    is, which runs one GEMM per (Wo, K) row block without copying the
+    tap. A one-channel tap (K = 1) is reshaped to a column instead:
+    numpy's ``matmul`` has no BLAS path for an inner dimension of 1, and
+    the column, 1/M of the product's size, is the only copy.
     """
     n, ho, wo, k = tap.shape
     if k == 1:
         return np.dot(tap.reshape(n * ho * wo, 1), m).reshape(n, ho, wo, m.shape[1])
     if tap.flags.c_contiguous:
         return (tap.reshape(n * ho * wo, k) @ m).reshape(n, ho, wo, m.shape[1])
+    if _channel_major(tap):
+        return (m.T @ _by_channel(tap)).T.reshape(n, ho, wo, m.shape[1])
     return tap @ m
+
+
+def _channel_major(x) -> bool:
+    """Whether the (N, H, W, C) *x* is stored as (C, N, H, W) memory."""
+    return x.transpose(3, 0, 1, 2).flags.c_contiguous
+
+
+def _by_channel(x):
+    """The (N, H, W, C) *x* as a (C, N*H*W) matrix: a view when *x* is
+    channel-major or C-contiguous, else the transpose of a row copy."""
+    n, h, w, c = x.shape
+    if _channel_major(x):
+        return x.transpose(3, 0, 1, 2).reshape(c, n * h * w)
+    return x.reshape(n * h * w, c).T
 
 
 def _as_bias(bias, units) -> np.ndarray:
@@ -233,17 +273,21 @@ def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), 
     expected = (*cols.shape[:3], w.shape[3])
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
-    rows = g.shape[0] * g.shape[1] * g.shape[2]
-    g_rows = g.reshape(rows, g.shape[3])
+    # C-contiguous rows whatever grad_output's memory order: every product and the
+    # bias sum below then read one order, so the gradients do not depend on it
+    g_rows = np.ascontiguousarray(g.reshape(g.shape[0] * g.shape[1] * g.shape[2], g.shape[3]))
     grad_w = np.empty_like(w)
     for a, b in np.ndindex(*w.shape[:2]):  # a strided tap is copied here, one at a time
-        grad_w[a, b] = cols[:, :, :, a, b].reshape(rows, w.shape[2]).T @ g_rows
-    if w.shape[:2] == (1, 1) and geometry[1] == (1, 1):
-        grad_xp = _tap_matmul(g, w[0, 0].T)  # one window per padded pixel
+        grad_w[a, b] = _by_channel(cols[:, :, :, a, b]) @ g_rows
+    if w.shape[:2] == (1, 1) and geometry[1] == (1, 1):  # one window per padded pixel
+        if _channel_major(xp) and not xp.flags.c_contiguous:  # K @ g.T: channel-major, as xp is
+            grad_xp = (w[0, 0] @ g_rows.T).reshape(w.shape[2], *g.shape[:3]).transpose(1, 2, 3, 0)
+        else:
+            grad_xp = _tap_matmul(g_rows.reshape(g.shape), w[0, 0].T)
     else:
         grad_xp = np.zeros_like(xp)
         grad_windows = windows(grad_xp, *geometry, writeable=True)
         for a, b in np.ndindex(*w.shape[:2]):
             grad_windows[:, :, :, a, b] += _tap_matmul(g, w[a, b].T)
     grad_x = unpad(grad_xp, padding)
-    return grad_x, grad_w, g.sum(axis=(0, 1, 2))
+    return grad_x, grad_w, g_rows.sum(axis=0)

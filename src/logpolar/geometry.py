@@ -111,10 +111,9 @@ class LpscConfig:
         if self.levels_r >= 2 and self.radius**2 / _power(self.growth, self.levels_r - 2) <= 2.0:
             # the floor R_1 = 2 swallows at least one further shell: the
             # second-to-last threshold already reaches past R^2
-            warnings.warn(
-                f"degenerate geometry: R_1 floor of 2 leaves empty outer shells "
-                f"for kernel_size={self.kernel_size}, levels_r={self.levels_r}, "
-                f"growth={self.growth}",
+            warnings.warn(  # worded as an error is, from the field, for ``conv.renamed``
+                f"kernel_size {self.kernel_size} is degenerate with levels_r={self.levels_r}, "
+                f"growth={self.growth}: the R_1 floor of 2 leaves empty outer shells",
                 DegenerateGeometryWarning,
                 stacklevel=3,  # the caller of LpscConfig(...), past the generated __init__
             )
@@ -122,11 +121,6 @@ class LpscConfig:
     @property
     def radius(self) -> int:
         return (self.kernel_size - 1) // 2
-
-    @property
-    def weights_per_pair(self) -> int:
-        """Weights per (input, output) channel pair: one per region plus center."""
-        return self.levels_r * self.levels_theta + 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,15 @@ checks. The 1x1 convolution's adjoint checks the output gradient.
 
 Log-polar pooling is ``ops.pool_cells`` over the ``conv.windows`` view
 of the padded input, and its adjoint is ``ops.pool_cells_backward``.
+Shapes stay channels-last, but memory is channel-major: the padded input
+is stored as (C_in, N, Hp, Wp) and the pooled tensor as (slots, C_in, N,
+Ho, Wo), viewed as (N, Ho, Wo, slots*C_in). Each slot then pools into,
+and its adjoint reads, one contiguous block. With P the pooled tensor as
+a (slots*C_in, N*Ho*Wo) matrix, K the 1x1 kernel and g the output
+gradient as (N*Ho*Wo, C_out) rows, the block convolution is three plain
+GEMMs with no copy of P: ``(K.T @ P).T`` forward (the output comes back
+channel-major), ``P @ g`` for the weight gradient and ``K @ g.T`` for
+the pooled gradient, which lands channel-major as P is.
 Only ``log_polar_pool`` and ``lpsc_backward`` read the slot plan,
 ``_plan``. A slot is a region's mask cells (dr, dc) in row-major order,
 as window taps (r + dr, r + dc). Region k = (level-1)*levels_theta +
@@ -129,17 +138,27 @@ def _prepare(input, config: LpscConfig, weights: LpscWeights):
     return xb
 
 
+def _padded(xb, padding):
+    """The batch *xb* zero-padded into channel-major (C, N, Hp, Wp) memory,
+    viewed as (N, Hp, Wp, C)."""
+    n, h, w, c = xb.shape
+    ph, pw = padding
+    xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw)).transpose(1, 2, 3, 0)
+    unpad(xp, padding)[...] = xb
+    return xp
+
+
 def log_polar_pool(input, config: LpscConfig):
     """Pool every window's regions, then its center cell, into channels.
 
     Returns (N, grid_h, grid_w, slots*C_in) in the slot layout of the
-    module docstring; empty regions hold 0.
+    module docstring, stored channel-major; empty regions hold 0.
     """
-    xb = as_batch(input)
-    size = config.kernel_size
-    win = windows(pad(xb, config.padding), (size, size), config.stride)
-    pooled = pool_cells(win, _plan(config), config.pooling_mode)
-    return pooled.reshape(*pooled.shape[:3], -1)
+    xb, slots, size = as_batch(input), _plan(config), config.kernel_size
+    win = windows(_padded(xb, config.padding), (size, size), config.stride)
+    n, ho, wo, _, _, c = win.shape
+    out = np.empty((len(slots), c, n, ho, wo)).transpose(2, 3, 4, 0, 1)
+    return pool_cells(win, slots, config.pooling_mode, out=out).reshape(n, ho, wo, len(slots) * c)
 
 
 def _region_kernel(config: LpscConfig, weights: LpscWeights) -> np.ndarray:
@@ -202,7 +221,7 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     xb, slots = _prepare(input, config, weights), _plan(config)
     n, h, w, c = xb.shape
     size, (ph, pw), mode = config.kernel_size, config.padding, config.pooling_mode
-    grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float64)
+    grad_xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw)).transpose(1, 2, 3, 0)  # as _padded lays it out
     grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
     grid = grad_win.shape[:3]
 
@@ -221,7 +240,7 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     grad_center = grad_kernel[n_regions:].sum(axis=0)  # the center slot's rows, or zeros
     grad_pooled = grad_pooled.reshape(*grid, len(slots), c)
 
-    win = windows(pad(xb, config.padding), (size, size), config.stride) if mode == "max" else None
+    win = windows(_padded(xb, config.padding), (size, size), config.stride) if mode == "max" else None
     pool_cells_backward(win, grad_win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled)
     grad_input = unpad(grad_xp, config.padding)
     bias = None if weights.bias is None else grad_bias  # bias-less weights get no bias gradient

@@ -116,6 +116,7 @@ from .conv import (
     conv2d_raw_backward,
     out_extent,
     renamed,
+    renamed_warnings,
 )
 from .geometry import LpscConfig
 from .lpsc import (
@@ -379,7 +380,7 @@ class LpscLayer(_WindowLayer):
 
     def init_params(self, in_shape, rng):
         cfg, c, out = self.config, in_shape[2], self.out_channels
-        cells = cfg.weights_per_pair  # every weight serves a whole region
+        cells = cfg.levels_r * cfg.levels_theta + 1  # Glorot cells: the regions and the center
         center, _ = _init(rng, (c,), out, False, cells)
         regions, bias = _init(rng, (cfg.levels_r, cfg.levels_theta, c), out, self.use_bias, cells)
         self.weights = LpscWeights(center=center, regions=regions, bias=bias)
@@ -599,7 +600,8 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
     for i, layer_spec in enumerate(spec.layers, start=1):
         options, cls = dict(layer_spec.options), _LAYER_CLASSES[layer_spec.kind]
         try:
-            layer = cls(i, options)
+            with renamed_warnings(cls.spec_keys, f"layer.{i} ({layer_spec.kind}): "):
+                layer = cls(i, options)
             if options:
                 raise ValueError(f"unknown options {sorted(options)}")
             shapes.append(layer.out_shape(shapes[-1]))

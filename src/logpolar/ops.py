@@ -45,19 +45,24 @@ def relu_backward(x, grad_output):
     return g * (x > 0.0)
 
 
-def pool_cells(win, slots, mode):
+def pool_cells(win, slots, mode, out=None):
     """Pool each slot, a sequence of (a, b) taps, of the windows view *win*
     into (N, Ho, Wo, len(slots), C): the taps' sum, their mean (the sum over
-    the slot's population) or their running maximum; an empty slot is 0."""
+    the slot's population) or their running maximum; an empty slot is 0.
+
+    Each slot accumulates in place in its slice of *out*: a new C-contiguous
+    array, or the caller's array of that shape. ``lpsc`` passes one stored
+    as (len(slots), C, N, Ho, Wo), where every slot's slice is contiguous;
+    with one slot, as the window pools use, the new array's slice is
+    contiguous too."""
     n, ho, wo, _, _, c = win.shape
-    out = np.empty((n, ho, wo, len(slots), c))
-    # a contiguous buffer keeps the adds fast; a lone slot's output slice
-    # is one already (numpy skips assigning a slice to itself)
-    acc = out[:, :, :, 0] if len(slots) == 1 else np.empty((n, ho, wo, c))
+    if out is None:
+        out = np.empty((n, ho, wo, len(slots), c))
     combine = np.maximum if mode == "max" else np.add
     for k, taps in enumerate(slots):
+        acc = out[:, :, :, k]
         if len(taps) == 0:
-            out[:, :, :, k] = 0.0
+            acc[...] = 0.0
             continue
         (a, b), *rest = taps
         acc[...] = win[:, :, :, a, b]
@@ -65,7 +70,6 @@ def pool_cells(win, slots, mode):
             combine(acc, win[:, :, :, a, b], out=acc)
         if mode == "mean":
             acc /= len(taps)
-        out[:, :, :, k] = acc
     return out
 
 

@@ -665,14 +665,24 @@ class TestCount:
             assert main(["count", "--net", str(cfg)]) == 0
         assert capsys.readouterr().err == ""
 
+    DEGENERATE = {  # a command on a k5 geometry with 3 shells, and the warning it gives
+        "count": "layer.1 (lpsc): size 5 is degenerate with levels_r=3, growth=2.0: "
+                 "the R_1 floor of 2 leaves empty outer shells",
+        "mask": "argument --size: 5 is degenerate with levels_r=3, growth=2.0: "
+                "the R_1 floor of 2 leaves empty outer shells",
+    }
+
+    @staticmethod
+    def degenerate_argv(tmp_path, command):
+        if command == "mask":
+            return ["mask", "--size", "5", "--lr", "3", "--lt", "8", "--g", "2"]
+        cfg = tmp_path / "edges_lpsc.cfg"
+        cfg.write_text(NETS[-1].read_text().replace("levels_r = 2", "levels_r = 3"))
+        return ["count", "--net", str(cfg)]
+
     @pytest.mark.parametrize("command", ["count", "mask"])
     def test_warning_is_one_stderr_line(self, tmp_path, capsys, command):
-        if command == "count":
-            cfg = tmp_path / "edges_lpsc.cfg"
-            cfg.write_text(NETS[-1].read_text().replace("levels_r = 2", "levels_r = 3"))
-            argv = ["count", "--net", str(cfg)]
-        else:
-            argv = ["mask", "--size", "5", "--lr", "3", "--lt", "8", "--g", "2"]
+        argv = self.degenerate_argv(tmp_path, command)
         format_warning = warnings.formatwarning
         with pytest.warns(DegenerateGeometryWarning):  # in process, a library caller's warning
             assert main(argv) == 0
@@ -680,8 +690,14 @@ class TestCount:
         stdout = capsys.readouterr().out
         run = lpsc_process(argv)
         assert (run.returncode, run.stdout) == (0, stdout)
-        assert len(run.stderr.splitlines()) == 1
-        assert run.stderr.startswith("lpsc: warning: degenerate geometry: R_1 floor of 2 leaves ")
+        assert run.stderr == f"lpsc: warning: {self.DEGENERATE[command]}\n"
+
+    @pytest.mark.parametrize("command", ["count", "mask"])
+    def test_warning_names_the_spec_key_or_flag(self, tmp_path, capsys, command):
+        # worded as the command's errors are: the layer and its spec key, or the flag
+        with pytest.warns(DegenerateGeometryWarning) as caught:
+            assert main(self.degenerate_argv(tmp_path, command)) == 0
+        assert [str(w.message) for w in caught] == [self.DEGENERATE[command]]
 
     @pytest.mark.parametrize("net", NETS, ids=lambda p: p.name)
     def test_shipped_specs_parse_and_count(self, net, capsys):

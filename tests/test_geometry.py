@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logpolar.network
 from logpolar.geometry import (
     DegenerateGeometryWarning,
     LpscConfig,
@@ -18,6 +20,7 @@ from logpolar.geometry import (
     region_radii,
     squared_cell_distance,
 )
+from logpolar.network import LpscLayer
 
 
 def cfg(size, lr, lt, g, **kw):
@@ -286,7 +289,17 @@ def mask_invariants(config):
                 step += 1
             assert levels == sorted(levels)
 
-    assert config.weights_per_pair == lr * lt + 1
+    assert glorot_cells(config) == lr * lt + 1
+
+
+def glorot_cells(config):
+    """The cell count with which an lpsc layer of *config* draws its Glorot weights."""
+    layer = LpscLayer.__new__(LpscLayer)  # init_params reads these three alone
+    layer.config, layer.out_channels, layer.use_bias = config, 1, True
+    with mock.patch.object(logpolar.network, "_init", wraps=logpolar.network._init) as init:
+        layer.init_params((1, 1, 1), np.random.default_rng(0))
+    (cells,) = {call.args[4] for call in init.call_args_list}
+    return cells
 
 
 SWEEP = [

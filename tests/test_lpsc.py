@@ -474,6 +474,32 @@ class TestBackward:
             with pytest.raises(ValueError, match=message):
                 call()
 
+    @pytest.mark.parametrize("mode", POOLING_MODES)
+    def test_pooling_adjoint_reads_contiguous_slots(self, monkeypatch, mode):
+        # the pooled gradient takes the pooled tensor's channel-major memory, not
+        # grad_output's: every slot the pooling adjoint reads is one contiguous block
+        c = LpscConfig(kernel_size=7, levels_r=2, levels_theta=6, growth=2, padding=3,
+                       pooling_mode=mode)
+        x = RNG.normal(size=(2, 9, 8, 3))
+        w = make_weights(c, 3, 4, RNG)
+        out, pooled = lpsc_forward_fast(x, c, w, return_pooled=True)
+        g = RNG.normal(size=out.shape)
+        orders = [g, np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)]
+        assert orders[0].flags.c_contiguous and not orders[1].flags.c_contiguous
+        adjoint, slot_blocks = logpolar.lpsc.pool_cells_backward, []
+
+        def spy(win, grad_win, slots, mode, pooled, grad):
+            slot_blocks.append([grad[:, :, :, k].transpose(3, 0, 1, 2).flags.c_contiguous
+                                for k in range(len(slots))])
+            return adjoint(win, grad_win, slots, mode, pooled, grad)
+
+        monkeypatch.setattr(logpolar.lpsc, "pool_cells_backward", spy)
+        (gx, gw), (gx2, gw2) = (lpsc_backward(x, c, w, grad, pooled=pooled) for grad in orders)
+        assert len(slot_blocks) == 2 and all(all(blocks) for blocks in slot_blocks)
+        assert gx.tobytes() == gx2.tobytes()
+        for name in ("center", "regions", "bias"):
+            assert getattr(gw, name).tobytes() == getattr(gw2, name).tobytes()
+
     def test_forward_pooled_tensor_reused(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2, stride=(1, 2))
         x = RNG.normal(size=(1, 7, 8, 2))

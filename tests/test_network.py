@@ -68,7 +68,12 @@ class TestBuild:
         history = train(net, ds, TrainConfig(learning_rate=0.1, epochs=3, batch_size=4))
         assert len(history) == 3
 
-    def test_lpsc_weight_count_per_pair(self):
+    @pytest.mark.parametrize("center_conv", [True, False])
+    def test_lpsc_weight_count_per_pair(self, monkeypatch, center_conv):
+        # the Glorot cell count is one per region plus the center, with or
+        # without the center term, so a center-free init draws the same numbers
+        init, cells = logpolar.network._init, []
+        monkeypatch.setattr(logpolar.network, "_init", lambda *a: cells.append(a[4:]) or init(*a))
         spec = NetSpec(
             layers=[
                 LayerSpec(
@@ -80,6 +85,7 @@ class TestBuild:
                         "levels_theta": 6,
                         "growth": 3,
                         "padding": 2,
+                        "center_conv": center_conv,
                     },
                 ),
                 LayerSpec("flatten"),
@@ -90,7 +96,7 @@ class TestBuild:
         )
         net = build_network(spec, seed=0)
         lpsc = net.layers[0]
-        assert lpsc.config.weights_per_pair == 13
+        assert cells == [(13,), (13,), ()]  # the center and region draws, then dense's
         weight_count = lpsc.weights.center.size + lpsc.weights.regions.size
         assert weight_count == 13 * 2 * 3
 

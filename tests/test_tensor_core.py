@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from logpolar import conv2d_raw, load_tensor, save_tensor
 from logpolar import ops
+from logpolar.checks import EQUIVALENCE_TOL
 from logpolar.baselines import (
     DilatedConfig,
     SquareShareConfig,
@@ -236,6 +237,23 @@ class TestConv2d:
         gx, gw, _ = conv2d_raw_backward(x, w, g, padding=padding)
         assert np.array_equal(gx, unpad((g_rows @ w[0, 0].T).reshape(xp.shape), padding))
         assert np.array_equal(gw[0, 0], rows.T @ g_rows)
+
+    @pytest.mark.parametrize("c_in", [2, 7])
+    def test_one_by_one_channel_major_input(self, c_in):
+        # the LPSC pooled tensor's memory order: each tap's transpose is one
+        # C-contiguous (C_in, N*H*W) matrix, contracted as (w.T @ P).T with no copy
+        x = RNG.normal(size=(3, 5, 6, c_in))
+        xc = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        w = RNG.normal(size=(1, 1, c_in, 4))
+        g = RNG.normal(size=(3, 5, 6, 4))
+        out = conv2d_raw(xc, w)
+        assert max_rel_error(out, conv2d_raw(x, w)) < EQUIVALENCE_TOL
+        assert out.transpose(3, 0, 1, 2).flags.c_contiguous  # the product's own memory
+        gx, gw, gb = conv2d_raw_backward(xc, w, g)
+        want_gx, want_gw, want_gb = conv2d_raw_backward(x, w, g)
+        assert max_rel_error(gw, want_gw) < EQUIVALENCE_TOL and np.array_equal(gb, want_gb)
+        assert max_rel_error(gx, want_gx) < EQUIVALENCE_TOL
+        assert gx.transpose(3, 0, 1, 2).flags.c_contiguous  # as the input is laid out
 
     @settings(max_examples=80, deadline=None)
     @given(
