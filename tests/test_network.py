@@ -68,37 +68,20 @@ class TestBuild:
         history = train(net, ds, TrainConfig(learning_rate=0.1, epochs=3, batch_size=4))
         assert len(history) == 3
 
-    @pytest.mark.parametrize("center_conv", [True, False])
-    def test_lpsc_weight_count_per_pair(self, monkeypatch, center_conv):
+    def test_lpsc_weight_count_per_pair(self, monkeypatch):
         # the Glorot cell count is one per region plus the center, with or
         # without the center term, so a center-free init draws the same numbers
         init, cells = logpolar.network._init, []
         monkeypatch.setattr(logpolar.network, "_init", lambda *a: cells.append(a[4:]) or init(*a))
-        spec = NetSpec(
-            layers=[
-                LayerSpec(
-                    "lpsc",
-                    {
-                        "out_channels": 3,
-                        "size": 5,
-                        "levels_r": 2,
-                        "levels_theta": 6,
-                        "growth": 3,
-                        "padding": 2,
-                        "center_conv": center_conv,
-                    },
-                ),
-                LayerSpec("flatten"),
-                LayerSpec("dense", {"units": 2}),
-            ],
-            input_shape=(8, 8, 2),
-            num_classes=2,
-        )
-        net = build_network(spec, seed=0)
-        lpsc = net.layers[0]
-        assert cells == [(13,), (13,), ()]  # the center and region draws, then dense's
-        weight_count = lpsc.weights.center.size + lpsc.weights.regions.size
-        assert weight_count == 13 * 2 * 3
+        for center_conv in (True, False):
+            options = {"out_channels": 3, "size": 5, "levels_r": 2, "levels_theta": 6,
+                       "growth": 3, "padding": 2, "center_conv": center_conv}
+            layers = [LayerSpec("lpsc", options), LayerSpec("flatten"), LayerSpec("dense", {"units": 2})]
+            cells.clear()
+            lpsc = build_network(NetSpec(layers, input_shape=(8, 8, 2), num_classes=2), seed=0).layers[0]
+            assert cells == [(13,), (13,), ()]  # the center and region draws, then dense's
+            weight_count = lpsc.weights.center.size + lpsc.weights.regions.size
+            assert weight_count == 13 * 2 * 3
 
     @pytest.mark.parametrize("shape", [(16, 16, 0), (0, 4, 1), (4, -1, 1)])
     def test_input_dim_below_one_rejected(self, shape):
