@@ -1,4 +1,5 @@
-"""Quantitative instruments: cost accounting, receptive fields, kernel images.
+"""Quantitative instruments: cost accounting, receptive fields, kernel images
+(drawn from an lpsc layer's config, which alone fixes the mask and the center).
 
 Counting rules, applied exactly (not asymptotically):
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import LogPolarMask, build_mask, squared_cell_distance
+from .geometry import LogPolarMask, LpscConfig, build_mask, squared_cell_distance
 from .lpsc import LpscWeights
 from .network import Network, NetSpec, build_network
 from .raster import pgm_bytes, to_gray
@@ -206,39 +207,40 @@ def nearest_region_grid(mask: LogPolarMask) -> np.ndarray:
     """
     grid = mask.index_grid
     filled = grid.copy()
-    inside = np.argwhere(grid > 0)
-    for i, j in np.argwhere(grid == 0):
-        best_k = 0
-        best_d = np.inf
-        for a, b in inside:
-            d = squared_cell_distance(i - a, j - b, mask.alpha, mask.eccentricity)
-            if d < best_d:
-                best_d = d
-                best_k = grid[a, b]
-        filled[i, j] = best_k
+    inside = np.argwhere(grid > 0)  # row-major, so argmin keeps the first of a tie
+    outside = np.argwhere(grid == 0)
+    if not len(inside):
+        return filled
+    regions = grid[grid > 0]
+    step = max(1, 2**17 // len(inside))  # cell pairs per chunk: 1 MB temporaries
+    for start in range(0, len(outside), step):
+        rows, cols = outside[start : start + step].T
+        d = squared_cell_distance(rows[:, None] - inside[:, 0], cols[:, None] - inside[:, 1],
+                                  mask.alpha, mask.eccentricity)
+        filled[rows, cols] = regions[d.argmin(axis=1)]
     return filled
 
 
-def visualize_kernel(weights: LpscWeights, mask: LogPolarMask, fill_corners=True) -> np.ndarray:
-    """Paint region weights onto the kernel grid.
+def visualize_kernel(weights: LpscWeights, config: LpscConfig, fill_corners=True) -> np.ndarray:
+    """Paint region weights onto the kernel grid of the lpsc layer *config*.
 
-    Returns (C_in, C_out, size, size) float64. Each in-field cell carries
-    its region's weight and the center carries the center weight; outside
-    cells carry the nearest region's weight when fill_corners is on, NaN
-    otherwise (rendered distinctly).
+    Returns (C_in, C_out, size, size) float64. In-field cells carry their
+    region's weight, the center its center weight and, when fill_corners
+    is on, outside cells the nearest region's. A cell with no weight (an
+    unfilled corner, or the center without ``center_conv``) is NaN: black.
     """
     lr, lt = weights.regions.shape[:2]
-    if (lr, lt) != (mask.levels_r, mask.levels_theta):
-        raise ValueError(
-            f"weights cover ({lr}, {lt}) regions, mask has ({mask.levels_r}, {mask.levels_theta})"
-        )
+    if (lr, lt) != (config.levels_r, config.levels_theta):
+        raise ValueError(f"weights cover {(lr, lt)} regions, config wants "
+                         f"({config.levels_r}, {config.levels_theta})")
+    mask = build_mask(config)
     grid = nearest_region_grid(mask) if fill_corners else mask.index_grid
     cin, cout = weights.center.shape
+    nan = np.full((1, cin, cout), np.nan)
     # row k of the table is what grid value k paints: NaN outside (0), region
     # k (1..lr*lt), and the center (-1) as the last row
-    table = np.concatenate(
-        [np.full((1, cin, cout), np.nan), weights.regions.reshape(lr * lt, cin, cout), weights.center[None]]
-    )
+    center = weights.center[None] if config.center_conv else nan
+    table = np.concatenate([nan, weights.regions.reshape(lr * lt, cin, cout), center])
     return table[grid].transpose(2, 3, 0, 1)
 
 

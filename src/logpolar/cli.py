@@ -10,7 +10,8 @@ command writes nothing; a command writes its files before it prints its
 report, so one that cannot write prints none.
 
 All file outputs land under explicit --out paths; nothing writes to the
-working directory implicitly.
+working directory implicitly. ``viz`` takes the lpsc layer it draws from a
+spec (--net, --layer), whose config alone fixes the mask and the center.
 """
 
 from __future__ import annotations
@@ -221,9 +222,15 @@ def cmd_erf(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    mask = build_mask(_mask_config(args))  # a bad flag is reported before the weights are read
+    layers = build_network(parse_net_file(args.net)[0], require_logits=False).layers
+    if not (0 < args.layer <= len(layers) and layers[args.layer - 1].kind == "lpsc"):
+        raise ValueError(f"argument --layer: {args.net} has no lpsc layer.{args.layer}")
+    layer = layers[args.layer - 1]
     weights = load_lpsc_weights(args.weights)
-    images = visualize_kernel(weights, mask, fill_corners=not args.no_fill)
+    if weights.regions.shape != layer.weights.regions.shape:
+        raise ValueError(f"{args.weights}: regions {weights.regions.shape} do not match "
+                         f"{layer.describe()}'s {layer.weights.regions.shape}")
+    images = visualize_kernel(weights, layer.config, fill_corners=not args.no_fill)
     if args.pair:
         try:
             ci, co = (int(p) for p in args.pair.split(","))
@@ -237,8 +244,7 @@ def cmd_viz(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for ci, co in pairs:
-        path = out / f"kernel_ci{ci}_co{co}.pgm"
-        path.write_bytes(kernel_to_pgm(images[ci, co]))
+        (out / f"kernel_ci{ci}_co{co}.pgm").write_bytes(kernel_to_pgm(images[ci, co]))
     print(f"wrote {len(pairs)} kernel raster(s) to {out}")
     return EXIT_OK
 
@@ -264,15 +270,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _add_mask_flags(p):
-    p.add_argument("--size", type=int, required=True, help="kernel size 2R+1 (odd)")
-    p.add_argument("--lr", type=int, required=True, help="number of distance levels")
-    p.add_argument("--lt", type=int, required=True, help="number of direction levels (even)")
-    p.add_argument("--g", type=float, required=True, help="radial growth rate (> 1)")
-    p.add_argument("--alpha", type=float, default=0.0, help="initial angle in radians")
-    p.add_argument("--ecc", type=float, default=0.0, help="ellipse eccentricity in [0, 1)")
-
-
 def _add_data_flags(p):
     p.add_argument("--data", default="edges", choices=("edges", "idx"), help="data source")
     p.add_argument("--images", help="IDX image file (with --data idx)")
@@ -285,7 +282,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("mask", help="print a kernel mask, its radii, and region counts")
-    _add_mask_flags(p)
+    p.add_argument("--size", type=int, required=True, help="kernel size 2R+1 (odd)")
+    p.add_argument("--lr", type=int, required=True, help="number of distance levels")
+    p.add_argument("--lt", type=int, required=True, help="number of direction levels (even)")
+    p.add_argument("--g", type=float, required=True, help="radial growth rate (> 1)")
+    p.add_argument("--alpha", type=float, default=0.0, help="initial angle in radians")
+    p.add_argument("--ecc", type=float, default=0.0, help="ellipse eccentricity in [0, 1)")
     p.add_argument("--out", help="optional PGM output path")
     p.set_defaults(func=cmd_mask)
 
@@ -319,8 +321,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_erf)
 
     p = sub.add_parser("viz", help="render learned kernel weights as rasters")
-    p.add_argument("--weights", required=True, help="LPSCW weight file")
-    _add_mask_flags(p)
+    p.add_argument("--net", required=True, help="network spec file")
+    p.add_argument("--layer", type=int, required=True, help="N of the spec's lpsc [layer.N]")
+    p.add_argument("--weights", required=True, help="that layer's LPSCW weight file")
     p.add_argument("--no-fill", action="store_true", help="leave corner cells unfilled")
     p.add_argument("--pair", help="render a single CI,CO channel pair")
     p.add_argument("--out", required=True, help="output directory")

@@ -91,6 +91,8 @@ def save_idx(dataset: Dataset, images_path, labels_path) -> None:
     """Write a single-channel dataset as an IDX image/label pair."""
     if dataset.images.shape[3] != 1:
         raise ValueError("IDX export supports single-channel images only")
+    if dataset.labels.max() > 255:
+        raise ValueError(f"{labels_path}: label {dataset.labels.max()} does not fit an IDX byte")
     n, h, w, _ = dataset.images.shape
     pixels = np.rint(np.clip(dataset.images[..., 0], 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(images_path, "wb") as fh:

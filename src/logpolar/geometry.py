@@ -167,14 +167,14 @@ def region_radii(config: LpscConfig) -> np.ndarray:
     return radii
 
 
-def squared_cell_distance(drow, dcol, alpha=0.0, eccentricity=0.0) -> float:
+def squared_cell_distance(drow, dcol, alpha=0.0, eccentricity=0.0):
     """Squared distance of an integer cell offset from the window center.
 
     Circular (exact integer arithmetic) when eccentricity is 0; otherwise
-    the elliptical form with the major axis along ``alpha``.
+    the elliptical form with the major axis along ``alpha``. Elementwise on arrays.
     """
-    x = float(dcol)
-    y = float(-drow)
+    x = dcol * 1.0
+    y = drow * -1.0
     if eccentricity > 0.0:
         ca, sa = math.cos(alpha), math.sin(alpha)
         u = x * ca + y * sa
@@ -237,19 +237,10 @@ def build_mask(config: LpscConfig) -> LogPolarMask:
 
 def mask_to_text(mask: LogPolarMask) -> str:
     """Render the index grid: C center, . outside, region index elsewhere."""
-    width = max(len(str(mask.levels_r * mask.levels_theta)), 1)
-    rows = []
-    for row in mask.index_grid:
-        cells = []
-        for v in row:
-            if v == -1:
-                cells.append("C".rjust(width))
-            elif v == 0:
-                cells.append(".".rjust(width))
-            else:
-                cells.append(str(int(v)).rjust(width))
-        rows.append(" ".join(cells))
-    return "\n".join(rows)
+    width = len(str(mask.levels_r * mask.levels_theta))
+    names = {-1: "C", 0: "."}
+    return "\n".join(" ".join(names.get(v, str(v)).rjust(width) for v in row)
+                     for row in mask.index_grid.tolist())
 
 
 def mask_to_pgm(mask: LogPolarMask) -> bytes:

@@ -11,7 +11,7 @@ from logpolar.analysis import (
     rf_to_pgm,
     visualize_kernel,
 )
-from logpolar.geometry import LpscConfig, build_mask
+from logpolar.geometry import LpscConfig, build_mask, squared_cell_distance
 from logpolar.lpsc import LpscWeights, log_polar_pool
 from logpolar.network import LayerSpec, NetSpec, build_network
 from logpolar.raster import to_gray
@@ -212,36 +212,50 @@ class TestVisualization:
 
     def test_constant_weights_constant_image(self):
         config = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
-        mask = build_mask(config)
-        img = visualize_kernel(self.make_weights(config, value=2.5), mask, fill_corners=True)
+        img = visualize_kernel(self.make_weights(config, value=2.5), config, fill_corners=True)
         assert img.shape == (1, 1, 5, 5)
         assert np.all(img == 2.5)
 
+    def test_weights_of_another_grid_rejected(self):
+        weights = self.make_weights(LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2))
+        config = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
+        with pytest.raises(ValueError, match=r"weights cover \(2, 6\) regions, config wants \(2, 8\)"):
+            visualize_kernel(weights, config)
+
     def test_unfilled_corners_are_sentinel(self):
         config = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
-        mask = build_mask(config)
-        img = visualize_kernel(self.make_weights(config), mask, fill_corners=False)[0, 0]
+        img = visualize_kernel(self.make_weights(config), config, fill_corners=False)[0, 0]
         assert np.isnan(img[0, 0])
         assert np.isnan(img[0, 1])  # squared distance 5 is outside
         assert not np.isnan(img[2, 2])
 
     def test_corner_fill_matches_bruteforce_nearest(self):
-        config = LpscConfig(kernel_size=11, levels_r=3, levels_theta=8, growth=2)
-        mask = build_mask(config)
-        filled = nearest_region_grid(mask)
-        inside = [(a, b) for a in range(11) for b in range(11) if mask.index_grid[a, b] > 0]
-        for i in range(11):
-            for j in range(11):
-                if mask.index_grid[i, j] != 0:
-                    assert filled[i, j] == mask.index_grid[i, j]
-                    continue
-                dists = [
-                    ((i - a) ** 2 + (j - b) ** 2, pos)
-                    for pos, (a, b) in enumerate(inside)
-                ]
-                best = min(dists)[1]
-                a, b = inside[best]
-                assert filled[i, j] == mask.index_grid[a, b]
+        # a circular mask, then an elliptical rotated one: the fill uses the mask's metric
+        for config in (LpscConfig(kernel_size=11, levels_r=3, levels_theta=8, growth=2),
+                       LpscConfig(kernel_size=21, levels_r=3, levels_theta=6, growth=2,
+                                  alpha=0.4, eccentricity=0.6)):
+            mask = build_mask(config)
+            filled = nearest_region_grid(mask)
+            size = config.kernel_size
+            inside = [(a, b) for a in range(size) for b in range(size) if mask.index_grid[a, b] > 0]
+            for i in range(size):
+                for j in range(size):
+                    if mask.index_grid[i, j] != 0:
+                        assert filled[i, j] == mask.index_grid[i, j]
+                        continue
+                    dists = [
+                        (squared_cell_distance(i - a, j - b, mask.alpha, mask.eccentricity), pos)
+                        for pos, (a, b) in enumerate(inside)
+                    ]
+                    best = min(dists)[1]  # the first in row-major order of the nearest
+                    a, b = inside[best]
+                    assert filled[i, j] == mask.index_grid[a, b]
+
+    def test_corner_fill_of_a_mask_with_no_in_field_cell(self):
+        # at k3 this ellipse reaches past R^2 = 1 at every neighbor: nothing to copy from
+        mask = build_mask(LpscConfig(3, 1, 4, 2, alpha=np.pi / 4, eccentricity=0.5))
+        assert np.array_equal(nearest_region_grid(mask), mask.index_grid)
+        assert (mask.index_grid == 0).sum() == 8
 
     def test_far_corner_takes_outermost_shell_of_its_sector(self):
         config = LpscConfig(kernel_size=11, levels_r=3, levels_theta=8, growth=2)
@@ -255,8 +269,7 @@ class TestVisualization:
 
     def test_pgm_sentinel_distinct(self):
         config = LpscConfig(kernel_size=5, levels_r=2, levels_theta=8, growth=2)
-        mask = build_mask(config)
-        img = visualize_kernel(self.make_weights(config, value=1.0), mask, fill_corners=False)
+        img = visualize_kernel(self.make_weights(config, value=1.0), config, fill_corners=False)
         blob = kernel_to_pgm(img[0, 0])
         pixels = np.frombuffer(blob.split(b"\n", 3)[3], dtype=np.uint8).reshape(5, 5)
         assert pixels[0, 0] == 0  # sentinel renders black

@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from logpolar import checks
 from logpolar.cli import build_parser, cmd_train, main
 from logpolar.data import load_idx
 from logpolar.geometry import DegenerateGeometryWarning
+from logpolar.lpsc import LpscWeights, save_lpsc_weights
 from logpolar.network import parse_net_file
 from logpolar.tensor import load_tensor, save_tensor
 
@@ -76,7 +79,7 @@ kernel_size = 3
 padding = 1
 """
 
-# mask flags for `mask` (and, without the command, `viz`), ending where --g goes
+# `mask` and its flags, ending where --g goes
 MASK = ["mask", "--out", "{out}", "--size", "5", "--lr", "2", "--lt", "6"]
 
 LPSC_LAYER = LPSC_CFG[LPSC_CFG.index("kind = lpsc") : LPSC_CFG.index("\n\n[layer.2]")]
@@ -150,8 +153,6 @@ class TestCheck:
         assert "max_rel=" in out
 
     def test_weights_validation_ok(self, tmp_path, capsys):
-        from logpolar.lpsc import LpscWeights, save_lpsc_weights
-
         path = tmp_path / "w.lpscw"
         save_lpsc_weights(
             path,
@@ -464,9 +465,6 @@ class TestTrainEval:
             (MASK + ["--g", "2", "--alpha", "inf"], "--alpha: must be finite, got inf"),
             (MASK + ["--g", "2", "--alpha", "nan"], "--alpha: must be finite, got nan"),
             (MASK + ["--g", "2", "--ecc", "nan"], "--ecc: must be finite, got nan"),
-            (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "inf"], "--g: must be finite, got inf"),
-            (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "2", "--alpha", "inf"],
-             "--alpha: must be finite, got inf"),
             (["train", "--net", "{cfg}", "--out", "{out}", "--n-per-class", "0"],
              "--n-per-class: must be >= 1, got 0"),
             (["eval", "--net", "{cfg}", "--checkpoint", "{out}", "--n-per-class", "0"],
@@ -478,15 +476,13 @@ class TestTrainEval:
             (MASK + ["--g", "2", "--lt", "7"], "--lt: must be even and >= 2, got 7"),
             (MASK + ["--g", "1"], "--g: must be > 1, got 1.0"),
             (MASK + ["--g", "2", "--ecc", "1.5"], "--ecc: must lie in [0, 1), got 1.5"),
-            (["viz", "--weights", "{cfg}"] + MASK[1:] + ["--g", "2", "--size", "4"],
-             "--size: must be odd and >= 3, got 4"),
         ],
         ids=["train-epochs-zero", "train-epochs-negative", "train-seed", "eval-seed", "check-seed",
              "erf-seed", "gen-data-seed", "train-val-fraction-negative", "train-val-fraction-above-one",
-             "mask-g-inf", "mask-alpha-inf", "mask-alpha-nan", "mask-ecc-nan", "viz-g-inf",
-             "viz-alpha-inf", "train-n-per-class-zero", "eval-n-per-class-zero",
+             "mask-g-inf", "mask-alpha-inf", "mask-alpha-nan", "mask-ecc-nan",
+             "train-n-per-class-zero", "eval-n-per-class-zero",
              "gen-data-n-per-class-zero", "gen-data-size-below-eight", "mask-size-even",
-             "mask-lt-odd", "mask-g-one", "mask-ecc-past-one", "viz-size-even"],
+             "mask-lt-odd", "mask-g-one", "mask-ecc-past-one"],
     )
     def test_flag_below_its_bound_exits_1(self, tmp_path, lpsc_cfg, capsys, argv, flag):
         out = tmp_path / "run"
@@ -805,44 +801,86 @@ class TestGenData:
         assert not out.exists()
 
 
-class TestViz:
-    def test_writes_rasters(self, tmp_path, capsys):
-        from logpolar.lpsc import LpscWeights, save_lpsc_weights
+def viz_weights(path, regions_shape):
+    """Write an LPSCW file of random weights whose region block is *regions_shape*."""
+    rng = np.random.default_rng(0)
+    save_lpsc_weights(path, LpscWeights(center=rng.normal(size=regions_shape[2:]),
+                                        regions=rng.normal(size=regions_shape)))
+    return path
 
-        rng = np.random.default_rng(0)
-        wpath = tmp_path / "w.lpscw"
-        save_lpsc_weights(
-            wpath,
-            LpscWeights(center=rng.normal(size=(2, 3)), regions=rng.normal(size=(2, 6, 2, 3))),
-        )
+
+class TestViz:
+    def test_writes_rasters(self, tmp_path, lpsc_cfg, capsys):
+        wpath = viz_weights(tmp_path / "w.lpscw", (2, 6, 1, 4))
         out = tmp_path / "viz"
         assert main(
-            ["viz", "--weights", str(wpath), "--size", "5", "--lr", "2", "--lt", "6",
-             "--g", "2", "--out", str(out)]
+            ["viz", "--net", str(lpsc_cfg), "--layer", "1", "--weights", str(wpath), "--out", str(out)]
         ) == 0
-        assert len(list(out.glob("kernel_ci*_co*.pgm"))) == 6
+        assert len(list(out.glob("kernel_ci*_co*.pgm"))) == 4
 
-    def test_pair_out_of_range_writes_nothing(self, tmp_path, capsys):
-        from logpolar.lpsc import LpscWeights, save_lpsc_weights
-
-        wpath = tmp_path / "w.lpscw"
-        save_lpsc_weights(wpath, LpscWeights(center=np.ones((1, 1)), regions=np.ones((2, 6, 1, 1))))
+    def test_pair_out_of_range_writes_nothing(self, tmp_path, lpsc_cfg, capsys):
+        wpath = viz_weights(tmp_path / "w.lpscw", (2, 6, 1, 4))
         out = tmp_path / "vz"
         assert main(
-            ["viz", "--weights", str(wpath), "--size", "5", "--lr", "2", "--lt", "6",
-             "--g", "2", "--pair", "3,3", "--out", str(out)]
+            ["viz", "--net", str(lpsc_cfg), "--layer", "1", "--weights", str(wpath),
+             "--pair", "3,4", "--out", str(out)]
         ) == 1
-        assert "channel pair (3,3) out of range" in capsys.readouterr().err
+        assert "channel pair (3,4) out of range" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_mismatched_mask_rejected(self, tmp_path, capsys):
-        from logpolar.lpsc import LpscWeights, save_lpsc_weights
-
-        wpath = tmp_path / "w.lpscw"
-        save_lpsc_weights(
-            wpath, LpscWeights(center=np.zeros((1, 1)), regions=np.zeros((2, 6, 1, 1)))
-        )
+    def test_mismatched_mask_rejected(self, tmp_path, lpsc_cfg, capsys):
+        wpath = viz_weights(tmp_path / "w.lpscw", (3, 8, 1, 4))
+        out = tmp_path / "v"
         assert main(
-            ["viz", "--weights", str(wpath), "--size", "7", "--lr", "3", "--lt", "8",
-             "--g", "2", "--out", str(tmp_path / "v")]
+            ["viz", "--net", str(lpsc_cfg), "--layer", "1", "--weights", str(wpath), "--out", str(out)]
         ) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"lpsc: error: {wpath}: regions (3, 8, 1, 4) do not match layer.1 (lpsc)'s (2, 6, 1, 4)"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--layer", "6"], "argument --layer: {cfg} has no lpsc layer.6"),
+         (["--layer", "0"], "argument --layer: {cfg} has no lpsc layer.0"),
+         (["--layer", "2"], "argument --layer: {cfg} has no lpsc layer.2"),
+         (["--layer", "1", "--weights", "{w2}"],
+          "{w2}: regions (2, 6, 1, 2) do not match layer.1 (lpsc)'s (2, 6, 1, 4)"),
+         (["--layer", "1", "--size", "5"], "unrecognized arguments: --size 5")],
+        ids=["no-such-layer", "layer-zero", "relu-layer", "channels", "mask-flag"],
+    )
+    def test_refusal_is_one_stderr_line_and_writes_nothing(self, tmp_path, lpsc_cfg, capsys, argv,
+                                                           message):
+        paths = {"cfg": lpsc_cfg, "w2": viz_weights(tmp_path / "w2.lpscw", (2, 6, 1, 2))}
+        wpath = viz_weights(tmp_path / "w.lpscw", (2, 6, 1, 4))
+        out = tmp_path / "v"
+        argv = ["viz", "--net", str(lpsc_cfg), "--weights", str(wpath), "--out", str(out)] + argv
+        assert main([a.format(**paths) for a in argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"lpsc: error: {message.format(**paths)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("center_conv", [True, False])
+    def test_center_free_layer_paints_no_center(self, tmp_path, capsys, center_conv):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(LPSC_CFG.replace("padding = 2", f"padding = 2\ncenter_conv = {center_conv}"))
+        run, out = tmp_path / "run", tmp_path / "viz"
+        assert main(["train", "--net", str(cfg), "--out", str(run), "--n-per-class", "4",
+                     "--epochs", "1"]) == 0
+        assert main(["viz", "--net", str(cfg), "--layer", "1", "--weights",
+                     str(run / "checkpoint" / "layer.1.lpscw"), "--pair", "0,0", "--out", str(out)]) == 0
+        pixels = np.frombuffer((out / "kernel_ci0_co0.pgm").read_bytes()[-25:], np.uint8).reshape(5, 5)
+        # every cell of the filled k5 kernel carries a weight (gray >= 32) but a center-free
+        # layer's center, which paints the sentinel (0)
+        assert pixels[2, 2] >= 32 if center_conv else pixels[2, 2] == 0
+        assert (np.delete(pixels.ravel(), 12) >= 32).all()
+
+
+def test_readme_cli_examples_parse():
+    # every documented `lpsc ...` line names only flags its command takes (nothing runs)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("lpsc ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert parser.parse_args(argv).command == argv[0], line

@@ -63,6 +63,16 @@ class TestIdx:
         assert ip.read_bytes() == ip2.read_bytes()
         assert lp.read_bytes() == lp2.read_bytes()
 
+    def test_label_past_one_byte_refused_before_any_write(self, tmp_path):
+        # IDX labels are unsigned bytes: 256 and 300 would read back as 0 and 44
+        ip, lp = tmp_path / "imgs.idx", tmp_path / "labels.idx"
+        with pytest.raises(ValueError) as exc:
+            save_idx(Dataset(np.zeros((3, 8, 8, 1)), [0, 256, 300], 301), ip, lp)
+        assert str(exc.value) == f"{lp}: label 300 does not fit an IDX byte"
+        assert not ip.exists() and not lp.exists()
+        save_idx(Dataset(np.zeros((2, 8, 8, 1)), [0, 255], 256), ip, lp)
+        assert load_idx(ip, lp).labels.tolist() == [0, 255]
+
 
 class TestDatasetValidation:
     def test_rejects_nan(self):
