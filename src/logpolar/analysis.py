@@ -183,7 +183,7 @@ def estimate_rf(network: Network, output_location=None, seed=0) -> RfReport:
         output_location = (ho // 2, wo // 2)
     i, j = (int(v) for v in output_location)
     if not (0 <= i < ho and 0 <= j < wo):
-        raise ValueError(f"output location {output_location} outside {ho}x{wo} grid")
+        raise ValueError(f"output_location {output_location} is outside the {ho}x{wo} output grid")
     seed_grad = np.zeros_like(out)
     seed_grad[0, i, j, 0] = 1.0
     grad_input, _ = network.backward(seed_grad)

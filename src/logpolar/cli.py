@@ -66,6 +66,19 @@ def _at_least(least):
     return parse
 
 
+def _int_pair(word=None):
+    """An argparse type: 'I,J' as an int pair, or None for *word*; argparse names the flag."""
+
+    def parse(text):
+        if text == word:
+            return None
+        i, j = (int(p) for p in text.split(","))
+        return i, j
+
+    parse.__name__ = "I,J"  # argparse words a malformed pair as "invalid I,J value"
+    return parse
+
+
 def _fmt(value: float) -> str:
     return f"{value:g}"
 
@@ -203,15 +216,10 @@ def cmd_eval(args) -> int:
 def cmd_erf(args) -> int:
     spec, _ = parse_net_file(args.net)
     network = build_network(spec, seed=args.seed, require_logits=False)
-    if args.loc == "center":
-        location = None
-    else:
-        try:
-            i, j = (int(p) for p in args.loc.split(","))
-        except ValueError:
-            raise ValueError(f"--loc must be 'center' or 'I,J', got {args.loc!r}") from None
-        location = (i, j)
-    report = estimate_rf(network, output_location=location, seed=args.seed)
+    try:
+        report = estimate_rf(network, output_location=args.loc, seed=args.seed)
+    except ValueError as exc:
+        raise renamed(exc, {"output_location": "argument --loc:"}) from None
     if args.out:
         Path(args.out).write_bytes(rf_to_pgm(report))
     print(f"location {report.location[0]},{report.location[1]}")
@@ -231,16 +239,11 @@ def cmd_viz(args) -> int:
         raise ValueError(f"{args.weights}: regions {weights.regions.shape} do not match "
                          f"{layer.describe()}'s {layer.weights.regions.shape}")
     images = visualize_kernel(weights, layer.config, fill_corners=not args.no_fill)
+    pairs = [(ci, co) for ci in range(weights.in_channels) for co in range(weights.out_channels)]
     if args.pair:
-        try:
-            ci, co = (int(p) for p in args.pair.split(","))
-        except ValueError:
-            raise ValueError(f"--pair must be CI,CO, got {args.pair!r}") from None
-        if not (0 <= ci < weights.in_channels and 0 <= co < weights.out_channels):
-            raise ValueError(f"channel pair ({ci},{co}) out of range")
-        pairs = [(ci, co)]
-    else:
-        pairs = [(ci, co) for ci in range(weights.in_channels) for co in range(weights.out_channels)]
+        if args.pair not in pairs:
+            raise ValueError(f"argument --pair: {layer.describe()} has no channel pair {args.pair}")
+        pairs = [args.pair]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for ci, co in pairs:
@@ -315,7 +318,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("erf", help="estimate a receptive field by backpropagation")
     p.add_argument("--net", required=True)
-    p.add_argument("--loc", default="center", help="'center' or 'I,J' output location")
+    p.add_argument("--loc", type=_int_pair("center"), help="'center' (default) or an I,J location")
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", help="optional PGM of the gradient map")
     p.set_defaults(func=cmd_erf)
@@ -325,7 +328,7 @@ def build_parser() -> _Parser:
     p.add_argument("--layer", type=int, required=True, help="N of the spec's lpsc [layer.N]")
     p.add_argument("--weights", required=True, help="that layer's LPSCW weight file")
     p.add_argument("--no-fill", action="store_true", help="leave corner cells unfilled")
-    p.add_argument("--pair", help="render a single CI,CO channel pair")
+    p.add_argument("--pair", type=_int_pair(), help="render a single CI,CO channel pair")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_viz)
 

@@ -8,17 +8,16 @@ primitive of the package: a single strided view
 convolution reads that view one tap at a time, as the ``ops`` pools and
 the ``lpsc`` cells do: tap ``[:, :, :, a, b]`` times the kernel slice
 ``w[a, b]`` is one GEMM (the kn2row formulation), so the view is never
-copied into an im2col matrix. The adjoint takes each tap's weight
-gradient as one GEMM too, and adds each tap of the input gradient back
-through a writeable view. A 1x1 kernel at unit stride maps its windows
-one-to-one onto the padded pixels, so there the input adjoint is the one
-tap's product itself, with no zero-filled buffer and no scatter. A
-channel-major batch, stored as (C, N, H, W) memory as ``lpsc`` stores
-its pooled tensor, is the (C, N*H*W) matrix P: its 1x1 convolution runs
-as ``(K.T @ P).T``, its weight gradient as ``P @ g`` and its input
-gradient as ``K @ g.T``, which lands channel-major as the input is. The
-output gradient g is read as C-contiguous rows whatever its memory order,
-so the gradients do not depend on that order.
+copied into an im2col matrix. A 1x1 kernel at unit stride
+(``_pointwise``) has one window per padded pixel, so in both directions
+it is three GEMMs on the (C, N*H*W) matrix ``P = rows(xp).T``, where
+``rows(x)`` is ``x.reshape(N*H*W, C)``: ``(K.T @ P).T`` forward,
+``P @ g`` for the weight gradient and ``K @ g.T`` for the input
+gradient; the output and the input gradient come back as (C, N*H*W)
+memory. Any other kernel takes each tap's weight gradient and input
+gradient as one GEMM each, the latter added back through a writeable
+view. The output gradient g is read as C-order rows for every kernel,
+so the gradients do not depend on its memory order.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
@@ -203,39 +202,24 @@ def _prepare(x, weights, stride, padding, dilation):
 
 
 def _tap_matmul(tap, m):
-    """(N, Ho, Wo, K) *tap* times (K, M) *m*, as one 2-D GEMM where that copies nothing.
-
-    A C-contiguous tap is the (N*Ho*Wo, K) matrix. A channel-major tap,
-    whose ``transpose(3, 0, 1, 2)`` is C-contiguous, is the (K, N*Ho*Wo)
-    matrix P, and runs as ``(m.T @ P).T``: the product comes back as a
-    channel-major view. Any other strided tap goes to ``matmul`` as it
-    is, which runs one GEMM per (Wo, K) row block without copying the
-    tap. A one-channel tap (K = 1) is reshaped to a column instead:
-    numpy's ``matmul`` has no BLAS path for an inner dimension of 1, and
-    the column, 1/M of the product's size, is the only copy.
-    """
+    """(N, Ho, Wo, K) *tap* times (K, M) *m*, one forward tap's product: ``matmul``
+    runs one GEMM per (Wo, K) row block without copying the tap. A one-channel tap
+    (K = 1) goes as a column instead, as numpy's ``matmul`` has no BLAS path for an
+    inner dimension of 1; the column, 1/M of the product's size, is the only copy."""
     n, ho, wo, k = tap.shape
     if k == 1:
         return np.dot(tap.reshape(n * ho * wo, 1), m).reshape(n, ho, wo, m.shape[1])
-    if tap.flags.c_contiguous:
-        return (tap.reshape(n * ho * wo, k) @ m).reshape(n, ho, wo, m.shape[1])
-    if _channel_major(tap):
-        return (m.T @ _by_channel(tap)).T.reshape(n, ho, wo, m.shape[1])
     return tap @ m
 
 
-def _channel_major(x) -> bool:
-    """Whether the (N, H, W, C) *x* is stored as (C, N, H, W) memory."""
-    return x.transpose(3, 0, 1, 2).flags.c_contiguous
+def _pointwise(w, geometry) -> bool:
+    """Whether kernel *w* at *geometry* has one window per padded pixel: 1x1 at unit stride."""
+    return w.shape[:2] == (1, 1) and geometry[1] == (1, 1)
 
 
-def _by_channel(x):
-    """The (N, H, W, C) *x* as a (C, N*H*W) matrix: a view when *x* is
-    channel-major or C-contiguous, else the transpose of a row copy."""
-    n, h, w, c = x.shape
-    if _channel_major(x):
-        return x.transpose(3, 0, 1, 2).reshape(c, n * h * w)
-    return x.reshape(n * h * w, c).T
+def _rows(x):
+    """The (N, H, W, C) *x* as (N*H*W, C) rows: a view if its pixels merge, else a copy."""
+    return x.reshape(x.shape[0] * x.shape[1] * x.shape[2], x.shape[3])
 
 
 def _as_bias(bias, units) -> np.ndarray:
@@ -254,11 +238,13 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
     of at least 1x1 is accepted; *bias*, if given, must be (C_out,).
     """
     w, xp, _, geometry = _prepare(x, weights, stride, padding, dilation)
-    cols = windows(xp, *geometry)
-    # the first tap's product starts the sum: a 1x1 kernel is exactly one GEMM
-    out = _tap_matmul(cols[:, :, :, 0, 0], w[0, 0])
-    for a, b in list(np.ndindex(*w.shape[:2]))[1:]:
-        out += _tap_matmul(cols[:, :, :, a, b], w[a, b])
+    if _pointwise(w, geometry):
+        out = (w[0, 0].T @ _rows(xp).T).T.reshape(*xp.shape[:3], w.shape[3])
+    else:
+        cols = windows(xp, *geometry)
+        out = _tap_matmul(cols[:, :, :, 0, 0], w[0, 0])
+        for a, b in list(np.ndindex(*w.shape[:2]))[1:]:
+            out += _tap_matmul(cols[:, :, :, a, b], w[a, b])
     if bias is not None:
         out = out + _as_bias(bias, w.shape[3])
     return out
@@ -273,21 +259,19 @@ def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), 
     expected = (*cols.shape[:3], w.shape[3])
     if g.shape != expected:
         raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
-    # C-contiguous rows whatever grad_output's memory order: every product and the
+    # C-order rows whatever grad_output's memory order: every product and the
     # bias sum below then read one order, so the gradients do not depend on it
-    g_rows = np.ascontiguousarray(g.reshape(g.shape[0] * g.shape[1] * g.shape[2], g.shape[3]))
-    grad_w = np.empty_like(w)
-    for a, b in np.ndindex(*w.shape[:2]):  # a strided tap is copied here, one at a time
-        grad_w[a, b] = _by_channel(cols[:, :, :, a, b]) @ g_rows
-    if w.shape[:2] == (1, 1) and geometry[1] == (1, 1):  # one window per padded pixel
-        if _channel_major(xp) and not xp.flags.c_contiguous:  # K @ g.T: channel-major, as xp is
-            grad_xp = (w[0, 0] @ g_rows.T).reshape(w.shape[2], *g.shape[:3]).transpose(1, 2, 3, 0)
-        else:
-            grad_xp = _tap_matmul(g_rows.reshape(g.shape), w[0, 0].T)
+    g_rows = np.ascontiguousarray(_rows(g))
+    if _pointwise(w, geometry):
+        grad_w = (_rows(xp).T @ g_rows).reshape(w.shape)
+        grad_xp = (w[0, 0] @ g_rows.T).T.reshape(xp.shape)
     else:
+        grad_w = np.empty_like(w)
         grad_xp = np.zeros_like(xp)
         grad_windows = windows(grad_xp, *geometry, writeable=True)
         for a, b in np.ndindex(*w.shape[:2]):
-            grad_windows[:, :, :, a, b] += _tap_matmul(g, w[a, b].T)
+            tap = cols[:, :, :, a, b]
+            grad_w[a, b] = _rows(tap).T @ g_rows  # a strided tap is copied here, one at a time
+            grad_windows[:, :, :, a, b] += (g_rows @ w[a, b].T).reshape(*g.shape[:3], w.shape[2])
     grad_x = unpad(grad_xp, padding)
     return grad_x, grad_w, g_rows.sum(axis=0)

@@ -28,10 +28,10 @@ is stored as (C_in, N, Hp, Wp) and the pooled tensor as (slots, C_in, N,
 Ho, Wo), viewed as (N, Ho, Wo, slots*C_in). Each slot then pools into,
 and its adjoint reads, one contiguous block. With P the pooled tensor as
 a (slots*C_in, N*Ho*Wo) matrix, K the 1x1 kernel and g the output
-gradient as (N*Ho*Wo, C_out) rows, the block convolution is three plain
-GEMMs with no copy of P: ``(K.T @ P).T`` forward (the output comes back
-channel-major), ``P @ g`` for the weight gradient and ``K @ g.T`` for
-the pooled gradient, which lands channel-major as P is.
+gradient as (N*Ho*Wo, C_out) rows, the block convolution is
+``conv2d_raw``'s 1x1 rule, three plain GEMMs on a view of P:
+``(K.T @ P).T`` forward, ``P @ g`` for the weight gradient and
+``K @ g.T`` for the pooled gradient, which lands channel-major as P is.
 Only ``log_polar_pool`` and ``lpsc_backward`` read the slot plan,
 ``_plan``. A slot is a region's mask cells (dr, dc) in row-major order,
 as window taps (r + dr, r + dc). Region k = (level-1)*levels_theta +
@@ -138,12 +138,16 @@ def _prepare(input, config: LpscConfig, weights: LpscWeights):
     return xb
 
 
-def _padded(xb, padding):
-    """The batch *xb* zero-padded into channel-major (C, N, Hp, Wp) memory,
-    viewed as (N, Hp, Wp, C)."""
-    n, h, w, c = xb.shape
+def _padded_zeros(shape, padding):
+    """Zeros for the (N, H, W, C) *shape* padded, as channel-major (C, N, Hp, Wp) memory."""
+    n, h, w, c = shape
     ph, pw = padding
-    xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw)).transpose(1, 2, 3, 0)
+    return np.zeros((c, n, h + 2 * ph, w + 2 * pw)).transpose(1, 2, 3, 0)
+
+
+def _padded(xb, padding):
+    """The batch *xb* zero-padded into ``_padded_zeros``."""
+    xp = _padded_zeros(xb.shape, padding)
     unpad(xp, padding)[...] = xb
     return xp
 
@@ -219,9 +223,8 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     it the input is pooled again.
     """
     xb, slots = _prepare(input, config, weights), _plan(config)
-    n, h, w, c = xb.shape
-    size, (ph, pw), mode = config.kernel_size, config.padding, config.pooling_mode
-    grad_xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw)).transpose(1, 2, 3, 0)  # as _padded lays it out
+    c, size, mode = xb.shape[3], config.kernel_size, config.pooling_mode
+    grad_xp = _padded_zeros(xb.shape, config.padding)
     grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
     grid = grad_win.shape[:3]
 

@@ -26,5 +26,13 @@ def test_traced_run_is_correct(workload):
     assert result["correct"] is True
     # a training step pools each LPSC input once: the backward reuses the
     # forward's pooled tensor
-    pool_calls = result["metrics"]["lpsc.pool_calls"]["value"]
-    assert pool_calls == (0 if workload == "baselines-infer" else 1)
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["lpsc.pool_calls"] == (0 if workload == "baselines-infer" else 1)
+    # the traced names stay on their paths: the LPSC block convolution runs
+    # through lpsc's conv2d_raw and conv2d_raw_backward, the baselines' three
+    # convolutions through their own conv2d_raw, and neither through the other's
+    lpsc_spans = metrics["lpsc.block_conv_ms"], metrics["lpsc.block_conv_bwd_ms"]
+    if workload == "baselines-infer":
+        assert lpsc_spans == (0, 0) and metrics["conv.fwd_calls"] == 3
+    else:
+        assert min(lpsc_spans) > 0 and metrics["conv.fwd_calls"] == 0

@@ -585,10 +585,29 @@ class TestErf:
         assert main(["erf", "--net", str(cfg), "--loc", "6,6", "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"P5\n")
 
+    @pytest.mark.parametrize(
+        "loc, message",
+        [("--loc=-1,0", "(-1, 0) is outside the 12x12 output grid"),
+         ("centre", "invalid I,J value: 'centre'"),
+         ("6", "invalid I,J value: '6'")],
+        ids=["negative", "misspelt-center", "one-number"],
+    )
+    def test_bad_location_is_one_stderr_line_and_writes_nothing(self, tmp_path, capsys, loc,
+                                                                message):
+        cfg = tmp_path / "two_conv.cfg"
+        cfg.write_text(TWO_CONV_CFG)
+        out = tmp_path / "rf.pgm"
+        argv = [loc] if loc.startswith("--") else ["--loc", loc]
+        assert main(["erf", "--net", str(cfg), *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"lpsc: error: argument --loc: {message}"]
+        assert not out.exists()
+
     def test_location_out_of_range(self, tmp_path, capsys):
         cfg = tmp_path / "two_conv.cfg"
         cfg.write_text(TWO_CONV_CFG)
         assert main(["erf", "--net", str(cfg), "--loc", "40,0"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "lpsc: error: argument --loc: (40, 0) is outside the 12x12 output grid"]
 
 
 class TestCount:
@@ -825,7 +844,8 @@ class TestViz:
             ["viz", "--net", str(lpsc_cfg), "--layer", "1", "--weights", str(wpath),
              "--pair", "3,4", "--out", str(out)]
         ) == 1
-        assert "channel pair (3,4) out of range" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "lpsc: error: argument --pair: layer.1 (lpsc) has no channel pair (3, 4)"]
         assert not out.exists()
 
     def test_mismatched_mask_rejected(self, tmp_path, lpsc_cfg, capsys):
@@ -845,8 +865,11 @@ class TestViz:
          (["--layer", "2"], "argument --layer: {cfg} has no lpsc layer.2"),
          (["--layer", "1", "--weights", "{w2}"],
           "{w2}: regions (2, 6, 1, 2) do not match layer.1 (lpsc)'s (2, 6, 1, 4)"),
-         (["--layer", "1", "--size", "5"], "unrecognized arguments: --size 5")],
-        ids=["no-such-layer", "layer-zero", "relu-layer", "channels", "mask-flag"],
+         (["--layer", "1", "--size", "5"], "unrecognized arguments: --size 5"),
+         (["--layer", "1", "--pair", "0;1"], "argument --pair: invalid I,J value: '0;1'"),
+         (["--layer", "1", "--pair", "0,1,2"], "argument --pair: invalid I,J value: '0,1,2'")],
+        ids=["no-such-layer", "layer-zero", "relu-layer", "channels", "mask-flag", "pair-malformed",
+             "pair-of-three"],
     )
     def test_refusal_is_one_stderr_line_and_writes_nothing(self, tmp_path, lpsc_cfg, capsys, argv,
                                                            message):

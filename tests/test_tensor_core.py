@@ -226,16 +226,21 @@ class TestConv2d:
     @pytest.mark.parametrize("c_in", [1, 7])
     def test_one_by_one_unit_stride_is_one_matmul(self, padding, c_in):
         # the LPSC block convolution: bit-identical to one plain matmul in
-        # each direction, which keeps LPSC outputs and checkpoints byte-stable
+        # each direction on P = rows.T, which keeps LPSC outputs and
+        # checkpoints byte-stable; a C-order input's output and input
+        # gradient are stored as (C, N*H*W) memory all the same
         x = RNG.normal(size=(3, 5, 6, c_in))
         w = RNG.normal(size=(1, 1, c_in, 4))
         ph, pw = padding
         xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
         g = RNG.normal(size=(*xp.shape[:3], 4))
         rows, g_rows = xp.reshape(-1, c_in), g.reshape(-1, 4)
-        assert np.array_equal(conv2d_raw(x, w, padding=padding), (rows @ w[0, 0]).reshape(g.shape))
+        out = conv2d_raw(x, w, padding=padding)
+        assert np.array_equal(out, (w[0, 0].T @ rows.T).T.reshape(g.shape))
+        assert out.transpose(3, 0, 1, 2).flags.c_contiguous
         gx, gw, _ = conv2d_raw_backward(x, w, g, padding=padding)
-        assert np.array_equal(gx, unpad((g_rows @ w[0, 0].T).reshape(xp.shape), padding))
+        assert np.array_equal(gx, unpad((w[0, 0] @ g_rows.T).T.reshape(xp.shape), padding))
+        assert gx.strides[2] == gx.itemsize  # a view of (C, N*H*W) memory, as unpad leaves it
         assert np.array_equal(gw[0, 0], rows.T @ g_rows)
 
     @pytest.mark.parametrize("c_in", [2, 7])
@@ -254,6 +259,38 @@ class TestConv2d:
         assert max_rel_error(gw, want_gw) < EQUIVALENCE_TOL and np.array_equal(gb, want_gb)
         assert max_rel_error(gx, want_gx) < EQUIVALENCE_TOL
         assert gx.transpose(3, 0, 1, 2).flags.c_contiguous  # as the input is laid out
+
+    @pytest.mark.parametrize("g_layout", ["c-order", "channel-major", "strided"])
+    @pytest.mark.parametrize("x_layout", ["c-order", "channel-major", "strided"])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_memory_order_does_not_change_the_result(self, size, x_layout, g_layout):
+        # the path follows the kernel's shape alone: gradients are byte-identical
+        # to the C-order call's, and the forward within the equivalence gate. The
+        # one exception is the 1x1 weight gradient P @ g of a channel-major x,
+        # whose P is C-order where a C-order x's is its transpose: BLAS runs
+        # another case of its GEMM there, equal within the gate
+        def laid_out(a, layout):
+            if layout == "channel-major":
+                return np.ascontiguousarray(a.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+            if layout == "strided":  # every other column of a wider array
+                wide = np.zeros((*a.shape[:2], 2 * a.shape[2], a.shape[3]))
+                wide[:, :, ::2] = a
+                return wide[:, :, ::2]
+            return a
+
+        x = RNG.normal(size=(3, 7, 6, 5))
+        w = RNG.normal(size=(size, size, 5, 4))
+        g = RNG.normal(size=(3, 7 - size + 1, 6 - size + 1, 4))
+        xl, gl = laid_out(x, x_layout), laid_out(g, g_layout)
+        assert np.array_equal(xl, x) and np.array_equal(gl, g)
+        assert max_rel_error(conv2d_raw(xl, w), conv2d_raw(x, w)) < EQUIVALENCE_TOL
+        gx, gw, gb = conv2d_raw_backward(xl, w, gl)
+        want_gx, want_gw, want_gb = conv2d_raw_backward(x, w, g)
+        assert np.array_equal(gx, want_gx) and np.array_equal(gb, want_gb)
+        if size == 1 and x_layout == "channel-major":
+            assert max_rel_error(gw, want_gw) < EQUIVALENCE_TOL
+        else:
+            assert np.array_equal(gw, want_gw)
 
     @settings(max_examples=80, deadline=None)
     @given(
