@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import LogPolarMask, LpscConfig, build_mask, squared_cell_distance
-from .lpsc import LpscWeights
+from .lpsc import LpscWeights, check_region_grid
 from .network import Network, NetSpec, build_network
 from .raster import pgm_bytes, to_gray
 
@@ -120,8 +120,7 @@ def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
         locations = out_shape[0] * out_shape[1]
         cin, cout = in_shape[2], out_shape[2]
         regions = cfg.levels_r * cfg.levels_theta
-        mask = build_mask(cfg)
-        n_cells = int((mask.index_grid > 0).sum())
+        n_cells = int(build_mask(cfg).counts.sum())
         conv_mults = locations * regions * cin * cout
         center_mults = locations * cin * cout if cfg.center_conv else 0
         pool_mults = locations * regions * cin if cfg.pooling_mode == "mean" else 0
@@ -229,18 +228,15 @@ def visualize_kernel(weights: LpscWeights, config: LpscConfig, fill_corners=True
     is on, outside cells the nearest region's. A cell with no weight (an
     unfilled corner, or the center without ``center_conv``) is NaN: black.
     """
-    lr, lt = weights.regions.shape[:2]
-    if (lr, lt) != (config.levels_r, config.levels_theta):
-        raise ValueError(f"weights cover {(lr, lt)} regions, config wants "
-                         f"({config.levels_r}, {config.levels_theta})")
+    check_region_grid(weights, config)
     mask = build_mask(config)
     grid = nearest_region_grid(mask) if fill_corners else mask.index_grid
     cin, cout = weights.center.shape
     nan = np.full((1, cin, cout), np.nan)
     # row k of the table is what grid value k paints: NaN outside (0), region
-    # k (1..lr*lt), and the center (-1) as the last row
+    # k (1..levels_r*levels_theta), and the center (-1) as the last row
     center = weights.center[None] if config.center_conv else nan
-    table = np.concatenate([nan, weights.regions.reshape(lr * lt, cin, cout), center])
+    table = np.concatenate([nan, weights.regions.reshape(-1, cin, cout), center])
     return table[grid].transpose(2, 3, 0, 1)
 
 

@@ -49,6 +49,12 @@ EXIT_NUMERICAL = 2
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors are validation errors: main prints them as any other."""
 
+    def _parse_optional(self, arg_string):
+        # "-<digit>..." is a value, never a flag (no lpsc flag starts so): ``--loc -1,0``
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         raise ValueError(message)
 
@@ -105,9 +111,8 @@ def cmd_mask(args) -> int:
     print(" ".join(f"R{i + 1}={_fmt(r)}" for i, r in enumerate(mask.radii)))
     print(mask_to_text(mask))
     print("counts:")
-    for level in range(mask.levels_r):
-        row = " ".join(str(int(c)) for c in mask.counts[level])
-        print(f"level {level + 1}: {row}")
+    for level, row in enumerate(mask.counts.tolist(), start=1):
+        print(f"level {level}: {' '.join(map(str, row))}")
     if args.out:
         print(f"wrote {args.out}")
     return EXIT_OK

@@ -183,56 +183,41 @@ def squared_cell_distance(drow, dcol, alpha=0.0, eccentricity=0.0):
     return x * x + y * y
 
 
-def direction_sector(drow, dcol, alpha, levels_theta) -> int:
-    """1-based angular sector of a non-center cell offset."""
-    theta = math.atan2(float(-drow), float(dcol))
-    t = (theta + alpha) % _TWO_PI
+def direction_sector(drow, dcol, alpha, levels_theta):
+    """1-based angular sector of a non-center cell offset. Elementwise on arrays."""
+    t = (np.arctan2(-drow, dcol) + alpha) % _TWO_PI  # theta, shifted by alpha
     u = t / (_TWO_PI / levels_theta)
-    m = int(math.floor(u + _BIN_EPS)) + 1
-    return (m - 1) % levels_theta + 1
-
-
-def _distance_level(d, radii) -> int:
-    for level, threshold in enumerate(radii, start=1):
-        if d <= threshold:
-            return level
-    return len(radii)
+    return np.floor(u + _BIN_EPS).astype(np.int64) % levels_theta + 1
 
 
 @lru_cache(maxsize=None)
 def build_mask(config: LpscConfig) -> LogPolarMask:
-    """Construct (or fetch the cached) region mask for *config*."""
-    size = config.kernel_size
-    radius = config.radius
+    """Construct (or fetch the cached) region mask for *config*.
+
+    Cells are classified by array code over whole rows, about 2**17 cells
+    a chunk, so temporaries stay bounded however large the kernel.
+    """
+    size, radius, lt = config.kernel_size, config.radius, config.levels_theta
     rr = float(radius * radius)
-    lt = config.levels_theta
     radii = region_radii(config)
     grid = np.zeros((size, size), dtype=np.int64)
-    counts = np.zeros((config.levels_r, lt), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            dr = i - radius
-            dc = j - radius
-            if dr == 0 and dc == 0:
-                grid[i, j] = -1
-                continue
-            d = squared_cell_distance(dr, dc, config.alpha, config.eccentricity)
-            if d > rr:
-                continue  # outside the receptive field, index stays 0
-            level = _distance_level(d, radii)
-            sector = direction_sector(dr, dc, config.alpha, lt)
-            grid[i, j] = (level - 1) * lt + sector
-            counts[level - 1, sector - 1] += 1
+    tally = np.zeros(config.levels_r * lt + 1, dtype=np.int64)
+    dc = np.arange(size) - radius
+    step = max(1, 2**17 // size)
+    for top in range(0, size, step):
+        dr = np.arange(top, min(top + step, size))[:, None] - radius
+        d = squared_cell_distance(dr, dc, config.alpha, config.eccentricity)
+        # searchsorted's left side is the inclusive-upper rule R_{l-1} < d <= R_l
+        region = np.searchsorted(radii, d) * lt + direction_sector(dr, dc, config.alpha, lt)
+        block = np.where((0.0 < d) & (d <= rr), region, 0)  # d is 0 at the center alone
+        grid[top : top + step] = block
+        tally += np.bincount(block.ravel(), minlength=tally.size)
+    grid[radius, radius] = -1
+    counts = tally[1:].reshape(config.levels_r, lt)
     for arr in (grid, counts, radii):
         arr.flags.writeable = False
-    return LogPolarMask(
-        size=size,
-        index_grid=grid,
-        counts=counts,
-        radii=radii,
-        alpha=config.alpha,
-        eccentricity=config.eccentricity,
-    )
+    return LogPolarMask(size=size, index_grid=grid, counts=counts, radii=radii,
+                        alpha=config.alpha, eccentricity=config.eccentricity)
 
 
 def mask_to_text(mask: LogPolarMask) -> str:

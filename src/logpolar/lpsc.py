@@ -69,6 +69,7 @@ from .tensor import _read_float64, _write_float64
 
 __all__ = [
     "LpscWeights",
+    "check_region_grid",
     "log_polar_pool",
     "lpsc_forward_fast",
     "lpsc_forward_reference",
@@ -111,6 +112,13 @@ class LpscWeights:
         return self.center.shape[1]
 
 
+def check_region_grid(weights: LpscWeights, config: LpscConfig):
+    """Refuse *weights* whose (levels_r, levels_theta) grid is not *config*'s."""
+    if weights.regions.shape[:2] != (config.levels_r, config.levels_theta):
+        raise ValueError(f"weights cover {weights.regions.shape[:2]} regions, config wants "
+                         f"({config.levels_r}, {config.levels_theta})")
+
+
 @lru_cache(maxsize=None)
 def _plan(config: LpscConfig):
     """The (a, b) window taps of each pooled slot: every region's mask cells
@@ -126,11 +134,7 @@ def _prepare(input, config: LpscConfig, weights: LpscWeights):
     """*input* as a batch, once the weights are checked against the
     config's regions and the input's channels."""
     xb = as_batch(input)
-    if weights.regions.shape[:2] != (config.levels_r, config.levels_theta):
-        raise ValueError(
-            f"weights cover {weights.regions.shape[:2]} regions, config wants "
-            f"({config.levels_r}, {config.levels_theta})"
-        )
+    check_region_grid(weights, config)
     if weights.in_channels != xb.shape[3]:
         raise ValueError(
             f"input has {xb.shape[3]} channels but weights expect {weights.in_channels}"

@@ -588,9 +588,10 @@ class TestErf:
     @pytest.mark.parametrize(
         "loc, message",
         [("--loc=-1,0", "(-1, 0) is outside the 12x12 output grid"),
+         ("-1,0", "(-1, 0) is outside the 12x12 output grid"),
          ("centre", "invalid I,J value: 'centre'"),
          ("6", "invalid I,J value: '6'")],
-        ids=["negative", "misspelt-center", "one-number"],
+        ids=["negative", "negative-own-word", "misspelt-center", "one-number"],
     )
     def test_bad_location_is_one_stderr_line_and_writes_nothing(self, tmp_path, capsys, loc,
                                                                 message):
@@ -867,9 +868,11 @@ class TestViz:
           "{w2}: regions (2, 6, 1, 2) do not match layer.1 (lpsc)'s (2, 6, 1, 4)"),
          (["--layer", "1", "--size", "5"], "unrecognized arguments: --size 5"),
          (["--layer", "1", "--pair", "0;1"], "argument --pair: invalid I,J value: '0;1'"),
-         (["--layer", "1", "--pair", "0,1,2"], "argument --pair: invalid I,J value: '0,1,2'")],
+         (["--layer", "1", "--pair", "0,1,2"], "argument --pair: invalid I,J value: '0,1,2'"),
+         (["--layer", "1", "--pair", "-1,0"],
+          "argument --pair: layer.1 (lpsc) has no channel pair (-1, 0)")],
         ids=["no-such-layer", "layer-zero", "relu-layer", "channels", "mask-flag", "pair-malformed",
-             "pair-of-three"],
+             "pair-of-three", "pair-negative"],
     )
     def test_refusal_is_one_stderr_line_and_writes_nothing(self, tmp_path, lpsc_cfg, capsys, argv,
                                                            message):
@@ -895,6 +898,15 @@ class TestViz:
         # layer's center, which paints the sentinel (0)
         assert pixels[2, 2] >= 32 if center_conv else pixels[2, 2] == 0
         assert (np.delete(pixels.ravel(), 12) >= 32).all()
+
+
+def test_readme_module_table_names_every_module():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    modules = sorted(p.stem for p in (root / "src" / "logpolar").glob("*.py"))
+    missing = [m for m in modules if m not in ("__init__", "__main__")
+               and f"| `logpolar.{m}` |" not in readme]
+    assert not missing
 
 
 def test_readme_cli_examples_parse():

@@ -229,6 +229,20 @@ class TestElliptical:
         assert squared_cell_distance(0, 2, 0.0, 0.9) == 4.0
 
 
+def cell_distance_and_sector(dr, dc, config):
+    """The squared distance and the sector of one cell offset, with ``math`` alone."""
+    x, y, alpha, ecc = float(dc), float(-dr), config.alpha, config.eccentricity
+    if ecc > 0.0:
+        u = x * math.cos(alpha) + y * math.sin(alpha)
+        v = -x * math.sin(alpha) + y * math.cos(alpha)
+        d = u * u + v * v / (1.0 - ecc * ecc)
+    else:
+        d = x * x + y * y
+    t = (math.atan2(y, x) + alpha) % (2 * math.pi)
+    sector = math.floor(t / (2 * math.pi / config.levels_theta) + 1e-9) % config.levels_theta + 1
+    return d, sector
+
+
 def mask_invariants(config):
     """Assert every structural mask invariant for one configuration."""
     mask = build_mask(config)
@@ -248,14 +262,14 @@ def mask_invariants(config):
         assert mask.radii[level] == r1 * config.growth**level
     assert mask.radii[-1] == max(rr, r1 * config.growth ** (lr - 1))
 
-    # membership and level assignment, recomputed cell by cell
+    # membership, level and sector, recomputed cell by cell
     outside = 0
     for i in range(size):
         for j in range(size):
             dr, dc = i - radius, j - radius
             if dr == 0 and dc == 0:
                 continue
-            d = float(dr * dr + dc * dc)
+            d, expected_sector = cell_distance_and_sector(dr, dc, config)
             k = grid[i, j]
             if d > rr:
                 assert k == 0
@@ -268,7 +282,7 @@ def mask_invariants(config):
                 expected_level = next(
                     l for l, t in enumerate(mask.radii, start=1) if d <= t
                 )
-                assert level == expected_level
+                assert (level, sector) == (expected_level, expected_sector)
 
     # counts tally the grid exactly; populations partition the window
     tally = np.bincount(grid[grid > 0].ravel(), minlength=lr * lt + 1)[1:]
@@ -314,6 +328,22 @@ SWEEP = [
 @pytest.mark.parametrize("size,lr,lt,g", SWEEP)
 def test_mask_invariant_sweep(size, lr, lt, g):
     mask_invariants(cfg(size, lr, lt, g))
+
+
+# rotated circles and ellipses, whose sectors the sweep above never turns
+OFF_CIRCLE_SWEEP = [
+    (size, lr, lt, g, alpha, ecc)
+    for size in range(11, 22, 2)
+    for lr in (1, 3)
+    for lt in (4, 6, 8)
+    for g in (2.0, 3.0)
+    for alpha, ecc in ((0.7, 0.0), (0.4, 0.6), (1.1, 0.8), (-2.3, 0.3))
+]
+
+
+@pytest.mark.parametrize("size,lr,lt,g,alpha,ecc", OFF_CIRCLE_SWEEP)
+def test_mask_invariant_sweep_off_circle(size, lr, lt, g, alpha, ecc):
+    mask_invariants(cfg(size, lr, lt, g, alpha=alpha, eccentricity=ecc))
 
 
 class TestRendering:
