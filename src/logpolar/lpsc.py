@@ -26,8 +26,10 @@ of the padded input, and its adjoint is ``ops.pool_cells_backward``.
 Shapes stay channels-last, but memory is channel-major: the padded input
 is stored as (C_in, N, Hp, Wp) and the pooled tensor as (slots, C_in, N,
 Ho, Wo), viewed as (N, Ho, Wo, slots*C_in). Each slot then pools into,
-and its adjoint reads, one contiguous block. With P the pooled tensor as
-a (slots*C_in, N*Ho*Wo) matrix, K the 1x1 kernel and g the output
+and its adjoint reads, one contiguous block, and the adjoint adds every
+tap over a contiguous channel-major plane: the input gradient itself at
+unit stride, one plane per stride phase otherwise. With P the pooled
+tensor as a (slots*C_in, N*Ho*Wo) matrix, K the 1x1 kernel and g the output
 gradient as (N*Ho*Wo, C_out) rows, the block convolution is
 ``conv2d_raw``'s 1x1 rule, three plain GEMMs on a view of P:
 ``(K.T @ P).T`` forward, ``P @ g`` for the weight gradient and
@@ -59,10 +61,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 
 import numpy as np
 
-from .conv import _as_bias, as_batch, conv2d_raw, conv2d_raw_backward, pad, unpad, windows
+from .conv import _as_bias, as_batch, conv2d_raw, conv2d_raw_backward, out_extent, pad, unpad, windows
 from .geometry import LpscConfig, build_mask
 from .ops import pool_cells, pool_cells_backward
 from .tensor import _read_float64, _write_float64
@@ -123,9 +126,12 @@ def check_region_grid(weights: LpscWeights, config: LpscConfig):
 def _plan(config: LpscConfig):
     """The (a, b) window taps of each pooled slot: every region's mask cells
     in row-major order, then the center cell when ``center_conv`` is set."""
-    grid = build_mask(config).index_grid
+    grid = build_mask(config).index_grid.ravel()
     n_regions = config.levels_r * config.levels_theta
-    slots = [np.argwhere(grid == k).tolist() for k in range(1, n_regions + 1)]
+    order = np.argsort(grid, kind="stable")  # row-major within each region's run
+    bounds = np.searchsorted(grid[order], np.arange(1, n_regions + 2))
+    rows, cols = (v.tolist() for v in np.divmod(order[bounds[0] :], config.kernel_size))
+    slots = [list(zip(rows[i:j], cols[i:j])) for i, j in pairwise((bounds - bounds[0]).tolist())]
     r = config.radius
     return slots + ([[(r, r)]] if config.center_conv else [])
 
@@ -142,16 +148,11 @@ def _prepare(input, config: LpscConfig, weights: LpscWeights):
     return xb
 
 
-def _padded_zeros(shape, padding):
-    """Zeros for the (N, H, W, C) *shape* padded, as channel-major (C, N, Hp, Wp) memory."""
-    n, h, w, c = shape
-    ph, pw = padding
-    return np.zeros((c, n, h + 2 * ph, w + 2 * pw)).transpose(1, 2, 3, 0)
-
-
 def _padded(xb, padding):
-    """The batch *xb* zero-padded into ``_padded_zeros``."""
-    xp = _padded_zeros(xb.shape, padding)
+    """The batch *xb* zero-padded, as channel-major (C, N, Hp, Wp) memory."""
+    n, h, w, c = xb.shape
+    ph, pw = padding
+    xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw)).transpose(1, 2, 3, 0)
     unpad(xp, padding)[...] = xb
     return xp
 
@@ -221,16 +222,16 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     """Exact adjoints of the forward map: (grad_input, LpscWeights grads).
 
     Computed against the fast path: the 1x1 convolution's adjoint, then
-    the pooling adjoint adds each slot back through its cells. *pooled*
+    the pooling adjoint, which gathers each slot's gradient back through
+    its cells into the unpadded, channel-major input gradient. *pooled*
     is the forward pass's pooled tensor (``lpsc_forward_fast(...,
     return_pooled=True)``), which max mode compares cells against; without
     it the input is pooled again.
     """
     xb, slots = _prepare(input, config, weights), _plan(config)
     c, size, mode = xb.shape[3], config.kernel_size, config.pooling_mode
-    grad_xp = _padded_zeros(xb.shape, config.padding)
-    grad_win = windows(grad_xp, (size, size), config.stride, writeable=True)
-    grid = grad_win.shape[:3]
+    extents = map(out_extent, xb.shape[1:3], (size, size), config.stride, config.padding)
+    grid = (xb.shape[0], *extents)
 
     if pooled is None:
         pooled = log_polar_pool(xb, config)
@@ -248,8 +249,8 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     grad_pooled = grad_pooled.reshape(*grid, len(slots), c)
 
     win = windows(_padded(xb, config.padding), (size, size), config.stride) if mode == "max" else None
-    pool_cells_backward(win, grad_win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled)
-    grad_input = unpad(grad_xp, config.padding)
+    grad_input = pool_cells_backward(win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled,
+                                     xb.shape, config.stride, config.padding)
     bias = None if weights.bias is None else grad_bias  # bias-less weights get no bias gradient
     return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=bias)
 

@@ -2,12 +2,16 @@
 
 ``pool_cells`` is the one pooling loop of the package: it combines the
 taps (window cells) of each slot of a ``conv.windows`` view one at a
-time, in the order given. ``pool_cells_backward``, its adjoint, adds into
-a writeable windows view of the input gradient. Log-polar pooling runs
-the pair with one slot per region, ``max_pool`` and ``mean_pool`` with
-one slot that holds every tap of the window in row-major order. Window
-pooling takes (N, H, W, C) batches and is non-overlapping by default
-(stride = window) with floor semantics and no padding; relu'(0) = 0.
+time, in the order given. ``pool_cells_backward``, its adjoint, gathers:
+each tap adds a shifted view of a zero-bordered copy of its slot's
+gradient over a whole contiguous plane of the input gradient, one plane
+per stride phase (or, where windows do not overlap, over the gradient's
+strided phase itself), and returns the unpadded input gradient. Log-polar
+pooling runs the pair with one slot per region, ``max_pool`` and
+``mean_pool`` with one slot that holds every tap of the window in
+row-major order. Window pooling takes (N, H, W, C) batches and is
+non-overlapping by default (stride = window) with floor semantics and no
+padding; relu'(0) = 0.
 """
 
 from __future__ import annotations
@@ -73,41 +77,94 @@ def pool_cells(win, slots, mode, out=None):
     return out
 
 
-def pool_cells_backward(win, grad_win, slots, mode, pooled, grad):
-    """Add the adjoint of ``pool_cells`` for the pooled gradient *grad* into
-    the writeable windows view *grad_win*. Max mode sends a slot's gradient
-    to its first tap whose *win* value equals the slot's *pooled* maximum
-    (no other mode reads those two); a one-tap slot takes it directly, mean
-    mode divides it by the population, and empty slots are skipped."""
+def _gather_axis(extent, grid, stride, pad):
+    """Along one axis of the gather in ``pool_cells_backward``: a stride
+    phase's plane rows, ceil(*extent*/*stride*); the zero border before the
+    *grid* pooled rows in the buffer; and the buffer's length, which covers
+    every row that a tap's shifted view reads."""
+    rows = -(-extent // stride)
+    reach = extent + 2 * pad - (grid - 1) * stride - 1  # the largest tap index a window has room for
+    border = max(0, (reach - pad) // stride)
+    return rows, border, border + max(grid, rows - (-pad // stride))
+
+
+def pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, padding):
+    """The adjoint of ``pool_cells`` for the pooled gradient *grad*: the
+    gradient of the (N, H, W, C) input of *shape* whose windows, at
+    *stride* after zero *padding*, were pooled.
+
+    Max mode sends a slot's gradient to its first tap whose *win* value
+    equals the slot's *pooled* maximum (no other mode reads those two); a
+    one-tap slot takes it directly, mean mode divides it by the
+    population, and empty slots are skipped.
+
+    The adjoint gathers: each slot writes its share of the gradient into
+    the interior of one zero-bordered buffer (per tap in max mode), and
+    each tap adds a shifted view of that buffer over the whole of one
+    contiguous (N, ceil(H/sh), ceil(W/sw), C) plane, the one of its stride
+    phase. At unit stride the one plane is the gradient itself; otherwise
+    one copy interleaves the phases. Windows that do not overlap (none
+    larger than the stride, as the default window pools) give each phase
+    one tap of a window, so their taps add straight into the gradient's
+    strided phases: no planes, no copy. The buffer, the planes and so the
+    gradient are laid out as the input is (*win*'s memory order), which
+    the layer below reads with it, or as *grad*'s slots are where there is
+    no *win*: ``lpsc`` passes channel-major slots and, in max mode, a
+    channel-major *win*. Every element adds its contributions in (slot,
+    tap) order, and +0.0 where a tap misses it, which changes no bit of a
+    sum that starts at +0.0."""
+    n, h, w, c = shape
+    (sh, sw), (ph, pw) = stride, padding
+    ho, wo = grad.shape[1:3]
+    like = grad[:, :, :, 0] if win is None else win[:, :, :, 0, 0]  # the memory order to follow
+    hc, top, hb = _gather_axis(h, ho, sh, ph)
+    wc, left, wb = _gather_axis(w, wo, sw, pw)
+    grad_x = np.zeros_like(like, shape=(n, hc * sh, wc * sw, c))
+    direct = (sh, sw) == (1, 1) or (win is not None and win.shape[3] <= sh and win.shape[4] <= sw)
+    planes = [[grad_x[:, ra::sh, rb::sw] if direct else np.zeros_like(like, shape=(n, hc, wc, c))
+               for rb in range(sw)] for ra in range(sh)]
+    buf = np.zeros_like(like, shape=(n, hb, wb, c))
+    interior = buf[:, top : top + ho, left : left + wo]
     for k, taps in enumerate(slots):
         if len(taps) == 0:
             continue
         gk = grad[:, :, :, k]
-        if mode == "max" and len(taps) > 1:
+        routed = mode == "max" and len(taps) > 1
+        if routed:
             best = pooled[:, :, :, k]
-            open_ = np.ones(best.shape, dtype=bool)  # no earlier tap has taken the gradient
-            for a, b in taps:
-                hit = (win[:, :, :, a, b] == best) & open_
-                open_ ^= hit
-                grad_win[:, :, :, a, b] += gk * hit
+            open_ = np.ones_like(best, dtype=bool)  # no earlier tap has taken the gradient
+            hit = np.empty_like(open_)
+        elif mode == "mean":
+            np.divide(gk, len(taps), out=interior)
         else:
-            share = gk / len(taps) if mode == "mean" else gk
-            for a, b in taps:
-                grad_win[:, :, :, a, b] += share
+            interior[...] = gk
+        for a, b in taps:
+            if routed:
+                np.equal(win[:, :, :, a, b], best, out=hit)
+                hit &= open_
+                open_ ^= hit
+                np.multiply(gk, hit, out=interior)
+            (qa, ra), (qb, rb) = divmod(a - ph, sh), divmod(b - pw, sw)
+            planes[ra][rb] += buf[:, top - qa : top - qa + hc, left - qb : left - qb + wc]
+    if not direct:
+        for ra, row in enumerate(planes):
+            for rb, plane in enumerate(row):
+                grad_x[:, ra::sh, rb::sw] = plane
+    return grad_x[:, :h, :w]
 
 
 def _pool_setup(x, size, stride):
-    """(batch x, size, stride, windows of x, a window's one slot)."""
+    """(batch x, stride, windows of x, a window's one slot)."""
     xb = as_batch(x)
     size = as_pair(size, "pool size")
     if min(size) < 1:
         raise ValueError(f"pool size must be positive, got {size}")
     stride = as_geometry(size if stride is None else stride, 0)[0]
-    return xb, size, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
+    return xb, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
 
 
 def _pool(x, size, stride, mode):
-    _, _, _, cols, slots = _pool_setup(x, size, stride)
+    _, _, cols, slots = _pool_setup(x, size, stride)
     out = pool_cells(cols, slots, mode)[:, :, :, 0]
     if mode == "mean":
         out += 0.0  # a window of -0.0s pools to +0.0, as numpy's mean gives it
@@ -115,15 +172,16 @@ def _pool(x, size, stride, mode):
 
 
 def _pool_backward(x, grad_output, size, stride, mode):
-    xb, size, stride, cols, slots = _pool_setup(x, size, stride)
+    xb, stride, cols, slots = _pool_setup(x, size, stride)
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != (*cols.shape[:3], cols.shape[5]):
         raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
-    pooled = pool_cells(cols, slots, mode) if mode == "max" else None
-    grad_x = np.zeros_like(xb)
-    grad_cols = windows(grad_x, size, stride, writeable=True)
-    pool_cells_backward(cols, grad_cols, slots, mode, pooled, g[:, :, :, None])
-    return grad_x
+    # the gradient and the pooled maxima laid out as x is, as the adjoint's
+    # planes are, so that every step of the adjoint reads one memory order
+    grad = np.empty_like(xb, shape=g.shape)
+    grad[...] = g
+    pooled = pool_cells(cols, slots, mode, out=np.empty_like(grad)[:, :, :, None]) if mode == "max" else None
+    return pool_cells_backward(cols, slots, mode, pooled, grad[:, :, :, None], xb.shape, stride, (0, 0))
 
 
 def max_pool(x, size, stride=None):

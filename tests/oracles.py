@@ -34,6 +34,33 @@ def loop_conv2d(x, w, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None)
     return out
 
 
+def scatter_pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, padding):
+    """The pooling adjoint as a scatter, with ``ops.pool_cells_backward``'s
+    arguments: each slot's share is added through every tap's window
+    positions of a zero-padded gradient, slot by slot, tap by tap. Max mode
+    sends the gradient to the first tap that equals the pooled maximum."""
+    n, h, w, c = shape
+    (sh, sw), (ph, pw) = stride, padding
+    ho, wo = grad.shape[1:3]
+    grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+    for k, taps in enumerate(slots):
+        if len(taps) == 0:
+            continue
+        gk = grad[:, :, :, k]
+        if mode == "max" and len(taps) > 1:
+            open_ = np.ones(gk.shape, dtype=bool)  # no earlier tap has taken the gradient
+            shares = []
+            for a, b in taps:
+                hit = (win[:, :, :, a, b] == pooled[:, :, :, k]) & open_
+                open_ ^= hit
+                shares.append(gk * hit)
+        else:
+            shares = [gk / len(taps) if mode == "mean" else gk] * len(taps)
+        for (a, b), share in zip(taps, shares):
+            grad_xp[:, a : a + (ho - 1) * sh + 1 : sh, b : b + (wo - 1) * sw + 1 : sw] += share
+    return grad_xp[:, ph : ph + h, pw : pw + w]
+
+
 def finite_difference(f, x, eps=1e-5):
     """Central finite differences of scalar f with respect to array x."""
     x = np.asarray(x, dtype=np.float64)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logpolar.lpsc
 import logpolar.network
 from logpolar.geometry import (
     DegenerateGeometryWarning,
@@ -344,6 +345,22 @@ OFF_CIRCLE_SWEEP = [
 @pytest.mark.parametrize("size,lr,lt,g,alpha,ecc", OFF_CIRCLE_SWEEP)
 def test_mask_invariant_sweep_off_circle(size, lr, lt, g, alpha, ecc):
     mask_invariants(cfg(size, lr, lt, g, alpha=alpha, eccentricity=ecc))
+
+
+@pytest.mark.parametrize(
+    "size,lr,lt,g,alpha,ecc", [(*row, 0.0, 0.0) for row in SWEEP] + OFF_CIRCLE_SWEEP
+)
+def test_slot_plan_is_each_regions_cells_in_row_major_order(size, lr, lt, g, alpha, ecc):
+    # the fast path's plan against one argwhere per region, with the center
+    # cell last when center_conv is set; the taps are Python ints
+    config = cfg(size, lr, lt, g, alpha=alpha, eccentricity=ecc)
+    grid = build_mask(config).index_grid
+    want = [list(map(tuple, np.argwhere(grid == k).tolist())) for k in range(1, lr * lt + 1)]
+    plan = logpolar.lpsc._plan(config)
+    assert plan == want + [[(config.radius, config.radius)]]
+    assert all(type(v) is int for taps in plan for tap in taps for v in tap)
+    free = cfg(size, lr, lt, g, alpha=alpha, eccentricity=ecc, center_conv=False)
+    assert logpolar.lpsc._plan(free) == want
 
 
 class TestRendering:

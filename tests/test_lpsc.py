@@ -22,7 +22,7 @@ from logpolar.lpsc import (
     save_lpsc_weights,
 )
 
-from oracles import finite_difference, max_rel_error
+from oracles import finite_difference, max_rel_error, scatter_pool_cells_backward
 
 RNG = np.random.default_rng(771)
 
@@ -488,10 +488,10 @@ class TestBackward:
         assert orders[0].flags.c_contiguous and not orders[1].flags.c_contiguous
         adjoint, slot_blocks = logpolar.lpsc.pool_cells_backward, []
 
-        def spy(win, grad_win, slots, mode, pooled, grad):
+        def spy(win, slots, mode, pooled, grad, shape, stride, padding):
             slot_blocks.append([grad[:, :, :, k].transpose(3, 0, 1, 2).flags.c_contiguous
                                 for k in range(len(slots))])
-            return adjoint(win, grad_win, slots, mode, pooled, grad)
+            return adjoint(win, slots, mode, pooled, grad, shape, stride, padding)
 
         monkeypatch.setattr(logpolar.lpsc, "pool_cells_backward", spy)
         (gx, gw), (gx2, gw2) = (lpsc_backward(x, c, w, grad, pooled=pooled) for grad in orders)
@@ -588,7 +588,8 @@ def operator_cases(draw):
     """A random configuration from the whole space, with input and weights."""
     radius = draw(st.integers(1, 4))
     stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-    padding = (draw(st.integers(0, radius)), draw(st.integers(0, radius)))
+    # padding up to kernel_size + 2: past the radius, some windows hold no input cell
+    padding = (draw(st.integers(0, 2 * radius + 3)), draw(st.integers(0, 2 * radius + 3)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateGeometryWarning)
         config = LpscConfig(
@@ -604,8 +605,8 @@ def operator_cases(draw):
             center_conv=draw(st.booleans()),
         )
     k = config.kernel_size
-    h = draw(st.integers(k - 2 * padding[0], k + 4))
-    w = draw(st.integers(k - 2 * padding[1], k + 4))
+    h = draw(st.integers(max(1, k - 2 * padding[0]), k + 4))
+    w = draw(st.integers(max(1, k - 2 * padding[1]), k + 4))
     cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(draw(st.integers(1, 2)), h, w, cin))
@@ -648,6 +649,31 @@ class TestProperties:
                 x[n], mask, weights, config.stride, config.padding, config.center_conv, g[n]
             )
             assert max_rel_error(grad_x[n], want) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_cases())
+    def test_pooling_adjoint_matches_scatter_oracle(self, case):
+        # each input cell adds its taps in the scatter's (slot, tap) order, so
+        # the bytes match, for the channel-major pooled gradient that
+        # lpsc_backward passes and for a C-order one; every zero is +0.0
+        config, x, weights, rng = case
+        x = np.round(x) / 2  # max mode ties often
+        adjoint, calls = logpolar.lpsc.pool_cells_backward, []
+
+        def spy(*args):
+            calls.append(args)
+            return adjoint(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logpolar.lpsc, "pool_cells_backward", spy)
+            out = lpsc_forward_fast(x, config, weights)
+            lpsc_backward(x, config, weights, rng.normal(size=out.shape))
+        ((win, slots, mode, pooled, grad, *geometry),) = calls
+        for g in (grad, np.ascontiguousarray(grad)):
+            got = adjoint(win, slots, mode, pooled, g, *geometry)
+            want = scatter_pool_cells_backward(win, slots, mode, pooled, g, *geometry)
+            assert got.shape == x.shape and got.tobytes() == want.tobytes()
+            assert not np.signbit(got[got == 0]).any()
 
     @settings(max_examples=60, deadline=None)
     @given(operator_cases())

@@ -31,7 +31,7 @@ from logpolar.lpsc import (
 )
 from logpolar.network import LayerSpec, NetSpec, build_network
 
-from oracles import finite_difference, loop_conv2d, max_rel_error
+from oracles import finite_difference, loop_conv2d, max_rel_error, scatter_pool_cells_backward
 
 RNG = np.random.default_rng(20240811)
 
@@ -134,6 +134,17 @@ class TestWindows:
         assert xp.shape == (2, 7, 6, 2)
         assert np.array_equal(unpad(xp, (2, 1)), x)
         assert np.count_nonzero(xp) == np.count_nonzero(x)  # the border is zero
+
+
+def laid_out(a, layout):
+    """The (N, H, W, C) *a*'s values in the named memory order."""
+    if layout == "channel-major":
+        return np.ascontiguousarray(a.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    if layout == "strided":  # every other column of a wider array
+        wide = np.zeros((*a.shape[:2], 2 * a.shape[2], a.shape[3]))
+        wide[:, :, ::2] = a
+        return wide[:, :, ::2]
+    return a
 
 
 class TestConv2d:
@@ -269,15 +280,6 @@ class TestConv2d:
         # one exception is the 1x1 weight gradient P @ g of a channel-major x,
         # whose P is C-order where a C-order x's is its transpose: BLAS runs
         # another case of its GEMM there, equal within the gate
-        def laid_out(a, layout):
-            if layout == "channel-major":
-                return np.ascontiguousarray(a.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
-            if layout == "strided":  # every other column of a wider array
-                wide = np.zeros((*a.shape[:2], 2 * a.shape[2], a.shape[3]))
-                wide[:, :, ::2] = a
-                return wide[:, :, ::2]
-            return a
-
         x = RNG.normal(size=(3, 7, 6, 5))
         w = RNG.normal(size=(size, size, 5, 4))
         g = RNG.normal(size=(3, 7 - size + 1, 6 - size + 1, 4))
@@ -474,6 +476,27 @@ class TestOps:
                 bwd(x[0], g[0], size, stride)
         assert np.array_equal(fwd(x, size, stride), want_out)
         assert np.array_equal(bwd(x, g, size, stride), want_grad)
+
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    @pytest.mark.parametrize("size, stride", [((2, 2), (2, 2)), ((3, 2), (1, 2)), ((2, 3), (3, 1))])
+    @pytest.mark.parametrize("layout", ["c-order", "channel-major", "strided"])
+    def test_pool_adjoint_matches_scatter_oracle(self, mode, size, stride, layout):
+        # 7x9 leaves rows or columns that no window reaches (floor semantics);
+        # a negative gradient times a non-maximal tap's 0 is -0.0, which must
+        # not reach the input gradient: every zero there is +0.0
+        rng = np.random.default_rng(25)
+        x = np.round(rng.normal(size=(2, 7, 9, 3))) / 2
+        x = laid_out(x, layout)
+        pooled = (ops.max_pool if mode == "max" else ops.mean_pool)(x, size, stride)
+        bwd = ops.max_pool_backward if mode == "max" else ops.mean_pool_backward
+        g = -np.abs(rng.normal(size=pooled.shape))
+        for grad in (g, laid_out(g, "channel-major")):
+            got = bwd(x, grad, size, stride)
+            want = scatter_pool_cells_backward(
+                windows(x, size, stride), [list(np.ndindex(*size))], mode, pooled[:, :, :, None],
+                grad[:, :, :, None], x.shape, stride, (0, 0))
+            assert got.tobytes() == want.tobytes()
+            assert (got == 0).any() and not np.signbit(got[got == 0]).any()
 
     def test_pool_cells_combines_taps_in_order(self):
         # 2**53 + 1 rounds back to 2**53, so the sum depends on the tap order
