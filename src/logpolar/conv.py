@@ -15,9 +15,9 @@ it is three GEMMs on the (C, N*H*W) matrix ``P = rows(xp).T``, where
 ``P @ g`` for the weight gradient and ``K @ g.T`` for the input
 gradient; the output and the input gradient come back as (C, N*H*W)
 memory. Any other kernel takes each tap's weight gradient and input
-gradient as one GEMM each, the latter added back through a writeable
-view. The output gradient g is read as C-order rows for every kernel,
-so the gradients do not depend on its memory order.
+gradient as one GEMM each, the latter gathered by ``windows_backward``.
+The output gradient g is read as C-order rows for every kernel, so the
+gradients do not depend on its memory order.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
@@ -57,6 +57,7 @@ __all__ = [
     "renamed_warnings",
     "unpad",
     "windows",
+    "windows_backward",
 ]
 
 
@@ -171,20 +172,59 @@ def unpad(xp, padding):
     return xp[:, ph : xp.shape[1] - ph, pw : xp.shape[2] - pw]
 
 
-def windows(xp, size, stride, dilation=(1, 1), writeable=False):
-    """Every window of the padded batch *xp* as one (N, Ho, Wo, kh, kw, C) view.
+def windows(xp, size, stride, dilation=(1, 1)):
+    """Every window of the padded batch *xp* as one read-only (N, Ho, Wo, kh, kw, C) view.
 
     Element [n, i, j, a, b, c] is xp[n, i*sh + a*dh, j*sw + b*dw, c]; no
-    data is copied. Overlapping windows share memory, so write through a
-    ``writeable`` view one tap [:, :, :, a, b] at a time.
-    """
+    data is copied. ``windows_backward`` is its adjoint."""
     (kh, kw), (sh, sw), (dh, dw) = size, stride, dilation
     n, h, w, c = xp.shape
     ho = out_extent(h, (kh - 1) * dh + 1, sh, 0)
     wo = out_extent(w, (kw - 1) * dw + 1, sw, 0)
     s_n, s_h, s_w, s_c = xp.strides
     strides = (s_n, s_h * sh, s_w * sw, s_h * dh, s_w * dw, s_c)
-    return np.lib.stride_tricks.as_strided(xp, (n, ho, wo, kh, kw, c), strides, writeable=writeable)
+    return np.lib.stride_tricks.as_strided(xp, (n, ho, wo, kh, kw, c), strides, writeable=False)
+
+
+def _gather_axis(extent, grid, stride, pad):
+    """Along one axis of ``windows_backward``: a plane's rows, ceil(*extent*/*stride*);
+    the zero border before the buffer's *grid* window rows; and the buffer's
+    length, which covers every row that a tap's shifted view reads."""
+    rows = -(-extent // stride)
+    reach = extent + 2 * pad - (grid - 1) * stride - 1  # the largest tap offset a window has room for
+    border = max(0, (reach - pad) // stride)
+    return rows, border, border + max(grid, rows - (-pad // stride))
+
+
+def windows_backward(shares, like, shape, grid, stride, padding, apart):
+    """The adjoint of ``windows``: the gradient of the (N, H, W, C) input of
+    *shape* whose *grid* of windows, at *stride* after zero *padding*, was read.
+
+    It gathers. The generator ``shares(buf)`` writes a gradient of every
+    window into *buf*, the (N, Ho, Wo, C) interior of a zero-bordered
+    buffer, then yields the taps that add it, as (a, b) offsets into the
+    padded window. Each tap adds a shifted view of the buffer over one
+    contiguous (N, ceil(H/sh), ceil(W/sw), C) plane, its stride phase's:
+    the gradient itself at unit stride, else one copy interleaves the
+    planes; windows *apart* (none larger than the stride) add into the
+    gradient's strided phases instead. All is laid out as *like*. Each
+    element adds its taps in yielded order, and +0.0 where a tap misses
+    it, which changes no bit of a sum that starts at +0.0."""
+    (n, h, w, c), (ho, wo), (sh, sw), (ph, pw) = shape, grid, stride, padding
+    hc, top, hb = _gather_axis(h, ho, sh, ph)
+    wc, left, wb = _gather_axis(w, wo, sw, pw)
+    grad_x = np.zeros_like(like, shape=(n, hc * sh, wc * sw, c))
+    direct = (sh, sw) == (1, 1) or apart
+    planes = {(ra, rb): grad_x[:, ra::sh, rb::sw] if direct else np.zeros_like(like, shape=(n, hc, wc, c))
+              for ra, rb in np.ndindex(sh, sw)}
+    buf = np.zeros_like(like, shape=(n, hb, wb, c))
+    for a, b in shares(buf[:, top : top + ho, left : left + wo]):
+        (qa, ra), (qb, rb) = divmod(a - ph, sh), divmod(b - pw, sw)
+        planes[ra, rb] += buf[:, top - qa : top - qa + hc, left - qb : left - qb + wc]
+    if not direct:
+        for (ra, rb), plane in planes.items():
+            grad_x[:, ra::sh, rb::sw] = plane
+    return grad_x[:, :h, :w]
 
 
 def _prepare(x, weights, stride, padding, dilation):
@@ -264,14 +304,23 @@ def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), 
     g_rows = np.ascontiguousarray(_rows(g))
     if _pointwise(w, geometry):
         grad_w = (_rows(xp).T @ g_rows).reshape(w.shape)
-        grad_xp = (w[0, 0] @ g_rows.T).T.reshape(xp.shape)
-    else:
-        grad_w = np.empty_like(w)
-        grad_xp = np.zeros_like(xp)
-        grad_windows = windows(grad_xp, *geometry, writeable=True)
-        for a, b in np.ndindex(*w.shape[:2]):
-            tap = cols[:, :, :, a, b]
-            grad_w[a, b] = _rows(tap).T @ g_rows  # a strided tap is copied here, one at a time
-            grad_windows[:, :, :, a, b] += (g_rows @ w[a, b].T).reshape(*g.shape[:3], w.shape[2])
-    grad_x = unpad(grad_xp, padding)
+        return unpad((w[0, 0] @ g_rows.T).T.reshape(xp.shape), padding), grad_w, g_rows.sum(axis=0)
+    (kh, kw, c, _), ((sh, sw), (dh, dw)) = w.shape, geometry[1:]
+    taps, grad_w = list(np.ndindex(kh, kw)), np.empty_like(w)
+    for a, b in taps:  # every weight gradient first: one loop with the gather was slower
+        grad_w[a, b] = _rows(cols[:, :, :, a, b]).T @ g_rows  # a strided tap is copied here, one at a time
+    # numpy's stacked matmul runs a GEMV per row block where a block is a vector
+    # (Wo or C_in of 1), which rounds unlike the 2-D product: that one is copied in
+    vector, g_c = g.shape[2] == 1 or c == 1, g_rows.reshape(g.shape)
+
+    def shares(buf):
+        for a, b in taps:
+            if vector:
+                buf[...] = (g_rows @ w[a, b].T).reshape(buf.shape)
+            else:
+                np.matmul(g_c, w[a, b].T, out=buf)
+            yield a * dh, b * dw
+
+    apart = (kh - 1) * dh < sh and (kw - 1) * dw < sw
+    grad_x = windows_backward(shares, g_c, unpad(xp, padding).shape, g.shape[1:3], (sh, sw), padding, apart)
     return grad_x, grad_w, g_rows.sum(axis=0)

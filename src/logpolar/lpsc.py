@@ -26,14 +26,13 @@ of the padded input, and its adjoint is ``ops.pool_cells_backward``.
 Shapes stay channels-last, but memory is channel-major: the padded input
 is stored as (C_in, N, Hp, Wp) and the pooled tensor as (slots, C_in, N,
 Ho, Wo), viewed as (N, Ho, Wo, slots*C_in). Each slot then pools into,
-and its adjoint reads, one contiguous block, and the adjoint adds every
-tap over a contiguous channel-major plane: the input gradient itself at
-unit stride, one plane per stride phase otherwise. With P the pooled
-tensor as a (slots*C_in, N*Ho*Wo) matrix, K the 1x1 kernel and g the output
-gradient as (N*Ho*Wo, C_out) rows, the block convolution is
-``conv2d_raw``'s 1x1 rule, three plain GEMMs on a view of P:
-``(K.T @ P).T`` forward, ``P @ g`` for the weight gradient and
-``K @ g.T`` for the pooled gradient, which lands channel-major as P is.
+and its adjoint reads, one contiguous block; the input gradient is
+channel-major too. With P the pooled tensor as a (slots*C_in, N*Ho*Wo)
+matrix, K the 1x1 kernel and g the output gradient as (N*Ho*Wo, C_out)
+rows, the block convolution is ``conv2d_raw``'s 1x1 rule, three plain
+GEMMs on a view of P: ``(K.T @ P).T`` forward, ``P @ g`` for the
+weight gradient and ``K @ g.T`` for the pooled gradient, which lands
+channel-major as P is.
 Only ``log_polar_pool`` and ``lpsc_backward`` read the slot plan,
 ``_plan``. A slot is a region's mask cells (dr, dc) in row-major order,
 as window taps (r + dr, r + dc). Region k = (level-1)*levels_theta +
@@ -222,11 +221,9 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     """Exact adjoints of the forward map: (grad_input, LpscWeights grads).
 
     Computed against the fast path: the 1x1 convolution's adjoint, then
-    the pooling adjoint, which gathers each slot's gradient back through
-    its cells into the unpadded, channel-major input gradient. *pooled*
-    is the forward pass's pooled tensor (``lpsc_forward_fast(...,
-    return_pooled=True)``), which max mode compares cells against; without
-    it the input is pooled again.
+    the pooling adjoint. *pooled* is the forward pass's pooled tensor
+    (``lpsc_forward_fast(..., return_pooled=True)``), which max mode
+    compares cells against; without it the input is pooled again.
     """
     xb, slots = _prepare(input, config, weights), _plan(config)
     c, size, mode = xb.shape[3], config.kernel_size, config.pooling_mode

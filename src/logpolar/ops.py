@@ -2,23 +2,19 @@
 
 ``pool_cells`` is the one pooling loop of the package: it combines the
 taps (window cells) of each slot of a ``conv.windows`` view one at a
-time, in the order given. ``pool_cells_backward``, its adjoint, gathers:
-each tap adds a shifted view of a zero-bordered copy of its slot's
-gradient over a whole contiguous plane of the input gradient, one plane
-per stride phase (or, where windows do not overlap, over the gradient's
-strided phase itself), and returns the unpadded input gradient. Log-polar
-pooling runs the pair with one slot per region, ``max_pool`` and
-``mean_pool`` with one slot that holds every tap of the window in
-row-major order. Window pooling takes (N, H, W, C) batches and is
-non-overlapping by default (stride = window) with floor semantics and no
-padding; relu'(0) = 0.
+time, in the order given; ``pool_cells_backward``, its adjoint, hands
+the slots' shares to ``conv.windows_backward``. Log-polar pooling runs
+the pair with one slot per region, ``max_pool`` and ``mean_pool`` with
+one slot that holds every tap of the window in row-major order. Window
+pooling takes (N, H, W, C) batches and is non-overlapping by default
+(stride = window) with floor semantics and no padding; relu'(0) = 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conv import _as_bias, as_batch, as_geometry, as_pair, windows
+from .conv import _as_bias, as_batch, as_geometry, as_pair, windows, windows_backward
 
 __all__ = [
     "relu",
@@ -77,17 +73,6 @@ def pool_cells(win, slots, mode, out=None):
     return out
 
 
-def _gather_axis(extent, grid, stride, pad):
-    """Along one axis of the gather in ``pool_cells_backward``: a stride
-    phase's plane rows, ceil(*extent*/*stride*); the zero border before the
-    *grid* pooled rows in the buffer; and the buffer's length, which covers
-    every row that a tap's shifted view reads."""
-    rows = -(-extent // stride)
-    reach = extent + 2 * pad - (grid - 1) * stride - 1  # the largest tap index a window has room for
-    border = max(0, (reach - pad) // stride)
-    return rows, border, border + max(grid, rows - (-pad // stride))
-
-
 def pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, padding):
     """The adjoint of ``pool_cells`` for the pooled gradient *grad*: the
     gradient of the (N, H, W, C) input of *shape* whose windows, at
@@ -96,61 +81,30 @@ def pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, padding):
     Max mode sends a slot's gradient to its first tap whose *win* value
     equals the slot's *pooled* maximum (no other mode reads those two); a
     one-tap slot takes it directly, mean mode divides it by the
-    population, and empty slots are skipped.
-
-    The adjoint gathers: each slot writes its share of the gradient into
-    the interior of one zero-bordered buffer (per tap in max mode), and
-    each tap adds a shifted view of that buffer over the whole of one
-    contiguous (N, ceil(H/sh), ceil(W/sw), C) plane, the one of its stride
-    phase. At unit stride the one plane is the gradient itself; otherwise
-    one copy interleaves the phases. Windows that do not overlap (none
-    larger than the stride, as the default window pools) give each phase
-    one tap of a window, so their taps add straight into the gradient's
-    strided phases: no planes, no copy. The buffer, the planes and so the
-    gradient are laid out as the input is (*win*'s memory order), which
-    the layer below reads with it, or as *grad*'s slots are where there is
-    no *win*: ``lpsc`` passes channel-major slots and, in max mode, a
-    channel-major *win*. Every element adds its contributions in (slot,
-    tap) order, and +0.0 where a tap misses it, which changes no bit of a
-    sum that starts at +0.0."""
-    n, h, w, c = shape
-    (sh, sw), (ph, pw) = stride, padding
-    ho, wo = grad.shape[1:3]
+    population, and empty slots are skipped. ``conv.windows_backward``
+    adds the shares in (slot, tap) order, laid out as *win* (which the
+    layer below reads with it), or as *grad*'s slots where there is none."""
     like = grad[:, :, :, 0] if win is None else win[:, :, :, 0, 0]  # the memory order to follow
-    hc, top, hb = _gather_axis(h, ho, sh, ph)
-    wc, left, wb = _gather_axis(w, wo, sw, pw)
-    grad_x = np.zeros_like(like, shape=(n, hc * sh, wc * sw, c))
-    direct = (sh, sw) == (1, 1) or (win is not None and win.shape[3] <= sh and win.shape[4] <= sw)
-    planes = [[grad_x[:, ra::sh, rb::sw] if direct else np.zeros_like(like, shape=(n, hc, wc, c))
-               for rb in range(sw)] for ra in range(sh)]
-    buf = np.zeros_like(like, shape=(n, hb, wb, c))
-    interior = buf[:, top : top + ho, left : left + wo]
-    for k, taps in enumerate(slots):
-        if len(taps) == 0:
-            continue
-        gk = grad[:, :, :, k]
-        routed = mode == "max" and len(taps) > 1
-        if routed:
-            best = pooled[:, :, :, k]
-            open_ = np.ones_like(best, dtype=bool)  # no earlier tap has taken the gradient
-            hit = np.empty_like(open_)
-        elif mode == "mean":
-            np.divide(gk, len(taps), out=interior)
-        else:
-            interior[...] = gk
-        for a, b in taps:
-            if routed:
-                np.equal(win[:, :, :, a, b], best, out=hit)
-                hit &= open_
-                open_ ^= hit
-                np.multiply(gk, hit, out=interior)
-            (qa, ra), (qb, rb) = divmod(a - ph, sh), divmod(b - pw, sw)
-            planes[ra][rb] += buf[:, top - qa : top - qa + hc, left - qb : left - qb + wc]
-    if not direct:
-        for ra, row in enumerate(planes):
-            for rb, plane in enumerate(row):
-                grad_x[:, ra::sh, rb::sw] = plane
-    return grad_x[:, :h, :w]
+    apart = win is not None and win.shape[3] <= stride[0] and win.shape[4] <= stride[1]
+
+    def shares(buf):
+        for k, taps in enumerate(slots):
+            gk = grad[:, :, :, k]
+            if mode == "max" and len(taps) > 1:
+                best = pooled[:, :, :, k]
+                open_ = np.ones_like(best, dtype=bool)  # no earlier tap has taken the gradient
+                hit = np.empty_like(open_)
+                for a, b in taps:
+                    np.equal(win[:, :, :, a, b], best, out=hit)
+                    hit &= open_
+                    open_ ^= hit
+                    np.multiply(gk, hit, out=buf)
+                    yield a, b
+            elif len(taps):
+                np.divide(gk, len(taps) if mode == "mean" else 1, out=buf)  # gk / 1 is gk, bit for bit
+                yield from taps
+
+    return windows_backward(shares, like, shape, grad.shape[1:3], stride, padding, apart)
 
 
 def _pool_setup(x, size, stride):

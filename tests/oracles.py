@@ -61,6 +61,25 @@ def scatter_pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, p
     return grad_xp[:, ph : ph + h, pw : pw + w]
 
 
+def scatter_conv2d_backward(x, w, g, stride=(1, 1), padding=(0, 0), dilation=(1, 1)):
+    """The input gradient of a non-1x1 ``conv2d_raw`` as a scatter, the
+    form ``conv2d_raw_backward`` had before it gathered: each tap's product
+    ``g_rows @ w[a, b].T`` is added through that tap's window positions of a
+    zero-padded gradient, tap by tap in row-major order."""
+    n, h, wd, c = x.shape
+    kh, kw, _, cout = w.shape
+    (sh, sw), (ph, pw), (dh, dw) = stride, padding, dilation
+    ho, wo = g.shape[1:3]
+    g_rows = np.ascontiguousarray(g.reshape(-1, cout))
+    grad_xp = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
+    for a in range(kh):
+        for b in range(kw):
+            rows, cols = a * dh, b * dw
+            grad_xp[:, rows : rows + (ho - 1) * sh + 1 : sh, cols : cols + (wo - 1) * sw + 1 : sw] += (
+                g_rows @ w[a, b].T).reshape(n, ho, wo, c)
+    return grad_xp[:, ph : ph + h, pw : pw + wd]
+
+
 def finite_difference(f, x, eps=1e-5):
     """Central finite differences of scalar f with respect to array x."""
     x = np.asarray(x, dtype=np.float64)

@@ -20,7 +20,7 @@ from logpolar.baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
-from logpolar.conv import conv2d_raw_backward, pad, unpad, windows
+from logpolar.conv import conv2d_raw_backward, pad, unpad, windows, windows_backward
 from logpolar.geometry import LpscConfig
 from logpolar.lpsc import (
     LpscWeights,
@@ -31,7 +31,13 @@ from logpolar.lpsc import (
 )
 from logpolar.network import LayerSpec, NetSpec, build_network
 
-from oracles import finite_difference, loop_conv2d, max_rel_error, scatter_pool_cells_backward
+from oracles import (
+    finite_difference,
+    loop_conv2d,
+    max_rel_error,
+    scatter_conv2d_backward,
+    scatter_pool_cells_backward,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -95,9 +101,11 @@ def window_cases(draw):
 
 class TestWindows:
     @settings(max_examples=80, deadline=None)
-    @given(case=window_cases(), seed=st.integers(0, 2**16))
-    @example(case=((2, 7, 5, 3), (3, 2), (2, 3), (3, 4)), seed=0)  # window = whole input
-    def test_view_matches_oracles(self, case, seed):
+    @given(case=window_cases(), padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           seed=st.integers(0, 2**16))
+    @example(case=((2, 7, 5, 3), (3, 2), (2, 3), (3, 4)), padding=(0, 0), seed=0)  # window = whole input
+    @example(case=((1, 6, 7, 2), (2, 3), (2, 3), (1, 1)), padding=(1, 2), seed=1)  # windows apart
+    def test_view_matches_oracles(self, case, padding, seed):
         shape, (kh, kw), (sh, sw), (dh, dw) = case
         rng = np.random.default_rng(seed)
         x = rng.normal(size=shape)
@@ -109,17 +117,24 @@ class TestWindows:
         np.testing.assert_array_equal(view, oracle.transpose(0, 1, 2, 4, 5, 3))
         assert not view.flags.writeable and np.shares_memory(view, x)
 
-        # writing one tap at a time: an np.add.at scatter oracle (integer
-        # values, so the two summation orders give the same sums)
-        g = rng.integers(-9, 10, size=view.shape).astype(np.float64)
-        got = np.zeros(shape)
-        grad_view = windows(got, (kh, kw), (sh, sw), (dh, dw), writeable=True)
-        for a, b in np.ndindex(kh, kw):
-            grad_view[:, :, :, a, b] += g[:, :, :, a, b]
+        # the adjoint, one tap per yield, after zero padding: an np.add.at
+        # scatter oracle (integer values, so the two summation orders give
+        # the same sums); windows no larger than the stride add directly
+        xp = pad(x, padding)
+        grid = windows(xp, (kh, kw), (sh, sw), (dh, dw)).shape[1:3]
+        g = rng.integers(-9, 10, size=(shape[0], *grid, kh, kw, shape[3])).astype(np.float64)
+
+        def shares(buf):
+            for a, b in np.ndindex(kh, kw):
+                buf[...] = g[:, :, :, a, b]
+                yield a * dh, b * dw
+
+        apart = extent[0] <= sh and extent[1] <= sw
+        got = windows_backward(shares, x, shape, grid, (sh, sw), padding, apart)
         n, i, j, a, b, c = np.indices(g.shape)
-        want = np.zeros(shape)
+        want = np.zeros(xp.shape)
         np.add.at(want, (n, i * sh + a * dh, j * sw + b * dw, c), g)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, unpad(want, padding))
 
         # an oversized window raises instead of reaching past the input
         with pytest.raises(ValueError, match="kernel extent"):
@@ -397,6 +412,29 @@ class TestConvBackward:
         with pytest.raises(ValueError, match="grad_output"):
             conv2d_raw_backward(x, w, np.zeros((1, 5, 5, 1)))
 
+    @pytest.mark.parametrize("size", [(3, 3), (2, 4), (1, 3)], ids=str)
+    @pytest.mark.parametrize("stride, dilation", [((1, 1), (1, 1)), ((2, 2), (2, 2)), ((3, 2), (2, 1)),
+                                                  ((2, 3), (1, 2)), ((3, 3), (2, 2))], ids=str)
+    @pytest.mark.parametrize("channels", [(1, 3), (4, 1), (2, 8)], ids=str)
+    def test_input_gradient_matches_scatter_oracle(self, size, stride, dilation, channels):
+        # the gather's bytes are the scatter's: paddings 0..k+1, one or more
+        # output rows and columns (a one-column output, like one input
+        # channel, is a vector row block), C-order and channel-major inputs,
+        # and a position whose gradient is all -0.0
+        rng = np.random.default_rng(26)
+        w = rng.normal(size=(*size, *channels))
+        extent = [(k - 1) * d + 1 for k, d in zip(size, dilation)]
+        for p in range(max(size) + 2):
+            for extra in ((0, 0), (0, 5), (4, 0)):
+                h, wd = (max(1, e - 2 * p) + x for e, x in zip(extent, extra))
+                for layout in ("c-order", "channel-major"):
+                    x = laid_out(rng.normal(size=(2, h, wd, channels[0])), layout)
+                    geometry = dict(stride=stride, padding=(p, p), dilation=dilation)
+                    g = rng.normal(size=conv2d_raw(x, w, **geometry).shape)
+                    g[1, -1, 0] = -0.0
+                    gx = conv2d_raw_backward(x, w, g, **geometry)[0]
+                    assert gx.tobytes() == scatter_conv2d_backward(x, w, g, **geometry).tobytes()
+
     @settings(max_examples=80, deadline=None)
     @given(
         size=st.tuples(st.integers(1, 3), st.integers(1, 3)),
@@ -406,7 +444,7 @@ class TestConvBackward:
         extra=st.tuples(st.integers(0, 5), st.integers(0, 5)),
         seed=st.integers(0, 2**16),
     )
-    # 1x1 at unit stride takes the one-to-one adjoint; at (2, 1) the scatter
+    # 1x1 at unit stride takes the one-to-one adjoint; at (2, 1) the gather
     @example(size=(1, 1), stride=(1, 1), padding=(1, 2), dilation=(2, 1), extra=(4, 5), seed=0)
     @example(size=(1, 1), stride=(2, 1), padding=(1, 0), dilation=(1, 1), extra=(4, 3), seed=0)
     def test_adjoint_identities(self, size, stride, padding, dilation, extra, seed):
