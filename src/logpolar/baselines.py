@@ -41,10 +41,6 @@ class DilatedConfig:
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:  # a dilated kernel has a center tap
             raise ValueError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
 
-    @property
-    def effective_extent(self) -> int:
-        return (self.kernel_size - 1) * self.dilation + 1
-
 
 @dataclass(frozen=True)
 class SquareShareConfig:

@@ -344,7 +344,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset as IDX files")
-    p.add_argument("--task", default="edges", choices=("edges",))
     p.add_argument("--n-per-class", type=_at_least(1), default=64)
     p.add_argument("--size", type=_at_least(8), default=16, help="image side (>= 8)")
     p.add_argument("--seed", type=_at_least(0), default=0)

@@ -15,7 +15,8 @@ it is three GEMMs on the (C, N*H*W) matrix ``P = rows(xp).T``, where
 ``P @ g`` for the weight gradient and ``K @ g.T`` for the input
 gradient; the output and the input gradient come back as (C, N*H*W)
 memory. Any other kernel takes each tap's weight gradient and input
-gradient as one GEMM each, the latter gathered by ``windows_backward``.
+gradient as one GEMM each, the latter gathered by ``windows_backward``,
+which takes ``windows``' geometry plus the input's shape and padding.
 The output gradient g is read as C-order rows for every kernel, so the
 gradients do not depend on its memory order.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
@@ -23,9 +24,8 @@ baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
 check of stride, padding and dilation: every operator, config and layer
 with a window reads them through it. A config's error starts with its
-field's name, which ``renamed`` swaps for the user's. Output extents follow
-
-    out = floor((size + 2*pad - eff) / stride) + 1,   eff = (k-1)*dilation + 1.
+field's name, which ``renamed`` swaps for the user's. ``out_extent``
+alone holds the extent rule.
 
 All operations are pure functions of their arguments and never mutate
 inputs; each output element sums the taps in row-major (a, b) order, one
@@ -150,9 +150,9 @@ class ConvKernel:
     bias: np.ndarray | None = None
 
 
-def out_extent(size, extent, stride, pad) -> int:
-    """Output positions along one axis for a window spanning *extent* cells."""
-    padded = size + 2 * pad
+def out_extent(size, k, stride, pad, dilation=1) -> int:
+    """Output positions along one axis for a window of *k* taps *dilation* apart."""
+    extent, padded = (k - 1) * dilation + 1, size + 2 * pad
     if padded < extent:
         raise ValueError(f"kernel extent {extent} larger than padded input extent {padded}")
     return (padded - extent) // stride + 1
@@ -179,26 +179,26 @@ def windows(xp, size, stride, dilation=(1, 1)):
     data is copied. ``windows_backward`` is its adjoint."""
     (kh, kw), (sh, sw), (dh, dw) = size, stride, dilation
     n, h, w, c = xp.shape
-    ho = out_extent(h, (kh - 1) * dh + 1, sh, 0)
-    wo = out_extent(w, (kw - 1) * dw + 1, sw, 0)
+    ho, wo = out_extent(h, kh, sh, 0, dh), out_extent(w, kw, sw, 0, dw)
     s_n, s_h, s_w, s_c = xp.strides
     strides = (s_n, s_h * sh, s_w * sw, s_h * dh, s_w * dw, s_c)
     return np.lib.stride_tricks.as_strided(xp, (n, ho, wo, kh, kw, c), strides, writeable=False)
 
 
-def _gather_axis(extent, grid, stride, pad):
-    """Along one axis of ``windows_backward``: a plane's rows, ceil(*extent*/*stride*);
+def _gather_axis(length, grid, stride, pad):
+    """Along one axis of ``windows_backward``: a plane's rows, ceil(*length*/*stride*);
     the zero border before the buffer's *grid* window rows; and the buffer's
     length, which covers every row that a tap's shifted view reads."""
-    rows = -(-extent // stride)
-    reach = extent + 2 * pad - (grid - 1) * stride - 1  # the largest tap offset a window has room for
+    rows = -(-length // stride)
+    reach = length + 2 * pad - (grid - 1) * stride - 1  # the largest tap offset a window has room for
     border = max(0, (reach - pad) // stride)
     return rows, border, border + max(grid, rows - (-pad // stride))
 
 
-def windows_backward(shares, like, shape, grid, stride, padding, apart):
+def windows_backward(shares, like, shape, size, stride, padding, dilation=(1, 1)):
     """The adjoint of ``windows``: the gradient of the (N, H, W, C) input of
-    *shape* whose *grid* of windows, at *stride* after zero *padding*, was read.
+    *shape* whose windows of *size*, *stride* and *dilation*, after zero
+    *padding*, were read.
 
     It gathers. The generator ``shares(buf)`` writes a gradient of every
     window into *buf*, the (N, Ho, Wo, C) interior of a zero-bordered
@@ -206,15 +206,16 @@ def windows_backward(shares, like, shape, grid, stride, padding, apart):
     padded window. Each tap adds a shifted view of the buffer over one
     contiguous (N, ceil(H/sh), ceil(W/sw), C) plane, its stride phase's:
     the gradient itself at unit stride, else one copy interleaves the
-    planes; windows *apart* (none larger than the stride) add into the
+    planes; windows apart (no tap offset reaching the stride) add into the
     gradient's strided phases instead. All is laid out as *like*. Each
     element adds its taps in yielded order, and +0.0 where a tap misses
     it, which changes no bit of a sum that starts at +0.0."""
-    (n, h, w, c), (ho, wo), (sh, sw), (ph, pw) = shape, grid, stride, padding
+    (n, h, w, c), (kh, kw), (sh, sw), (ph, pw), (dh, dw) = shape, size, stride, padding, dilation
+    ho, wo = out_extent(h, kh, sh, ph, dh), out_extent(w, kw, sw, pw, dw)
     hc, top, hb = _gather_axis(h, ho, sh, ph)
     wc, left, wb = _gather_axis(w, wo, sw, pw)
     grad_x = np.zeros_like(like, shape=(n, hc * sh, wc * sw, c))
-    direct = (sh, sw) == (1, 1) or apart
+    direct = (sh, sw) == (1, 1) or ((kh - 1) * dh < sh and (kw - 1) * dw < sw)
     planes = {(ra, rb): grad_x[:, ra::sh, rb::sw] if direct else np.zeros_like(like, shape=(n, hc, wc, c))
               for ra, rb in np.ndindex(sh, sw)}
     buf = np.zeros_like(like, shape=(n, hb, wb, c))
@@ -305,8 +306,8 @@ def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), 
     if _pointwise(w, geometry):
         grad_w = (_rows(xp).T @ g_rows).reshape(w.shape)
         return unpad((w[0, 0] @ g_rows.T).T.reshape(xp.shape), padding), grad_w, g_rows.sum(axis=0)
-    (kh, kw, c, _), ((sh, sw), (dh, dw)) = w.shape, geometry[1:]
-    taps, grad_w = list(np.ndindex(kh, kw)), np.empty_like(w)
+    (size, stride, (dh, dw)), c = geometry, w.shape[2]
+    taps, grad_w = list(np.ndindex(*size)), np.empty_like(w)
     for a, b in taps:  # every weight gradient first: one loop with the gather was slower
         grad_w[a, b] = _rows(cols[:, :, :, a, b]).T @ g_rows  # a strided tap is copied here, one at a time
     # numpy's stacked matmul runs a GEMV per row block where a block is a vector
@@ -321,6 +322,5 @@ def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), 
                 np.matmul(g_c, w[a, b].T, out=buf)
             yield a * dh, b * dw
 
-    apart = (kh - 1) * dh < sh and (kw - 1) * dw < sw
-    grad_x = windows_backward(shares, g_c, unpad(xp, padding).shape, g.shape[1:3], (sh, sw), padding, apart)
+    grad_x = windows_backward(shares, g_c, unpad(xp, padding).shape, size, stride, padding, (dh, dw))
     return grad_x, grad_w, g_rows.sum(axis=0)

@@ -247,7 +247,7 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
 
     win = windows(_padded(xb, config.padding), (size, size), config.stride) if mode == "max" else None
     grad_input = pool_cells_backward(win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled,
-                                     xb.shape, config.stride, config.padding)
+                                     xb.shape, (size, size), config.stride, config.padding)
     bias = None if weights.bias is None else grad_bias  # bias-less weights get no bias gradient
     return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=bias)
 

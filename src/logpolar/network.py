@@ -302,11 +302,11 @@ class _Layer:
         raise NotImplementedError
 
 
-def _out_shape(in_shape, extent, stride, padding, channels):
-    """(Ho, Wo, channels) of a layer whose window spans *extent* cells of (H, W, C) input."""
+def _out_shape(in_shape, k, stride, padding, channels, dilation=1):
+    """(Ho, Wo, channels) of a layer whose k x k taps, *dilation* apart, slide over (H, W, C) input."""
     if len(in_shape) != 3:
         raise ValueError(f"expects (H, W, C) input, got {in_shape}")
-    ho, wo = (out_extent(n, extent, s, p) for n, s, p in zip(in_shape, stride, padding))
+    ho, wo = (out_extent(n, k, s, p, dilation) for n, s, p in zip(in_shape, stride, padding))
     return (ho, wo, channels)
 
 
@@ -325,7 +325,7 @@ class _WindowLayer(_Layer):
             self.config = _config(self.config_class, options, **self.spec_keys)
 
     def window(self):
-        """(extent, stride, padding) of the window."""
+        """(kernel size, stride, padding) of the window."""
         return self.config.kernel_size, self.config.stride, self.config.padding
 
     def cells(self):
@@ -403,11 +403,8 @@ class DilatedLayer(_WindowLayer):
     kind = "dilated"
     config_class = DilatedConfig
 
-    def window(self):
-        return self.config.effective_extent, self.config.stride, self.config.padding
-
-    def cells(self):
-        return self.config.kernel_size ** 2
+    def out_shape(self, in_shape):
+        return _out_shape(in_shape, *self.window(), self.out_channels, self.config.dilation)
 
     def init_params(self, in_shape, rng):
         k = self.config.kernel_size

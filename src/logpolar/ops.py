@@ -3,11 +3,12 @@
 ``pool_cells`` is the one pooling loop of the package: it combines the
 taps (window cells) of each slot of a ``conv.windows`` view one at a
 time, in the order given; ``pool_cells_backward``, its adjoint, hands
-the slots' shares to ``conv.windows_backward``. Log-polar pooling runs
-the pair with one slot per region, ``max_pool`` and ``mean_pool`` with
-one slot that holds every tap of the window in row-major order. Window
-pooling takes (N, H, W, C) batches and is non-overlapping by default
-(stride = window) with floor semantics and no padding; relu'(0) = 0.
+the slots' shares to ``conv.windows_backward``, laid out as the pooled
+gradient. Log-polar pooling runs the pair with one slot per region,
+``max_pool`` and ``mean_pool`` with one slot of every window tap,
+row-major. Window pooling takes (N, H, W, C) batches, non-overlapping by
+default (stride = window) with floor semantics and no padding;
+relu'(0) = 0.
 """
 
 from __future__ import annotations
@@ -73,19 +74,16 @@ def pool_cells(win, slots, mode, out=None):
     return out
 
 
-def pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, padding):
+def pool_cells_backward(win, slots, mode, pooled, grad, shape, size, stride, padding):
     """The adjoint of ``pool_cells`` for the pooled gradient *grad*: the
-    gradient of the (N, H, W, C) input of *shape* whose windows, at
-    *stride* after zero *padding*, were pooled.
+    gradient of the (N, H, W, C) input of *shape* whose windows of *size*,
+    at *stride* after zero *padding*, were pooled.
 
     Max mode sends a slot's gradient to its first tap whose *win* value
     equals the slot's *pooled* maximum (no other mode reads those two); a
     one-tap slot takes it directly, mean mode divides it by the
     population, and empty slots are skipped. ``conv.windows_backward``
-    adds the shares in (slot, tap) order, laid out as *win* (which the
-    layer below reads with it), or as *grad*'s slots where there is none."""
-    like = grad[:, :, :, 0] if win is None else win[:, :, :, 0, 0]  # the memory order to follow
-    apart = win is not None and win.shape[3] <= stride[0] and win.shape[4] <= stride[1]
+    adds the shares in (slot, tap) order, laid out as *grad*."""
 
     def shares(buf):
         for k, taps in enumerate(slots):
@@ -104,21 +102,21 @@ def pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, padding):
                 np.divide(gk, len(taps) if mode == "mean" else 1, out=buf)  # gk / 1 is gk, bit for bit
                 yield from taps
 
-    return windows_backward(shares, like, shape, grad.shape[1:3], stride, padding, apart)
+    return windows_backward(shares, grad[:, :, :, 0], shape, size, stride, padding)
 
 
 def _pool_setup(x, size, stride):
-    """(batch x, stride, windows of x, a window's one slot)."""
+    """(batch x, size, stride, windows of x, a window's one slot)."""
     xb = as_batch(x)
     size = as_pair(size, "pool size")
     if min(size) < 1:
         raise ValueError(f"pool size must be positive, got {size}")
     stride = as_geometry(size if stride is None else stride, 0)[0]
-    return xb, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
+    return xb, size, stride, windows(xb, size, stride), [list(np.ndindex(*size))]
 
 
 def _pool(x, size, stride, mode):
-    _, _, cols, slots = _pool_setup(x, size, stride)
+    *_, cols, slots = _pool_setup(x, size, stride)
     out = pool_cells(cols, slots, mode)[:, :, :, 0]
     if mode == "mean":
         out += 0.0  # a window of -0.0s pools to +0.0, as numpy's mean gives it
@@ -126,7 +124,7 @@ def _pool(x, size, stride, mode):
 
 
 def _pool_backward(x, grad_output, size, stride, mode):
-    xb, stride, cols, slots = _pool_setup(x, size, stride)
+    xb, size, stride, cols, slots = _pool_setup(x, size, stride)
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != (*cols.shape[:3], cols.shape[5]):
         raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
@@ -135,7 +133,7 @@ def _pool_backward(x, grad_output, size, stride, mode):
     grad = np.empty_like(xb, shape=g.shape)
     grad[...] = g
     pooled = pool_cells(cols, slots, mode, out=np.empty_like(grad)[:, :, :, None]) if mode == "max" else None
-    return pool_cells_backward(cols, slots, mode, pooled, grad[:, :, :, None], xb.shape, stride, (0, 0))
+    return pool_cells_backward(cols, slots, mode, pooled, grad[:, :, :, None], xb.shape, size, stride, (0, 0))
 
 
 def max_pool(x, size, stride=None):

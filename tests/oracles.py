@@ -34,14 +34,14 @@ def loop_conv2d(x, w, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None)
     return out
 
 
-def scatter_pool_cells_backward(win, slots, mode, pooled, grad, shape, stride, padding):
+def scatter_pool_cells_backward(win, slots, mode, pooled, grad, shape, size, stride, padding):
     """The pooling adjoint as a scatter, with ``ops.pool_cells_backward``'s
     arguments: each slot's share is added through every tap's window
     positions of a zero-padded gradient, slot by slot, tap by tap. Max mode
     sends the gradient to the first tap that equals the pooled maximum."""
     n, h, w, c = shape
-    (sh, sw), (ph, pw) = stride, padding
-    ho, wo = grad.shape[1:3]
+    (kh, kw), (sh, sw), (ph, pw) = size, stride, padding
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
     grad_xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
     for k, taps in enumerate(slots):
         if len(taps) == 0:

@@ -15,6 +15,7 @@ from logpolar.baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
+from logpolar.conv import out_extent
 
 from oracles import finite_difference, loop_conv2d, max_rel_error
 
@@ -165,5 +166,5 @@ class TestParameterCounts:
         assert dense[:, :, 0, 0].size == 81
         assert np.zeros((3, 3)).size == 9  # square regions for pool 3
         dilated = np.zeros((3, 3, 1, 1))
-        assert DilatedConfig(kernel_size=3, dilation=4).effective_extent == 9
         assert dilated[:, :, 0, 0].size == 9
+        assert out_extent(9, 3, 1, 0, dilation=4) == 1  # three taps 4 apart span all 9 cells

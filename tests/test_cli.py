@@ -799,7 +799,7 @@ class TestGenData:
     def test_writes_idx_pair(self, tmp_path):
         out = tmp_path / "data"
         assert main(
-            ["gen-data", "--task", "edges", "--n-per-class", "4", "--size", "16",
+            ["gen-data", "--n-per-class", "4", "--size", "16",
              "--seed", "3", "--out", str(out)]
         ) == 0
         ds = load_idx(out / "images.idx", out / "labels.idx")

@@ -488,10 +488,10 @@ class TestBackward:
         assert orders[0].flags.c_contiguous and not orders[1].flags.c_contiguous
         adjoint, slot_blocks = logpolar.lpsc.pool_cells_backward, []
 
-        def spy(win, slots, mode, pooled, grad, shape, stride, padding):
+        def spy(win, slots, mode, pooled, grad, *geometry):
             slot_blocks.append([grad[:, :, :, k].transpose(3, 0, 1, 2).flags.c_contiguous
                                 for k in range(len(slots))])
-            return adjoint(win, slots, mode, pooled, grad, shape, stride, padding)
+            return adjoint(win, slots, mode, pooled, grad, *geometry)
 
         monkeypatch.setattr(logpolar.lpsc, "pool_cells_backward", spy)
         (gx, gw), (gx2, gw2) = (lpsc_backward(x, c, w, grad, pooled=pooled) for grad in orders)
@@ -514,6 +514,43 @@ class TestBackward:
         assert np.array_equal(gws.regions, want.regions) and np.array_equal(gws.bias, want.bias)
         with pytest.raises(ValueError, match="pooled shape"):
             lpsc_backward(x, c, w, g, pooled=pooled[:, :-1])
+
+    @pytest.mark.parametrize("mode", POOLING_MODES)
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize("size, padding", [(3, p) for p in range(4)] + [(5, p) for p in range(6)])
+    def test_windows_apart_match_scatter_oracle(self, mode, center, size, padding):
+        # stride = window: no two windows share a cell, so each stride phase
+        # takes one tap, added straight into the input gradient
+        levels_r, levels_theta = {3: (1, 4), 5: (2, 6)}[size]
+        c = LpscConfig(kernel_size=size, levels_r=levels_r, levels_theta=levels_theta, growth=2,
+                       stride=size, padding=padding, pooling_mode=mode, center_conv=center)
+        x = np.round(RNG.normal(size=(2, 3 * size + 1, 2 * size + 2, 2))) / 2  # ties in max mode
+        w = make_weights(c, 2, 3, RNG)
+        out = lpsc_forward_fast(x, c, w)
+        adjoint, calls = logpolar.lpsc.pool_cells_backward, []
+
+        def spy(*args):
+            calls.append(args)
+            return adjoint(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logpolar.lpsc, "pool_cells_backward", spy)
+            gx, _ = lpsc_backward(x, c, w, RNG.normal(size=out.shape))
+        assert gx.tobytes() == scatter_pool_cells_backward(*calls[0]).tobytes()
+
+    @pytest.mark.parametrize("mode", ["mean", "max"])
+    @pytest.mark.parametrize("layout", ["c-order", "channel-major"])
+    def test_input_gradient_layout_is_channel_major(self, mode, layout):
+        # the pooled gradient lands channel-major, and the pooling adjoint
+        # lays the input gradient out as it: (C, N, H, W) memory
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2, stride=2,
+                       padding=2, pooling_mode=mode)
+        x = RNG.normal(size=(2, 9, 8, 3))
+        if layout == "channel-major":
+            x = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+        w = make_weights(c, 3, 4, RNG)
+        gx, _ = lpsc_backward(x, c, w, RNG.normal(size=lpsc_forward_fast(x, c, w).shape))
+        assert np.argsort(gx.strides).tolist() == [2, 1, 0, 3]
 
 
 class TestWeightFile:

@@ -129,8 +129,7 @@ class TestWindows:
                 buf[...] = g[:, :, :, a, b]
                 yield a * dh, b * dw
 
-        apart = extent[0] <= sh and extent[1] <= sw
-        got = windows_backward(shares, x, shape, grid, (sh, sw), padding, apart)
+        got = windows_backward(shares, x, shape, (kh, kw), (sh, sw), padding, (dh, dw))
         n, i, j, a, b, c = np.indices(g.shape)
         want = np.zeros(xp.shape)
         np.add.at(want, (n, i * sh + a * dh, j * sw + b * dw, c), g)
@@ -532,9 +531,21 @@ class TestOps:
             got = bwd(x, grad, size, stride)
             want = scatter_pool_cells_backward(
                 windows(x, size, stride), [list(np.ndindex(*size))], mode, pooled[:, :, :, None],
-                grad[:, :, :, None], x.shape, stride, (0, 0))
+                grad[:, :, :, None], x.shape, size, stride, (0, 0))
             assert got.tobytes() == want.tobytes()
             assert (got == 0).any() and not np.signbit(got[got == 0]).any()
+
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    @pytest.mark.parametrize("layout, order", [("c-order", [3, 2, 1, 0]), ("channel-major", [2, 1, 0, 3])])
+    @pytest.mark.parametrize("size, stride", [((2, 2), (2, 2)), ((3, 2), (1, 2))])
+    def test_pool_adjoint_keeps_the_input_layout(self, mode, layout, order, size, stride):
+        # the input gradient comes back in the input's memory order, whatever the gradient's
+        rng = np.random.default_rng(26)
+        x = laid_out(rng.normal(size=(2, 8, 9, 3)), layout)
+        pooled = (ops.max_pool if mode == "max" else ops.mean_pool)(x, size, stride)
+        bwd = ops.max_pool_backward if mode == "max" else ops.mean_pool_backward
+        for g in (rng.normal(size=pooled.shape), laid_out(rng.normal(size=pooled.shape), "channel-major")):
+            assert np.argsort(bwd(x, g, size, stride).strides).tolist() == order
 
     def test_pool_cells_combines_taps_in_order(self):
         # 2**53 + 1 rounds back to 2**53, so the sum depends on the tap order
