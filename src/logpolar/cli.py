@@ -26,7 +26,7 @@ import numpy as np
 
 from . import checks
 from .analysis import count_costs, estimate_rf, kernel_to_pgm, rf_to_pgm, visualize_kernel
-from .conv import renamed, renamed_warnings
+from .conv import renamed
 from .data import Dataset, load_idx, make_oriented_edges, save_idx
 from .geometry import LpscConfig, build_mask, mask_to_pgm, mask_to_text
 from .lpsc import load_lpsc_weights
@@ -97,11 +97,8 @@ def _mask_config(args) -> LpscConfig:
     """The config of the mask flags (``_MASK_FLAGS``: field -> flag); its errors and
     warnings name the flag."""
     names = {f: f"argument --{flag}:" for f, flag in _MASK_FLAGS.items()}
-    try:
-        with renamed_warnings(names):
-            return LpscConfig(**{field: getattr(args, flag) for field, flag in _MASK_FLAGS.items()})
-    except ValueError as exc:
-        raise renamed(exc, names) from None
+    with renamed(names):
+        return LpscConfig(**{field: getattr(args, flag) for field, flag in _MASK_FLAGS.items()})
 
 
 def cmd_mask(args) -> int:
@@ -148,10 +145,8 @@ def cmd_check(args) -> int:
 def _load_dataset(args, spec, seed):
     """The --data samples: images of the spec's input shape, labels below its classes."""
     if args.data == "edges":
-        try:
+        with renamed({"size": "--data edges: the spec's input side"}):
             dataset = make_oriented_edges(args.n_per_class, size=spec.input_shape[0], seed=seed)
-        except ValueError as exc:
-            raise renamed(exc, {"size": "--data edges: the spec's input side"}) from None
     else:
         if not args.images or not args.labels:
             raise ValueError("--data idx needs --images and --labels")
@@ -170,10 +165,8 @@ def _setup(args, **flags):
     with the flags that were given, the network, then the --data samples."""
     spec, cfg = parse_net_file(args.net)
     given = {key: value for key, value in flags.items() if value is not None}
-    try:
+    with renamed({key: f"argument --{key}:" for key in given}):
         cfg = dataclasses.replace(cfg or TrainConfig(), **given)  # runs TrainConfig's checks
-    except ValueError as exc:
-        raise renamed(exc, {key: f"argument --{key}:" for key in given}) from None
     network = build_network(spec, seed=cfg.seed)
     return cfg, network, _load_dataset(args, spec, cfg.seed)
 
@@ -221,10 +214,8 @@ def cmd_eval(args) -> int:
 def cmd_erf(args) -> int:
     spec, _ = parse_net_file(args.net)
     network = build_network(spec, seed=args.seed, require_logits=False)
-    try:
+    with renamed({"output_location": "argument --loc:"}):
         report = estimate_rf(network, output_location=args.loc, seed=args.seed)
-    except ValueError as exc:
-        raise renamed(exc, {"output_location": "argument --loc:"}) from None
     if args.out:
         Path(args.out).write_bytes(rf_to_pgm(report))
     print(f"location {report.location[0]},{report.location[1]}")

@@ -23,9 +23,10 @@ gradients do not depend on its memory order.
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
 check of stride, padding and dilation: every operator, config and layer
-with a window reads them through it. A config's error starts with its
-field's name, which ``renamed`` swaps for the user's. ``out_extent``
-alone holds the extent rule.
+with a window reads them through it. A config's error or warning starts
+with its field's name; ``renamed``, the one context manager every reader
+words them through, swaps it for the user's. ``out_extent`` alone holds
+the extent rule.
 
 All operations are pure functions of their arguments and never mutate
 inputs; each output element sums the taps in row-major (a, b) order, one
@@ -54,7 +55,6 @@ __all__ = [
     "out_extent",
     "pad",
     "renamed",
-    "renamed_warnings",
     "unpad",
     "windows",
     "windows_backward",
@@ -86,22 +86,25 @@ def as_field(value, annotation, name="value"):
     return annotation(value)
 
 
-def renamed(exc, names):
-    """*exc* with its leading field name replaced by ``names[field]``; any other error as it is."""
-    field, _, rest = str(exc).partition(" ")
-    return ValueError(f"{names[field]} {rest}") if field in names else exc
-
-
 @contextlib.contextmanager
-def renamed_warnings(names, prefix=""):
-    """Re-issue each warning of the block, from where it was issued, as *prefix*
-    plus its ``renamed`` message; a block that raises drops its warnings."""
+def renamed(names, prefix=""):
+    """Word the block's ValueError and warnings in the user's terms: *prefix*
+    plus the message, its leading field name replaced by ``names[field]``.
+    The error is re-raised from None; each warning is re-issued from where it
+    was issued, unless the block raises."""
+
+    def reword(message):
+        field, _, rest = str(message).partition(" ")
+        return prefix + (f"{names[field]} {rest}" if field in names else str(message))
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        yield
+        try:
+            yield
+        except ValueError as exc:
+            raise ValueError(reword(exc)) from None
     for w in caught:
-        text = prefix + str(renamed(w.message, names))
-        warnings.warn_explicit(text, w.category, w.filename, w.lineno)
+        warnings.warn_explicit(reword(w.message), w.category, w.filename, w.lineno)
 
 
 def check_fields(config) -> None:

@@ -111,7 +111,7 @@ class LpscConfig:
         if self.levels_r >= 2 and self.radius**2 / _power(self.growth, self.levels_r - 2) <= 2.0:
             # the floor R_1 = 2 swallows at least one further shell: the
             # second-to-last threshold already reaches past R^2
-            warnings.warn(  # worded as an error is, from the field, for ``conv.renamed``
+            warnings.warn(  # worded from the field as an error is: one ``conv.renamed`` words both
                 f"kernel_size {self.kernel_size} is degenerate with levels_r={self.levels_r}, "
                 f"growth={self.growth}: the R_1 floor of 2 leaves empty outer shells",
                 DegenerateGeometryWarning,

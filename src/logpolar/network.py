@@ -66,8 +66,9 @@ N names the layer in its errors, cost row and checkpoint files. Any other
 section, or a key its section does not know, is an error naming it, as is a
 bad value: ``LayerSpec`` alone checks a ``kind``, each config owns its field
 types (``conv.as_field``) and ranges, for library callers too, and a range
-error names the spec key as a type error does (``conv.renamed``). A flag
-takes true/false (yes/no, on/off). ``_opt`` reads the integer options no
+error or a warning names the spec key as a type error does: every reader
+words them through the one context manager ``conv.renamed``. A flag takes
+true/false (yes/no, on/off). ``_opt`` reads the integer options no
 config owns (conv ``kernel_size``, pool ``size``, ``units``,
 ``out_channels``), each >= 1; every layer's ``stride`` and ``padding`` goes
 through ``conv.as_geometry`` (a pool's ``stride`` is one integer). Only
@@ -116,7 +117,6 @@ from .conv import (
     conv2d_raw_backward,
     out_extent,
     renamed,
-    renamed_warnings,
 )
 from .geometry import LpscConfig
 from .lpsc import (
@@ -596,17 +596,14 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
     _per_sample("input", shapes[0])
     for i, layer_spec in enumerate(spec.layers, start=1):
         options, cls = dict(layer_spec.options), _LAYER_CLASSES[layer_spec.kind]
-        try:
-            with renamed_warnings(cls.spec_keys, f"layer.{i} ({layer_spec.kind}): "):
-                layer = cls(i, options)
+        # the one place that names the layer, and its spec keys
+        with renamed(cls.spec_keys, f"layer.{i} ({layer_spec.kind}): "):
+            layer = cls(i, options)
             if options:
                 raise ValueError(f"unknown options {sorted(options)}")
             shapes.append(layer.out_shape(shapes[-1]))
             for what, shape in layer.sample_arrays(*shapes[-2:]).items():
                 _per_sample(what, shape)
-        except ValueError as exc:  # the one place that names the layer, and its spec keys
-            exc = renamed(exc, cls.spec_keys)
-            raise ValueError(f"layer.{i} ({layer_spec.kind}): {exc}") from None
         layers.append(layer)
     if require_logits and shapes[-1] != (spec.num_classes,):
         raise ValueError(
@@ -614,10 +611,8 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
         )
     rng = np.random.default_rng(seed)
     for layer, shape in zip(layers, shapes):
-        try:
+        with renamed({}, f"{layer.describe()}: "):
             layer.init_params(shape, rng)
-        except ValueError as exc:
-            raise ValueError(f"{layer.describe()}: {exc}") from None
     return Network(layers, shapes)
 
 
@@ -723,24 +718,18 @@ def parse_net_file(path):
     layers = []
     for section in layer_sections:
         options = {key: _parse_value(value) for key, value in parser[section].items()}
-        try:
+        with renamed({}, f"{path}: [{section}]: "):
             layers.append(LayerSpec(options.pop("kind", None), options))
-        except ValueError as exc:
-            raise ValueError(f"{path}: [{section}]: {exc}") from None
 
-    try:
+    with renamed({"num_classes": "classes"}, f"{path}: [net]: "):
         spec = NetSpec(layers=layers, input_shape=dims,
                        num_classes=_read(net_options, "classes", None, int))
-    except ValueError as exc:
-        raise ValueError(f"{path}: [net]: {renamed(exc, {'num_classes': 'classes'})}") from None
 
     train_cfg = None
     if "train" in parser:
         body = {key: _parse_value(value) for key, value in parser["train"].items()}
-        try:
+        with renamed({}, f"{path}: [train]: "):
             train_cfg = _config(TrainConfig, body)
-        except ValueError as exc:
-            raise ValueError(f"{path}: [train]: {exc}") from None
         if body:
             raise ValueError(f"{path}: unknown [train] keys {sorted(body)}")
     return spec, train_cfg

@@ -715,6 +715,15 @@ class TestCount:
             assert main(self.degenerate_argv(tmp_path, command)) == 0
         assert [str(w.message) for w in caught] == [self.DEGENERATE[command]]
 
+    def test_failing_layer_prints_its_error_alone(self, tmp_path):
+        # the degenerate layer's warning goes with the layer's error: one stderr line
+        argv = self.degenerate_argv(tmp_path, "count")
+        Path(argv[-1]).write_text(Path(argv[-1]).read_text().replace("levels_r = 3",
+                                                                     "levels_r = 3\nbogus = 1"))
+        run = lpsc_process(argv)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == "lpsc: error: layer.1 (lpsc): unknown options ['bogus']\n"
+
     @pytest.mark.parametrize("net", NETS, ids=lambda p: p.name)
     def test_shipped_specs_parse_and_count(self, net, capsys):
         spec, train_cfg = parse_net_file(net)

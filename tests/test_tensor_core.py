@@ -1,7 +1,9 @@
-"""Tensor storage, file round-trips, conv2d_raw against loop oracles, adjoints."""
+"""Tensor storage, file round-trips, conv2d_raw against loop oracles, adjoints,
+and the wording of errors and warnings through conv.renamed."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from logpolar.baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
-from logpolar.conv import conv2d_raw_backward, pad, unpad, windows, windows_backward
-from logpolar.geometry import LpscConfig
+from logpolar.conv import conv2d_raw_backward, pad, renamed, unpad, windows, windows_backward
+from logpolar.geometry import DegenerateGeometryWarning, LpscConfig
 from logpolar.lpsc import (
     LpscWeights,
     log_polar_pool,
@@ -733,3 +735,77 @@ def test_window_geometry_has_one_check(name, key):
     for value, message in _BAD_GEOMETRY.get((name, key), _BAD_GEOMETRY[key]):
         with pytest.raises(ValueError, match=re.escape(f"{message}, got")):
             make(**{key: value})
+
+
+def _degenerate():
+    """An LpscConfig whose DegenerateGeometryWarning points at this line."""
+    return LpscConfig(kernel_size=5, levels_r=3, levels_theta=8, growth=2)
+
+
+def _recorded(block):
+    """The warnings that running *block* issues, each one shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        block()
+    return caught
+
+
+class TestRenamed:
+    NAMES = {"kernel_size": "size", "output_location": "argument --loc:"}
+
+    def _raise(self, message, prefix="layer.1 (lpsc): "):
+        with pytest.raises(ValueError) as info:
+            with renamed(self.NAMES, prefix):
+                raise ValueError(message)
+        return info.value
+
+    def test_leading_field_is_renamed_and_prefixed(self):
+        exc = self._raise("kernel_size must be odd and >= 3, got 4")
+        assert str(exc) == "layer.1 (lpsc): size must be odd and >= 3, got 4"
+        assert str(self._raise("output_location (40, 0) is outside", "")) == (
+            "argument --loc: (40, 0) is outside")
+
+    @pytest.mark.parametrize("message", ["unknown options ['sise']", "size must be odd"])
+    def test_other_message_only_gets_the_prefix(self, message):
+        assert str(self._raise(message)) == "layer.1 (lpsc): " + message
+
+    def test_warning_is_reissued_once_reworded_from_where_it_was_issued(self):
+        (direct,) = _recorded(_degenerate)
+
+        def block():
+            with renamed(self.NAMES, "layer.2 (lpsc): "):
+                _degenerate()
+
+        (w,) = _recorded(block)
+        assert str(w.message) == "layer.2 (lpsc): size " + str(direct.message).partition(" ")[2]
+        assert str(direct.message).startswith("kernel_size 5 is degenerate")
+        assert (w.category, w.filename, w.lineno) == (
+            DegenerateGeometryWarning, direct.filename, direct.lineno)
+
+    def test_block_that_raises_reissues_no_warning(self):
+        def block():
+            with pytest.raises(ValueError, match="^p: size bad$"):
+                with renamed(self.NAMES, "p: "):
+                    _degenerate()
+                    raise ValueError("kernel_size bad")
+
+        assert _recorded(block) == []
+
+    def test_error_is_raised_from_none(self):
+        with pytest.raises(ValueError) as info:
+            with renamed(self.NAMES):
+                try:
+                    {}["kernel_size"]
+                except KeyError:
+                    raise ValueError("kernel_size is missing")
+        assert str(info.value) == "size is missing"
+        assert info.value.__cause__ is None
+        assert info.value.__suppress_context__
+
+    @pytest.mark.parametrize("error", [TypeError("kernel_size must be an integer"),
+                                       FloatingPointError("kernel_size is nan"), KeyError("kernel_size")])
+    def test_other_errors_pass_unchanged(self, error):
+        with pytest.raises(type(error)) as info:
+            with renamed(self.NAMES, "p: "):
+                raise error
+        assert info.value is error
