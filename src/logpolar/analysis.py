@@ -9,7 +9,7 @@ Counting rules, applied exactly (not asymptotically):
 * log-polar layers split into the region terms of the 1x1 convolution
   over the pooled slots (H'*W'*levels_r*levels_theta*C_in*C_out), its
   center term (H'*W'*C_in*C_out, when enabled), and pooling: one add per
-  gathered window cell (H'*W'*n_cells*C_in) plus, in mean mode, one
+  in-field mask cell (H'*W'*n_cells*C_in) plus, in mean mode, one
   multiply per region and channel for the 1/N scaling
   (H'*W'*levels_r*levels_theta*C_in); copying the center cell into its
   slot is free;
@@ -114,7 +114,7 @@ def _layer_cost(layer, in_shape, out_shape) -> LayerCost:
     mults = adds = pooled = 0
     detail = {}
     if kind in ("conv", "dilated", "square_share"):
-        mults = adds = out_shape[0] * out_shape[1] * layer.cells() * in_shape[2] * out_shape[2]
+        mults = adds = out_shape[0] * out_shape[1] * layer.window()[0] ** 2 * in_shape[2] * out_shape[2]
     elif kind == "lpsc":
         cfg = layer.config
         locations = out_shape[0] * out_shape[1]

@@ -6,14 +6,13 @@ channels over a window of `cells` weights per channel pair initializes
 uniformly in +-sqrt(6 / (cells * (c + out))), which is
 +-sqrt(6 / (fan_in + fan_out)); the log-polar layer counts its cells as
 levels_r * levels_theta + 1 since every weight serves a whole region. No
-parameter array may hold more than 2**26 numbers, and neither may any
-array one sample makes the forward pass allocate: the input, each layer's
-output and, for the window layers, the zero-padded input and the gathered
-window cells (``Ho*Wo*cells*C_in``, with k*k cells for conv, dilated and
-square_share and, for lpsc, the levels_r * levels_theta pooled slots plus
-one for the center when center_conv is set).
-build_network checks them all from the shapes before it draws any
-weight. Biases start at zero. Initialization draws happen in layer order
+array of one sample may hold more than 2**26 numbers: the input, each
+layer's output, a window layer's zero-padded input and an lpsc layer's
+pooled tensor (``Ho*Wo*slots*C_in``, levels_r * levels_theta slots plus
+one for the center when center_conv is set). build_network checks them
+all from the shapes before it draws any weight. No parameter array may
+hold more than 2**26 numbers either; each is checked just before its own
+draw. Biases start at zero. Initialization draws happen in layer order
 with a single generator, so a seed pins the whole parameter trajectory.
 
 The optimizer is SGD with momentum and weight decay:
@@ -23,7 +22,9 @@ The optimizer is SGD with momentum and weight decay:
 
 Training and evaluation run one loop over minibatches in fixed sample
 order (no shuffling), which makes runs bit-reproducible given (spec,
-seed, data); a non-finite loss raises FloatingPointError naming the batch.
+seed, data) for a fixed BLAS library and thread count (a GEMM's rounding
+may change with the thread count); a non-finite loss raises
+FloatingPointError naming the batch.
 
 Network spec files are INI-style text::
 
@@ -193,11 +194,11 @@ class TrainConfig:
                 raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
-def _per_sample(what, shape):
-    """Refuse a per-sample array of *shape* past the bound; *what* starts the message."""
+def _bounded(what, shape, per=" per sample"):
+    """Refuse an array of *shape* past the bound; *what* starts the message, *per* ends its count."""
     size = math.prod(shape)
     if size > _MAX_NUMBERS:
-        raise ValueError(f"{what} {'x'.join(map(str, shape))} holds {size} numbers per sample, "
+        raise ValueError(f"{what} {'x'.join(map(str, shape))} holds {size} numbers{per}, "
                          f"more than {_MAX_NUMBERS}")
 
 
@@ -210,7 +211,7 @@ def parse_dims(text, what):
         raise ValueError(f"{what} must look like 16x16x1, got {text!r}") from None
     if len(dims) != 3 or min(dims) < 1:
         raise ValueError(f"{what} must be three dims >= 1, got {text!r}")
-    _per_sample(what, dims)
+    _bounded(what, dims)
     return dims
 
 
@@ -222,10 +223,7 @@ def _init(rng, shape, out, use_bias, cells=None):
     defaults to the product of the leading dims. The bias is zero, or None
     without one.
     """
-    size = math.prod(shape) * out
-    if size > _MAX_NUMBERS:
-        raise ValueError(f"weights of shape {(*shape, out)} hold {size} numbers, "
-                         f"more than {_MAX_NUMBERS}")
+    _bounded("weight array", (*shape, out), "")
     cells = math.prod(shape[:-1]) if cells is None else cells
     limit = math.sqrt(6.0 / (cells * (shape[-1] + out)))
     return rng.uniform(-limit, limit, size=(*shape, out)), (np.zeros(out) if use_bias else None)
@@ -328,17 +326,12 @@ class _WindowLayer(_Layer):
         """(kernel size, stride, padding) of the window."""
         return self.config.kernel_size, self.config.stride, self.config.padding
 
-    def cells(self):
-        """Window cells gathered per output position and input channel."""
-        return self.window()[0] ** 2
-
     def out_shape(self, in_shape):
         return _out_shape(in_shape, *self.window(), self.out_channels)
 
     def sample_arrays(self, in_shape, out_shape):
         (h, w, c), (ph, pw) = in_shape, self.window()[2]
-        return {"output": out_shape, "padded input": (h + 2 * ph, w + 2 * pw, c),
-                "window cells": (*out_shape[:2], self.cells(), c)}
+        return {"output": out_shape, "padded input": (h + 2 * ph, w + 2 * pw, c)}
 
 
 class ConvLayer(_WindowLayer):
@@ -377,6 +370,10 @@ class LpscLayer(_WindowLayer):
     def cells(self):
         """The pooled slots: one per region, plus the center when ``center_conv`` is set."""
         return self.config.levels_r * self.config.levels_theta + self.config.center_conv
+
+    def sample_arrays(self, in_shape, out_shape):
+        return {**super().sample_arrays(in_shape, out_shape),
+                "pooled tensor": (*out_shape[:2], self.cells(), in_shape[2])}
 
     def init_params(self, in_shape, rng):
         cfg, c, out = self.config, in_shape[2], self.out_channels
@@ -593,7 +590,7 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
     """
     layers = []
     shapes = [tuple(spec.input_shape)]
-    _per_sample("input", shapes[0])
+    _bounded("input", shapes[0])
     for i, layer_spec in enumerate(spec.layers, start=1):
         options, cls = dict(layer_spec.options), _LAYER_CLASSES[layer_spec.kind]
         # the one place that names the layer, and its spec keys
@@ -603,7 +600,7 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
                 raise ValueError(f"unknown options {sorted(options)}")
             shapes.append(layer.out_shape(shapes[-1]))
             for what, shape in layer.sample_arrays(*shapes[-2:]).items():
-                _per_sample(what, shape)
+                _bounded(what, shape)
         layers.append(layer)
     if require_logits and shapes[-1] != (spec.num_classes,):
         raise ValueError(

@@ -1,8 +1,8 @@
 """Pointwise, pooling, dense, and loss primitives with exact adjoints.
 
 ``pool_cells`` is the one pooling loop of the package: it combines the
-taps (window cells) of each slot of a ``conv.windows`` view one at a
-time, in the order given; ``pool_cells_backward``, its adjoint, hands
+window taps of each slot of a ``conv.windows`` view one at a time, in
+the order given; ``pool_cells_backward``, its adjoint, hands
 the slots' shares to ``conv.windows_backward``, laid out as the pooled
 gradient. Log-polar pooling runs the pair with one slot per region,
 ``max_pool`` and ``mean_pool`` with one slot of every window tap,

@@ -156,6 +156,39 @@ class TestCounting:
         if kind != "lpsc":  # one multiply and one add per tap
             assert without[0].adds == without[0].mults
 
+    # the benchmark's three networks, written out: their conv.mults, lpsc.mults and
+    # lpsc.pooled_bytes are these counts, per sample and per layer
+    @pytest.mark.parametrize(
+        "layers, input_shape, want",
+        [
+            ([LayerSpec("lpsc", {"out_channels": 8, "size": 5, "levels_r": 2, "levels_theta": 6,
+                                 "growth": 2, "padding": 2}),
+              LayerSpec("relu"), LayerSpec("maxpool", {"size": 2}), LayerSpec("flatten"),
+              LayerSpec("dense", {"units": 2})],
+             (16, 16, 1), {0: (29696, 3328)}),
+            ([LayerSpec("lpsc", {"out_channels": 8, "size": 21, "levels_r": 4, "levels_theta": 8,
+                                 "growth": 2, "padding": 10}),
+              LayerSpec("relu"), LayerSpec("meanpool", {"size": 2}), LayerSpec("flatten"),
+              LayerSpec("dense", {"units": 4})],
+             (32, 32, 8), {0: (2424832, 270336)}),
+            ([LayerSpec("conv", {"out_channels": 16, "kernel_size": 3, "padding": 1}),
+              LayerSpec("relu"),
+              LayerSpec("dilated", {"out_channels": 16, "kernel_size": 3, "dilation": 2,
+                                    "padding": 2}),
+              LayerSpec("relu"),
+              LayerSpec("square_share", {"out_channels": 16, "kernel_size": 4, "pool_size": 2,
+                                         "padding": 2}),
+              LayerSpec("relu"), LayerSpec("maxpool", {"size": 2}), LayerSpec("flatten"),
+              LayerSpec("dense", {"units": 10})],
+             (32, 32, 16), {0: (2359296, 0), 2: (2359296, 0), 4: (4460544, 0)}),
+        ],
+        ids=["edges", "wide-kernel", "baselines"],
+    )
+    def test_benchmark_network_counts(self, layers, input_shape, want):
+        spec = NetSpec(layers=layers, input_shape=input_shape, num_classes=2)
+        rows = count_costs(spec).layers
+        assert {i: (rows[i].mults, rows[i].pooled_cells) for i in want} == want
+
 
 class TestReceptiveField:
     def test_single_conv_footprint(self):

@@ -773,10 +773,21 @@ class TestCount:
         assert main(["count", "--net", str(cfg), "--input", "512x512x16"]) == code
         captured = capsys.readouterr()
         if code:
-            assert "layer.1 (lpsc): window cells 512x512x17x16 holds 71303168" in captured.err
+            assert "layer.1 (lpsc): pooled tensor 512x512x17x16 holds 71303168" in captured.err
         else:
             lpsc_row = next(line for line in captured.out.splitlines() if "lpsc" in line)
             assert lpsc_row.split()[-1] == "67108864"
+
+    def test_parameter_array_past_the_bound_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text("[net]\ninput = 256x256x4\nclasses = 300\n\n"
+                       "[layer.1]\nkind = conv\nout_channels = 4\nkernel_size = 3\npadding = 1\n\n"
+                       "[layer.2]\nkind = flatten\n\n[layer.3]\nkind = dense\nunits = 300\n")
+        assert main(["count", "--net", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("lpsc: error: layer.3 (dense): weight array 262144x300 holds "
+                                "78643200 numbers, more than 67108864\n")
 
     def test_csv_output(self, tmp_path, lpsc_cfg):
         csv = tmp_path / "costs.csv"

@@ -140,18 +140,11 @@ class TestBuild:
              "layer.2 (conv): output 400014x400014x1 holds 160011200196"),
             ((16, 16, 1), "conv", {"kernel_size": 3, "stride": 8, "padding": 4100},
              "layer.2 (conv): padded input 8216x8216x1 holds 67502656"),
-            ((2900, 2900, 1), "conv", {"kernel_size": 3, "padding": 1},
-             "layer.2 (conv): window cells 2900x2900x9x1 holds 75690000"),
             ((512, 512, 32), "lpsc", {"size": 5, "levels_r": 2, "levels_theta": 6, "growth": 2,
                                       "padding": 2},
-             "layer.2 (lpsc): window cells 512x512x13x32 holds 109051904"),
-            ((2900, 2900, 1), "dilated", {"kernel_size": 3, "dilation": 2, "padding": 2},
-             "layer.2 (dilated): window cells 2900x2900x9x1 holds 75690000"),
-            ((2900, 2900, 1), "square_share", {"kernel_size": 4, "pool_size": 2, "padding": 2},
-             "layer.2 (square_share): window cells 2901x2901x16x1 holds 134652816"),
+             "layer.2 (lpsc): pooled tensor 512x512x13x32 holds 109051904"),
         ],
-        ids=["input", "conv-output", "conv-padded", "conv-cells", "lpsc-cells", "dilated-cells",
-             "square_share-cells"],
+        ids=["input", "conv-output", "conv-padded", "lpsc-cells"],
     )
     def test_sample_array_past_the_bound_names_it_before_any_draw(
             self, monkeypatch, input_shape, kind, options, message):
@@ -169,12 +162,42 @@ class TestBuild:
         assert str(err.value).startswith(message)
         assert str(err.value).endswith("numbers per sample, more than 67108864")
 
-    def test_dilated_cells_count_taps_not_the_dilated_extent(self):
-        # 600*600*9*2 taps fit; the extent 101 would count 600*600*101*101*2
-        spec = NetSpec(layers=[LayerSpec("dilated", {"out_channels": 1, "kernel_size": 3,
-                                                     "dilation": 50, "padding": 50})],
-                       input_shape=(600, 600, 2), num_classes=2)
-        assert build_network(spec, require_logits=False).shapes[-1] == (600, 600, 1)
+    # the per-tap GEMMs build no Ho*Wo*k*k*C_in array of window taps (2900*2900*9 = 75690000
+    # numbers here), so only the padded input, at most 2904x2904x1, and the output are bounded
+    @pytest.mark.parametrize(
+        "input_shape, kind, options, out_shape",
+        [
+            ((2900, 2900, 1), "conv", {"kernel_size": 3, "padding": 1}, (2900, 2900, 1)),
+            ((2900, 2900, 1), "dilated", {"kernel_size": 3, "dilation": 2, "padding": 2},
+             (2900, 2900, 1)),
+            ((2900, 2900, 1), "square_share", {"kernel_size": 4, "pool_size": 2, "padding": 2},
+             (2901, 2901, 1)),
+            ((600, 600, 2), "dilated", {"kernel_size": 3, "dilation": 50, "padding": 50},
+             (600, 600, 1)),
+        ],
+        ids=["conv", "dilated", "square_share", "dilated-wide"],
+    )
+    def test_conv_like_layers_bound_only_the_arrays_they_build(self, input_shape, kind, options,
+                                                                out_shape):
+        spec = NetSpec(layers=[LayerSpec(kind, {"out_channels": 1, **options})],
+                       input_shape=input_shape, num_classes=2)
+        assert build_network(spec, require_logits=False).shapes[-1] == out_shape
+
+    def test_parameter_array_past_the_bound_is_refused_just_before_its_draw(self, monkeypatch):
+        drawn, init = [], logpolar.network._init
+        monkeypatch.setattr(logpolar.network, "_init",
+                            lambda *a: drawn.append(init(*a)) or drawn[-1])
+        # 256*256*4 = 262144 features into 300 units: 78643200 weights, past 2**26
+        spec = NetSpec(layers=[LayerSpec("conv", {"out_channels": 4, "kernel_size": 3,
+                                                  "padding": 1}),
+                               LayerSpec("flatten"), LayerSpec("dense", {"units": 300})],
+                       input_shape=(256, 256, 4), num_classes=300)
+        with pytest.raises(ValueError) as err:
+            build_network(spec)
+        assert str(err.value) == ("layer.3 (dense): weight array 262144x300 holds 78643200 "
+                                  "numbers, more than 67108864")
+        # the conv's weights were drawn first
+        assert [weights.shape for weights, _ in drawn] == [(3, 3, 4, 4)]
 
     @pytest.mark.parametrize(
         "kind, options, bad",
