@@ -245,15 +245,19 @@ def _prepare(x, weights, stride, padding, dilation):
     return w, pad(xb, padding), padding, (w.shape[:2], stride, dilation)
 
 
-def _tap_matmul(tap, m):
-    """(N, Ho, Wo, K) *tap* times (K, M) *m*, one forward tap's product: ``matmul``
-    runs one GEMM per (Wo, K) row block without copying the tap. A one-channel tap
-    (K = 1) goes as a column instead, as numpy's ``matmul`` has no BLAS path for an
-    inner dimension of 1; the column, 1/M of the product's size, is the only copy."""
+def _tap_matmul(tap, m, out=None):
+    """(N, Ho, Wo, K) *tap* times (K, M) *m*, into *out* if given: the one product of
+    a tap over its channels, forward and adjoint. ``matmul`` runs one GEMM per (Wo, K)
+    row block without copying the tap. Where a block is a vector (Wo, K or M of 1),
+    numpy runs a GEMV per block, or no BLAS at all for K = 1, so that case is one 2-D
+    product over the (N*Ho*Wo, K) rows; a strided tap's rows are copied for it."""
     n, ho, wo, k = tap.shape
-    if k == 1:
-        return np.dot(tap.reshape(n * ho * wo, 1), m).reshape(n, ho, wo, m.shape[1])
-    return tap @ m
+    if 1 not in (wo, k, m.shape[1]):
+        return np.matmul(tap, m, out=out)
+    product = np.dot(_rows(tap), m).reshape(n, ho, wo, m.shape[1])
+    if out is not None:
+        out[...] = product
+    return product
 
 
 def _pointwise(w, geometry) -> bool:
@@ -306,23 +310,17 @@ def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), 
     # C-order rows whatever grad_output's memory order: every product and the
     # bias sum below then read one order, so the gradients do not depend on it
     g_rows = np.ascontiguousarray(_rows(g))
-    if _pointwise(w, geometry):
-        grad_w = (_rows(xp).T @ g_rows).reshape(w.shape)
-        return unpad((w[0, 0] @ g_rows.T).T.reshape(xp.shape), padding), grad_w, g_rows.sum(axis=0)
-    (size, stride, (dh, dw)), c = geometry, w.shape[2]
+    size, stride, (dh, dw) = geometry
     taps, grad_w = list(np.ndindex(*size)), np.empty_like(w)
     for a, b in taps:  # every weight gradient first: one loop with the gather was slower
         grad_w[a, b] = _rows(cols[:, :, :, a, b]).T @ g_rows  # a strided tap is copied here, one at a time
-    # numpy's stacked matmul runs a GEMV per row block where a block is a vector
-    # (Wo or C_in of 1), which rounds unlike the 2-D product: that one is copied in
-    vector, g_c = g.shape[2] == 1 or c == 1, g_rows.reshape(g.shape)
+    if _pointwise(w, geometry):
+        return unpad((w[0, 0] @ g_rows.T).T.reshape(xp.shape), padding), grad_w, g_rows.sum(axis=0)
+    g_c = g_rows.reshape(g.shape)
 
     def shares(buf):
         for a, b in taps:
-            if vector:
-                buf[...] = (g_rows @ w[a, b].T).reshape(buf.shape)
-            else:
-                np.matmul(g_c, w[a, b].T, out=buf)
+            _tap_matmul(g_c, w[a, b].T, out=buf)
             yield a * dh, b * dw
 
     grad_x = windows_backward(shares, g_c, unpad(xp, padding).shape, size, stride, padding, (dh, dw))
