@@ -8,17 +8,20 @@ primitive of the package: a single strided view
 convolution reads that view one tap at a time, as the ``ops`` pools and
 the ``lpsc`` cells do: tap ``[:, :, :, a, b]`` times the kernel slice
 ``w[a, b]`` is one GEMM (the kn2row formulation), so the view is never
-copied into an im2col matrix. A 1x1 kernel at unit stride
-(``_pointwise``) has one window per padded pixel, so in both directions
-it is three GEMMs on the (C, N*H*W) matrix ``P = rows(xp).T``, where
-``rows(x)`` is ``x.reshape(N*H*W, C)``: ``(K.T @ P).T`` forward,
-``P @ g`` for the weight gradient and ``K @ g.T`` for the input
-gradient; the output and the input gradient come back as (C, N*H*W)
-memory. Any other kernel takes each tap's weight gradient and input
-gradient as one GEMM each, the latter gathered by ``windows_backward``,
-which takes ``windows``' geometry plus the input's shape and padding.
-The output gradient g is read as C-order rows for every kernel, so the
-gradients do not depend on its memory order.
+copied into an im2col matrix. ``_tap_matmul`` is the one product of a
+tap over its channels, forward and in the adjoint, whose products
+``windows_backward`` gathers (it takes ``windows``' geometry plus the
+input's shape and padding); it alone picks numpy's form: the stacked
+matmul, or one 2-D product over the rows where a row block is a vector
+(Wo, C_in or C_out of 1). The weight gradient is one loop for every
+kernel: each tap's rows, transposed, times the output gradient's rows.
+A 1x1 kernel at unit stride (``_pointwise``) has one window per padded
+pixel, so its one tap's rows are ``rows(xp)``, where ``rows(x)`` is
+``x.reshape(N*H*W, C)``, and its forward and input gradient are one
+GEMM each on the (C, N*H*W) matrix ``P = rows(xp).T``: ``(K.T @ P).T``
+and ``K @ g.T``, both come back as (C, N*H*W) memory; its weight
+gradient is ``P @ g``. The output gradient g is read as C-order rows for
+every kernel, so the gradients do not depend on its memory order.
 ``dilation`` spaces the kernel taps (used by the dilated-convolution
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
@@ -247,10 +250,12 @@ def _prepare(x, weights, stride, padding, dilation):
 
 def _tap_matmul(tap, m, out=None):
     """(N, Ho, Wo, K) *tap* times (K, M) *m*, into *out* if given: the one product of
-    a tap over its channels, forward and adjoint. ``matmul`` runs one GEMM per (Wo, K)
-    row block without copying the tap. Where a block is a vector (Wo, K or M of 1),
-    numpy runs a GEMV per block, or no BLAS at all for K = 1, so that case is one 2-D
-    product over the (N*Ho*Wo, K) rows; a strided tap's rows are copied for it."""
+    a tap over its channels, forward and adjoint, and the one place that picks its
+    form. ``matmul`` runs one GEMM per (Wo, K) row block without copying the tap.
+    Where a block is a vector (Wo, K or M of 1), numpy runs a GEMV per block, or no
+    BLAS at all for K = 1, so that case is one 2-D product over the (N*Ho*Wo, K)
+    rows; a strided tap's rows are copied for it. (The weight gradient's per-tap
+    GEMM, one loop for every kernel, reads the rows the other way round.)"""
     n, ho, wo, k = tap.shape
     if 1 not in (wo, k, m.shape[1]):
         return np.matmul(tap, m, out=out)

@@ -10,9 +10,11 @@ array of one sample may hold more than 2**26 numbers: the input, each
 layer's output, a window layer's zero-padded input and an lpsc layer's
 pooled tensor (``Ho*Wo*slots*C_in``, levels_r * levels_theta slots plus
 one for the center when center_conv is set). build_network checks them
-all from the shapes before it draws any weight. No parameter array may
-hold more than 2**26 numbers either; each is checked just before its own
-draw. Biases start at zero. Initialization draws happen in layer order
+all from the shapes before it draws any weight, as it checks
+square_share's expanded kernel (k x k x C_in x C_out), which every
+forward and backward builds from the region weights. No parameter array
+may hold more than 2**26 numbers either; each is checked just before its
+own draw. Biases start at zero. Initialization draws happen in layer order
 with a single generator, so a seed pins the whole parameter trajectory.
 
 The optimizer is SGD with momentum and weight decay:
@@ -283,6 +285,11 @@ class _Layer:
         """Shapes of the arrays one sample makes the forward pass allocate, by name."""
         return {"output": out_shape}
 
+    def batch_arrays(self, in_shape):
+        """Shapes of the arrays a forward pass allocates once, whatever its batch,
+        by name; the parameters are bounded where they are drawn."""
+        return {}
+
     def init_params(self, in_shape, rng):  # pragma: no cover - param-free layers
         pass
 
@@ -427,6 +434,10 @@ class SquareShareLayer(_WindowLayer):
         self.regions, self.bias = _init(
             rng, (side, side, in_shape[2]), self.out_channels, self.use_bias
         )
+
+    def batch_arrays(self, in_shape):
+        k = self.config.kernel_size
+        return {"expanded kernel": (k, k, in_shape[2], self.out_channels)}
 
     def params(self):
         return _named(regions=self.regions, bias=self.bias)
@@ -601,6 +612,8 @@ def build_network(spec: NetSpec, seed: int = 0, require_logits: bool = True) -> 
             shapes.append(layer.out_shape(shapes[-1]))
             for what, shape in layer.sample_arrays(*shapes[-2:]).items():
                 _bounded(what, shape)
+            for what, shape in layer.batch_arrays(shapes[-2]).items():
+                _bounded(what, shape, "")
         layers.append(layer)
     if require_logits and shapes[-1] != (spec.num_classes,):
         raise ValueError(

@@ -34,6 +34,27 @@ def loop_conv2d(x, w, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None)
     return out
 
 
+def tap_conv2d(x, w, stride=(1, 1), padding=(0, 0), dilation=(1, 1)):
+    """A batched convolution as one 2-D product per tap: the sum, over taps
+    in row-major (a, b) order and starting from the first tap's product, of
+    the tap's C-order (N*Ho*Wo, C_in) rows of the zero-padded input times
+    ``w[a, b]``."""
+    n, h, wd, c = x.shape
+    kh, kw, _, cout = w.shape
+    (sh, sw), (ph, pw), (dh, dw) = stride, padding, dilation
+    xp = np.zeros((n, h + 2 * ph, wd + 2 * pw, c))
+    xp[:, ph : ph + h, pw : pw + wd] = x
+    ho = (h + 2 * ph - (kh - 1) * dh - 1) // sh + 1
+    wo = (wd + 2 * pw - (kw - 1) * dw - 1) // sw + 1
+    out = None
+    for a in range(kh):
+        for b in range(kw):
+            tap = xp[:, a * dh : a * dh + (ho - 1) * sh + 1 : sh, b * dw : b * dw + (wo - 1) * sw + 1 : sw]
+            product = np.ascontiguousarray(tap).reshape(-1, c) @ w[a, b]
+            out = product if out is None else out + product
+    return out.reshape(n, ho, wo, cout)
+
+
 def scatter_pool_cells_backward(win, slots, mode, pooled, grad, shape, size, stride, padding):
     """The pooling adjoint as a scatter, with ``ops.pool_cells_backward``'s
     arguments: each slot's share is added through every tap's window

@@ -789,6 +789,18 @@ class TestCount:
         assert captured.err == ("lpsc: error: layer.3 (dense): weight array 262144x300 holds "
                                 "78643200 numbers, more than 67108864\n")
 
+    def test_expanded_kernel_past_the_bound_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "square.cfg"
+        cfg.write_text("[net]\ninput = 64x64x64\nclasses = 2\n\n"
+                       "[layer.1]\nkind = square_share\nout_channels = 512\nkernel_size = 64\n"
+                       "pool_size = 64\n\n[layer.2]\nkind = flatten\n\n"
+                       "[layer.3]\nkind = dense\nunits = 2\n")
+        assert main(["count", "--net", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("lpsc: error: layer.1 (square_share): expanded kernel 64x64x64x512 "
+                                "holds 134217728 numbers, more than 67108864\n")
+
     def test_csv_output(self, tmp_path, lpsc_cfg):
         csv = tmp_path / "costs.csv"
         assert main(["count", "--net", str(lpsc_cfg), "--csv", str(csv)]) == 0

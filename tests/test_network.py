@@ -183,6 +183,24 @@ class TestBuild:
                        input_shape=input_shape, num_classes=2)
         assert build_network(spec, require_logits=False).shapes[-1] == out_shape
 
+    def test_expanded_kernel_past_the_bound_is_refused_before_any_draw(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a weight was drawn")
+
+        def spec(out_channels):
+            # one 64x64 region per channel pair: few parameters, but every forward
+            # and backward expands them into a 64x64x64xC_out kernel
+            options = {"out_channels": out_channels, "kernel_size": 64, "pool_size": 64}
+            return NetSpec(layers=[LayerSpec("square_share", options)], input_shape=(64, 64, 64),
+                           num_classes=2)
+
+        assert build_network(spec(256), require_logits=False).shapes[-1] == (1, 1, 256)  # 2**26
+        monkeypatch.setattr(logpolar.network, "_init", draw)
+        with pytest.raises(ValueError) as err:
+            build_network(spec(512), require_logits=False)
+        assert str(err.value) == ("layer.1 (square_share): expanded kernel 64x64x64x512 holds "
+                                  "134217728 numbers, more than 67108864")
+
     def test_parameter_array_past_the_bound_is_refused_just_before_its_draw(self, monkeypatch):
         drawn, init = [], logpolar.network._init
         monkeypatch.setattr(logpolar.network, "_init",

@@ -39,6 +39,7 @@ from oracles import (
     max_rel_error,
     scatter_conv2d_backward,
     scatter_pool_cells_backward,
+    tap_conv2d,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -248,6 +249,31 @@ class TestConv2d:
         gx, gw, gb = conv2d_raw_backward(x, w, np.ones(out.shape), padding=(1, 0))
         assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == (c_out,)
         assert not gx.any() and not gw.any() and np.all(gb == n * out.shape[1] * out.shape[2])
+
+    @pytest.mark.parametrize("size, stride", [((3, 3), (1, 1)), ((3, 3), (2, 2)), ((2, 1), (1, 1)),
+                                              ((1, 3), (2, 2)), ((1, 1), (2, 2))], ids=str)
+    @pytest.mark.parametrize("channels", [(1, 4), (3, 1), (3, 4)], ids=str)
+    @pytest.mark.parametrize("layout", ["c-order", "channel-major"])
+    def test_vector_row_blocks_match_tap_oracle(self, size, stride, channels, layout):
+        # where a tap's (Wo, C_in) row block or its product is a vector (Wo,
+        # C_in or C_out of 1), each tap is one 2-D product over the rows, so
+        # the forward's bytes are the oracle's; elsewhere numpy's stacked
+        # matmul may round the last bit otherwise, so nothing is asserted there
+        rng = np.random.default_rng(30)
+        w = rng.normal(size=(*size, *channels))
+        one_column = 0
+        for p in range(2):
+            for wd in range(1, 6):
+                if wd + 2 * p < size[1]:
+                    continue
+                wo = (wd + 2 * p - size[1]) // stride[1] + 1
+                if wo > 1 and 1 not in channels:
+                    continue
+                one_column += wo == 1
+                x = laid_out(rng.normal(size=(2, 5, wd, channels[0])), layout)
+                got = conv2d_raw(x, w, stride=stride, padding=(p, p))
+                assert got.tobytes() == tap_conv2d(x, w, stride, (p, p)).tobytes()
+        assert one_column > 0
 
     @pytest.mark.parametrize("padding", [(0, 0), (1, 2)])
     @pytest.mark.parametrize("c_in", [1, 7])
