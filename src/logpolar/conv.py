@@ -254,8 +254,8 @@ def _tap_matmul(tap, m, out=None):
     form. ``matmul`` runs one GEMM per (Wo, K) row block without copying the tap.
     Where a block is a vector (Wo, K or M of 1), numpy runs a GEMV per block, or no
     BLAS at all for K = 1, so that case is one 2-D product over the (N*Ho*Wo, K)
-    rows; a strided tap's rows are copied for it. (The weight gradient's per-tap
-    GEMM, one loop for every kernel, reads the rows the other way round.)"""
+    rows; a strided tap's rows are copied for it. The weight gradient, one loop of
+    per-tap GEMMs for every kernel, is no tap product: its inner dimension is the rows."""
     n, ho, wo, k = tap.shape
     if 1 not in (wo, k, m.shape[1]):
         return np.matmul(tap, m, out=out)
