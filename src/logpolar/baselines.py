@@ -79,11 +79,13 @@ def dilated_conv2d(input, weights, config: DilatedConfig, bias=None):
     return conv2d_raw(input, w, config.stride, config.padding, d, bias=bias)
 
 
-def dilated_conv2d_backward(input, weights, config: DilatedConfig, grad_output):
+def dilated_conv2d_backward(input, weights, config: DilatedConfig, grad_output, *, input_grad=True):
     """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias), the
-    bias gradient always returned."""
+    bias gradient always returned; grad_input is None, and not computed,
+    with ``input_grad=False``."""
     w, d = _dilated_kernel(weights, config), (config.dilation, config.dilation)
-    return conv2d_raw_backward(input, w, grad_output, config.stride, config.padding, d)
+    return conv2d_raw_backward(input, w, grad_output, config.stride, config.padding, d,
+                               input_grad=input_grad)
 
 
 def expand_square_weights(region_weights, pool_size: int) -> np.ndarray:
@@ -109,12 +111,14 @@ def square_share_conv2d(input, region_weights, config: SquareShareConfig, bias=N
     return conv2d_raw(input, full, config.stride, config.padding, bias=bias)
 
 
-def square_share_conv2d_backward(input, region_weights, config: SquareShareConfig, grad_output):
+def square_share_conv2d_backward(input, region_weights, config: SquareShareConfig, grad_output, *,
+                                 input_grad=True):
     """Adjoints: (grad_input, grad_regions, grad_bias), the bias gradient always
-    returned; the region-weight gradient sums its block of the full-kernel gradient."""
+    returned; the region-weight gradient sums its block of the full-kernel gradient.
+    grad_input is None, and not computed, with ``input_grad=False``."""
     full = _square_kernel(region_weights, config)
     grad_x, grad_full, grad_b = conv2d_raw_backward(input, full, grad_output, config.stride,
-                                                    config.padding)
+                                                    config.padding, input_grad=input_grad)
     p = config.pool_size
     side = config.regions_per_side
     grad_regions = grad_full.reshape(side, p, side, p, *grad_full.shape[2:]).sum(axis=(1, 3))

@@ -15,7 +15,10 @@ Two evaluation paths compute the same linear map:
 ``lpsc_backward`` differentiates the fast path: the 1x1 convolution's
 adjoint, then the pooling adjoint. The forward pass hands over its pooled
 tensor (``return_pooled``/``pooled``), so a training step pools each
-input once.
+input once. With ``input_grad=False`` it returns None as the input
+gradient and skips all the work that only that gradient needs: the
+pooled gradient ``K @ g.T`` and the pooling adjoint. Training asks this
+of a network's lowest layer with parameters.
 
 Every path takes an (N, H, W, C_in) batch, and all three check the input
 and the weights against the config in one step, ``_prepare``, which only
@@ -217,13 +220,17 @@ def lpsc_forward_reference(input, config: LpscConfig, weights: LpscWeights):
     return out
 
 
-def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, *, pooled=None):
+def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, *, pooled=None,
+                  input_grad=True):
     """Exact adjoints of the forward map: (grad_input, LpscWeights grads).
 
     Computed against the fast path: the 1x1 convolution's adjoint, then
     the pooling adjoint. *pooled* is the forward pass's pooled tensor
     (``lpsc_forward_fast(..., return_pooled=True)``), which max mode
-    compares cells against; without it the input is pooled again.
+    compares cells against; without it the input is pooled again. With
+    ``input_grad=False`` grad_input is None, and neither the pooled
+    gradient nor the pooling adjoint is computed; the weight gradients
+    are the same bytes.
     """
     xb, slots = _prepare(input, config, weights), _plan(config)
     c, size, mode = xb.shape[3], config.kernel_size, config.pooling_mode
@@ -237,19 +244,22 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
         if pooled.shape != (*grid, len(slots) * c):
             raise ValueError(f"pooled shape {pooled.shape} does not match input {xb.shape}")
     grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
-        pooled, _region_kernel(config, weights), grad_output
+        pooled, _region_kernel(config, weights), grad_output, input_grad=input_grad
     )
     n_regions = config.levels_r * config.levels_theta
     grad_kernel = grad_kernel.reshape(len(slots), c, -1)
     grad_regions = grad_kernel[:n_regions].reshape(weights.regions.shape)
     grad_center = grad_kernel[n_regions:].sum(axis=0)  # the center slot's rows, or zeros
-    grad_pooled = grad_pooled.reshape(*grid, len(slots), c)
+    bias = None if weights.bias is None else grad_bias  # bias-less weights get no bias gradient
+    grads = LpscWeights(center=grad_center, regions=grad_regions, bias=bias)
+    if not input_grad:
+        return None, grads
 
+    grad_pooled = grad_pooled.reshape(*grid, len(slots), c)
     win = windows(_padded(xb, config.padding), (size, size), config.stride) if mode == "max" else None
     grad_input = pool_cells_backward(win, slots, mode, pooled.reshape(grad_pooled.shape), grad_pooled,
                                      xb.shape, (size, size), config.stride, config.padding)
-    bias = None if weights.bias is None else grad_bias  # bias-less weights get no bias gradient
-    return grad_input, LpscWeights(center=grad_center, regions=grad_regions, bias=bias)
+    return grad_input, grads
 
 
 def _weights_layout(fields):

@@ -26,7 +26,14 @@ Training and evaluation run one loop over minibatches in fixed sample
 order (no shuffling), which makes runs bit-reproducible given (spec,
 seed, data) for a fixed BLAS library and thread count (a GEMM's rounding
 may change with the thread count); a non-finite loss raises
-FloatingPointError naming the batch.
+FloatingPointError naming the batch. A training step reads no input
+gradient, so its backward pass (``Network.backward(...,
+input_grad=False)``) stops at the lowest layer with parameters, which
+computes its weight gradients alone (``backward(grad, cache,
+input_grad=False)``); the param-free layers below it do not run. The
+same pass with the default ``input_grad=True`` runs every layer's full
+adjoint down to the input, as receptive-field analysis needs; the
+weight gradients are the same bytes either way.
 
 Network spec files are INI-style text::
 
@@ -364,8 +371,9 @@ class ConvLayer(_WindowLayer):
         out = conv2d_raw(x, self.weights, self.stride, self.padding, bias=self.bias)
         return out, x
 
-    def backward(self, grad, cache):
-        gx, gw, gb = conv2d_raw_backward(cache, self.weights, grad, self.stride, self.padding)
+    def backward(self, grad, cache, input_grad=True):
+        gx, gw, gb = conv2d_raw_backward(cache, self.weights, grad, self.stride, self.padding,
+                                         input_grad=input_grad)
         return gx, self._grads(kernel=gw, bias=gb)
 
 
@@ -397,9 +405,9 @@ class LpscLayer(_WindowLayer):
         out, pooled = lpsc_forward_fast(x, self.config, self.weights, return_pooled=True)
         return out, (x, pooled)
 
-    def backward(self, grad, cache):
+    def backward(self, grad, cache, input_grad=True):
         x, pooled = cache
-        gx, gw = lpsc_backward(x, self.config, self.weights, grad, pooled=pooled)
+        gx, gw = lpsc_backward(x, self.config, self.weights, grad, pooled=pooled, input_grad=input_grad)
         return gx, self._grads(**vars(gw))
 
 
@@ -420,8 +428,9 @@ class DilatedLayer(_WindowLayer):
     def forward(self, x):
         return dilated_conv2d(x, self.kernel.weights, self.config, bias=self.kernel.bias), x
 
-    def backward(self, grad, cache):
-        gx, gw, gb = dilated_conv2d_backward(cache, self.kernel.weights, self.config, grad)
+    def backward(self, grad, cache, input_grad=True):
+        gx, gw, gb = dilated_conv2d_backward(cache, self.kernel.weights, self.config, grad,
+                                             input_grad=input_grad)
         return gx, self._grads(kernel=gw, bias=gb)
 
 
@@ -445,8 +454,9 @@ class SquareShareLayer(_WindowLayer):
     def forward(self, x):
         return square_share_conv2d(x, self.regions, self.config, bias=self.bias), x
 
-    def backward(self, grad, cache):
-        gx, gw, gb = square_share_conv2d_backward(cache, self.regions, self.config, grad)
+    def backward(self, grad, cache, input_grad=True):
+        gx, gw, gb = square_share_conv2d_backward(cache, self.regions, self.config, grad,
+                                                  input_grad=input_grad)
         return gx, self._grads(regions=gw, bias=gb)
 
 
@@ -528,9 +538,9 @@ class DenseLayer(_Layer):
     def forward(self, x):
         return ops.dense(x, self.weights, self.bias), x
 
-    def backward(self, grad, cache):
+    def backward(self, grad, cache, input_grad=True):
         gx, gw, gb = ops.dense_backward(cache, self.weights, grad)
-        return gx, self._grads(weights=gw, bias=gb)
+        return gx if input_grad else None, self._grads(weights=gw, bias=gb)
 
 
 _LAYER_CLASSES = {cls.kind: cls for cls in (
@@ -557,19 +567,24 @@ class Network:
         self._caches = caches
         return x
 
-    def backward(self, grad_logits):
+    def backward(self, grad_logits, *, input_grad=True):
         """Backprop through the cached forward pass.
 
-        Returns (grad_input, per-layer gradient dicts).
+        Returns (grad_input, per-layer gradient dicts). With
+        ``input_grad=False`` grad_input is None, and the walk stops at the
+        lowest layer with parameters, which computes no input gradient;
+        the param-free layers below it do not run, and their dicts are empty.
         """
         if self._caches is None:
             raise RuntimeError("backward called before forward")
         grad = np.asarray(grad_logits, dtype=np.float64)
-        grads = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad, layer_grads = self.layers[i].backward(grad, self._caches[i])
-            grads[i] = layer_grads
-        return grad, grads
+        grads = [{} for _ in self.layers]
+        lowest = 0 if input_grad else next(
+            (i for i, layer in enumerate(self.layers) if layer.params()), len(self.layers))
+        for i in reversed(range(lowest, len(self.layers))):
+            skip = {} if input_grad or i > lowest else {"input_grad": False}
+            grad, grads[i] = self.layers[i].backward(grad, self._caches[i], **skip)
+        return grad if input_grad else None, grads
 
     def sgd_step(self, grads, cfg: TrainConfig):
         if self._velocity is None:
@@ -648,7 +663,8 @@ def _pass(network: Network, dataset, batch_size, cfg=None, where=""):
         if not math.isfinite(loss):
             raise FloatingPointError(f"loss is {loss} at {where}batch {batch}")
         if cfg is not None:
-            _, grads = network.backward(ops.softmax_cross_entropy_backward(logits, yb))
+            grad_logits = ops.softmax_cross_entropy_backward(logits, yb)
+            _, grads = network.backward(grad_logits, input_grad=False)  # SGD reads no input gradient
             network.sgd_step(grads, cfg)
         total_loss += loss * len(xb)
         correct += int((logits.argmax(axis=1) == yb).sum())

@@ -500,6 +500,27 @@ class TestBackward:
         for name in ("center", "regions", "bias"):
             assert getattr(gw, name).tobytes() == getattr(gw2, name).tobytes()
 
+    @pytest.mark.parametrize("mode", POOLING_MODES)
+    @pytest.mark.parametrize("reuse", [True, False], ids=["forward-pooled", "pooled-again"])
+    def test_without_input_grad_weight_bytes_stay(self, monkeypatch, mode, reuse):
+        # neither the pooled gradient nor the pooling adjoint is computed
+        c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=6, growth=2, stride=(2, 1),
+                       padding=2, pooling_mode=mode)
+        x = RNG.normal(size=(2, 9, 8, 3))
+        w = make_weights(c, 3, 4, RNG)
+        out, pooled = lpsc_forward_fast(x, c, w, return_pooled=True)
+        g = RNG.normal(size=out.shape)
+        kwargs = {"pooled": pooled} if reuse else {}
+        _, want = lpsc_backward(x, c, w, g, **kwargs)
+        block, block_kwargs, adjoints = logpolar.lpsc.conv2d_raw_backward, [], []
+        monkeypatch.setattr(logpolar.lpsc, "conv2d_raw_backward",
+                            lambda *args, **kw: block_kwargs.append(kw) or block(*args, **kw))
+        monkeypatch.setattr(logpolar.lpsc, "pool_cells_backward", lambda *args: adjoints.append(args))
+        gx, got = lpsc_backward(x, c, w, g, **kwargs, input_grad=False)
+        assert gx is None and not adjoints and block_kwargs == [{"input_grad": False}]
+        for name in ("center", "regions", "bias"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_forward_pooled_tensor_reused(self):
         c = LpscConfig(kernel_size=5, levels_r=2, levels_theta=4, growth=2, stride=(1, 2))
         x = RNG.normal(size=(1, 7, 8, 2))

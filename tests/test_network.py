@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 import logpolar.lpsc
 import logpolar.network
 from logpolar import ops
-from logpolar.analysis import count_costs
+from logpolar.analysis import count_costs, estimate_rf
+from logpolar.conv import windows_backward
 from logpolar.data import Dataset
 from logpolar.lpsc import lpsc_backward, lpsc_forward_fast
 from logpolar.network import (
@@ -27,6 +29,8 @@ from logpolar.network import (
 )
 
 from oracles import finite_difference, max_rel_error
+
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 RNG = np.random.default_rng(2024)
 
@@ -778,3 +782,78 @@ def test_params_alone_say_what_a_layer_has(tmp_path, row, bias):
     load_checkpoint(other, tmp_path / "ck")
     for path, array in held_arrays(other.layers[-1]).items():  # an array no param names keeps its draw
         assert array.tobytes() == (after if path in owned else kept)[path].tobytes()
+
+
+FIRST_LAYERS = {  # row -> the layers below relu, flatten and the dense head
+    "conv": [LayerSpec("conv", KIND_OPTIONS["conv"])],
+    **{f"lpsc-{mode}": [LayerSpec("lpsc", {**KIND_OPTIONS["lpsc"], "pooling": mode})]
+       for mode in ("mean", "sum", "max")},
+    "dilated": [LayerSpec("dilated", KIND_OPTIONS["dilated"])],
+    "square_share": [LayerSpec("square_share", KIND_OPTIONS["square_share"])],
+    "dense": [],  # relu and flatten, both param-free, below the head
+}
+
+
+@pytest.mark.parametrize("row", [*FIRST_LAYERS, "edges_linear.cfg"])
+def test_backward_without_input_grad_keeps_every_weight_gradient(monkeypatch, row):
+    if row in FIRST_LAYERS:
+        spec = NetSpec(layers=[*FIRST_LAYERS[row], LayerSpec("relu"), LayerSpec("flatten"),
+                               LayerSpec("dense", {"units": 2})], input_shape=(6, 6, 2), num_classes=2)
+    else:
+        spec, _ = parse_net_file(NETS / row)  # flatten, then dense
+    net = build_network(spec, seed=1)
+    rng = np.random.default_rng(31)
+    logits = net.forward(rng.uniform(0, 1, size=(3, *spec.input_shape)))
+    g = rng.normal(size=logits.shape)
+    grad_input, want = net.backward(g)
+    assert grad_input.shape == (3, *spec.input_shape)
+
+    lowest = next(i for i, layer in enumerate(net.layers) if layer.params())
+    below = []  # the param-free layers below the lowest with parameters do not run
+    for layer in net.layers[:lowest]:
+        monkeypatch.setattr(layer, "backward", lambda *args, **kwargs: below.append(args))
+    grad_input, got = net.backward(g, input_grad=False)
+    assert grad_input is None and not below
+    assert got[:lowest] == [{}] * lowest
+    for layer_got, layer_want in zip(got[lowest:], want[lowest:], strict=True):
+        assert list(layer_got) == list(layer_want)
+        assert all(layer_got[name].tobytes() == layer_want[name].tobytes() for name in layer_want)
+
+
+def spy_callers(monkeypatch, *functions):
+    """[(function, the function that called it)] for every call to *functions*
+    through any ``logpolar`` module's binding of them."""
+    calls = []
+    for fn in functions:
+        def spy(*args, fn=fn, **kwargs):
+            calls.append((fn.__name__, sys._getframe(1).f_code.co_name))
+            return fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "logpolar":
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+MAXPOOL_ADJOINT = [("pool_cells_backward", "_pool_backward"), ("windows_backward", "pool_cells_backward")]
+
+
+@pytest.mark.parametrize("cfg, first_adjoint", [
+    ("edges_lpsc.cfg", [("pool_cells_backward", "lpsc_backward"), ("windows_backward", "pool_cells_backward")]),
+    ("edges_conv3x3.cfg", [("windows_backward", "conv2d_raw_backward")]),
+])
+def test_only_input_gradient_readers_run_the_first_layers_adjoint(monkeypatch, cfg, first_adjoint):
+    # a training step reads no input gradient, so the first layer's input adjoint
+    # does not run; the maxpool layer's does, as the first layer's weight gradient
+    # needs it. Receptive-field analysis reads the input gradient: both run.
+    spec, _ = parse_net_file(NETS / cfg)
+    calls = spy_callers(monkeypatch, ops.pool_cells_backward, windows_backward)
+    train(build_network(spec, seed=1), random_dataset(n=16, h=16, w=16), TrainConfig(epochs=1))
+    assert calls == MAXPOOL_ADJOINT
+
+    calls.clear()
+    spatial = NetSpec(layers=spec.layers[:3], input_shape=spec.input_shape, num_classes=2)
+    estimate_rf(build_network(spatial, seed=1, require_logits=False))
+    assert sorted(calls) == sorted(MAXPOOL_ADJOINT + first_adjoint)

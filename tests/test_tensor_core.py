@@ -1,6 +1,7 @@
 """Tensor storage, file round-trips, conv2d_raw against loop oracles, adjoints,
 and the wording of errors and warnings through conv.renamed."""
 
+import itertools
 import math
 import re
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import logpolar.conv
 from logpolar import conv2d_raw, load_tensor, save_tensor
 from logpolar import ops
 from logpolar.checks import EQUIVALENCE_TOL
@@ -22,7 +24,7 @@ from logpolar.baselines import (
     square_share_conv2d,
     square_share_conv2d_backward,
 )
-from logpolar.conv import conv2d_raw_backward, pad, renamed, unpad, windows, windows_backward
+from logpolar.conv import _bias_grad, conv2d_raw_backward, pad, renamed, unpad, windows, windows_backward
 from logpolar.geometry import DegenerateGeometryWarning, LpscConfig
 from logpolar.lpsc import (
     LpscWeights,
@@ -438,6 +440,35 @@ class TestConvBackward:
         w = RNG.normal(size=(3, 3, 1, 1))
         with pytest.raises(ValueError, match="grad_output"):
             conv2d_raw_backward(x, w, np.zeros((1, 5, 5, 1)))
+
+    @pytest.mark.parametrize("size, c_out, geometry", [
+        ((1, 1), 4, {}),
+        ((3, 3), 4, dict(padding=(1, 1))),
+        ((3, 2), 1, dict(stride=(2, 3), padding=(1, 0))),
+    ], ids=["1x1", "k3-padded", "strided"])
+    def test_without_input_grad_weight_and_bias_bytes_stay(self, monkeypatch, size, c_out, geometry):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(2, 7, 6, 3))
+        w = rng.normal(size=(*size, 3, c_out))
+        g = rng.normal(size=conv2d_raw(x, w, **geometry).shape)
+        _, want_gw, want_gb = conv2d_raw_backward(x, w, g, **geometry)
+        gathers = []
+        monkeypatch.setattr(logpolar.conv, "windows_backward", lambda *args: gathers.append(args))
+        gx, gw, gb = conv2d_raw_backward(x, w, g, **geometry, input_grad=False)
+        assert gx is None and not gathers
+        assert gw.tobytes() == want_gw.tobytes() and gb.tobytes() == want_gb.tobytes()
+
+    def test_bias_gradient_is_the_column_sum_bytewise(self):
+        # einsum where C_out >= 2, sum where C_out == 1: the bytes of sum(axis=0)
+        # everywhere, over plain, widely scaled and signed-zero rows
+        rng = np.random.default_rng(30)
+        for m, c in itertools.product((1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4096, 5000),
+                                      (1, 2, 3, 4, 7, 8, 9, 16, 17, 32, 33, 63, 64)):
+            plain = rng.normal(size=(m, c))
+            scaled = plain * 10.0 ** rng.integers(-8, 9, size=(m, c))
+            zeros = np.where(rng.random((m, c)) < 0.5, 0.0, -0.0)
+            for rows in (plain, scaled, zeros):
+                assert _bias_grad(rows).tobytes() == rows.sum(axis=0).tobytes(), (m, c)
 
     @pytest.mark.parametrize("size", [(3, 3), (2, 4), (1, 3)], ids=str)
     @pytest.mark.parametrize("stride, dilation", [((1, 1), (1, 1)), ((2, 2), (2, 2)), ((3, 2), (2, 1)),
