@@ -30,10 +30,11 @@ rule's ``K @ g.T``, and returns None in its place.
 baseline); padding is always zero-padding. ``as_field`` is the one type
 check of a config field or a spec option; ``as_geometry`` the one range
 check of stride, padding and dilation: every operator, config and layer
-with a window reads them through it. A config's error or warning starts
-with its field's name; ``renamed``, the one context manager every reader
-words them through, swaps it for the user's. ``out_extent`` alone holds
-the extent rule.
+with a window reads them through it; ``_shaped`` the one shape check of
+every bias, output gradient and pooled tensor an operator takes. A
+config's error or warning starts with its field's name; ``renamed``, the
+one context manager every reader words them through, swaps it for the
+user's. ``out_extent`` alone holds the extent rule.
 
 All operations are pure functions of their arguments and never mutate
 inputs; each output element sums the taps in row-major (a, b) order, one
@@ -279,12 +280,12 @@ def _rows(x):
     return x.reshape(x.shape[0] * x.shape[1] * x.shape[2], x.shape[3])
 
 
-def _as_bias(bias, units) -> np.ndarray:
-    """*bias* as a float64 (units,) array; any other shape raises, named."""
-    b = np.asarray(bias, dtype=np.float64)
-    if b.shape != (units,):
-        raise ValueError(f"bias shape {b.shape} does not match ({units},)")
-    return b
+def _shaped(a, shape, name) -> np.ndarray:
+    """*a* as a float64 array of *shape*; any other shape raises, naming *name*."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{name} shape {a.shape} does not match {shape}")
+    return a
 
 
 def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=None):
@@ -303,7 +304,7 @@ def conv2d_raw(x, weights, stride=(1, 1), padding=(0, 0), dilation=(1, 1), bias=
         for a, b in list(np.ndindex(*w.shape[:2]))[1:]:
             out += _tap_matmul(cols[:, :, :, a, b], w[a, b])
     if bias is not None:
-        out = out + _as_bias(bias, w.shape[3])
+        out = out + _shaped(bias, (w.shape[3],), "bias")
     return out
 
 
@@ -324,10 +325,7 @@ def conv2d_raw_backward(x, weights, grad_output, stride=(1, 1), padding=(0, 0), 
     the same bytes."""
     w, xp, padding, geometry = _prepare(x, weights, stride, padding, dilation)
     cols = windows(xp, *geometry)
-    g = np.asarray(grad_output, dtype=np.float64)
-    expected = (*cols.shape[:3], w.shape[3])
-    if g.shape != expected:
-        raise ValueError(f"grad_output shape {g.shape} does not match output {expected}")
+    g = _shaped(grad_output, (*cols.shape[:3], w.shape[3]), "grad_output")
     # C-order rows whatever grad_output's memory order: every product and the
     # bias sum below then read one order, so the gradients do not depend on it
     g_rows = np.ascontiguousarray(_rows(g))

@@ -67,7 +67,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .conv import _as_bias, as_batch, conv2d_raw, conv2d_raw_backward, out_extent, pad, unpad, windows
+from .conv import _shaped, as_batch, conv2d_raw, conv2d_raw_backward, out_extent, pad, unpad, windows
 from .geometry import LpscConfig, build_mask
 from .ops import pool_cells, pool_cells_backward
 from .tensor import _read_float64, _write_float64
@@ -106,7 +106,7 @@ class LpscWeights:
                 f"center block {self.center.shape} does not match region channels {self.regions.shape[2:]}"
             )
         if self.bias is not None:
-            self.bias = _as_bias(self.bias, self.center.shape[1])
+            self.bias = _shaped(self.bias, (self.center.shape[1],), "bias")
 
     @property
     def in_channels(self) -> int:
@@ -240,9 +240,7 @@ def lpsc_backward(input, config: LpscConfig, weights: LpscWeights, grad_output, 
     if pooled is None:
         pooled = log_polar_pool(xb, config)
     else:
-        pooled = np.asarray(pooled, dtype=np.float64)
-        if pooled.shape != (*grid, len(slots) * c):
-            raise ValueError(f"pooled shape {pooled.shape} does not match input {xb.shape}")
+        pooled = _shaped(pooled, (*grid, len(slots) * c), "pooled")
     grad_pooled, grad_kernel, grad_bias = conv2d_raw_backward(
         pooled, _region_kernel(config, weights), grad_output, input_grad=input_grad
     )

@@ -539,8 +539,8 @@ class DenseLayer(_Layer):
         return ops.dense(x, self.weights, self.bias), x
 
     def backward(self, grad, cache, input_grad=True):
-        gx, gw, gb = ops.dense_backward(cache, self.weights, grad)
-        return gx if input_grad else None, self._grads(weights=gw, bias=gb)
+        gx, gw, gb = ops.dense_backward(cache, self.weights, grad, input_grad=input_grad)
+        return gx, self._grads(weights=gw, bias=gb)
 
 
 _LAYER_CLASSES = {cls.kind: cls for cls in (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import _as_bias, as_batch, as_geometry, as_pair, windows, windows_backward
+from .conv import _shaped, as_batch, as_geometry, as_pair, windows, windows_backward
 
 __all__ = [
     "relu",
@@ -40,10 +40,7 @@ def relu(x):
 
 def relu_backward(x, grad_output):
     x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(grad_output, dtype=np.float64)
-    if g.shape != x.shape:
-        raise ValueError(f"grad shape {g.shape} does not match input {x.shape}")
-    return g * (x > 0.0)
+    return _shaped(grad_output, x.shape, "grad_output") * (x > 0.0)
 
 
 def pool_cells(win, slots, mode, out=None):
@@ -125,9 +122,7 @@ def _pool(x, size, stride, mode):
 
 def _pool_backward(x, grad_output, size, stride, mode):
     xb, size, stride, cols, slots = _pool_setup(x, size, stride)
-    g = np.asarray(grad_output, dtype=np.float64)
-    if g.shape != (*cols.shape[:3], cols.shape[5]):
-        raise ValueError(f"grad_output shape {g.shape} does not match pooled output")
+    g = _shaped(grad_output, (*cols.shape[:3], cols.shape[5]), "grad_output")
     # the gradient and the pooled maxima laid out as x is, as the adjoint's
     # planes are, so that every step of the adjoint reads one memory order
     grad = np.empty_like(xb, shape=g.shape)
@@ -166,18 +161,17 @@ def dense(x, weights, bias=None):
     x, w = _dense_setup(x, weights)
     out = x @ w
     if bias is not None:
-        out = out + _as_bias(bias, w.shape[1])
+        out = out + _shaped(bias, (w.shape[1],), "bias")
     return out
 
 
-def dense_backward(x, weights, grad_output):
+def dense_backward(x, weights, grad_output, *, input_grad=True):
     """Adjoints of dense: (grad_x, grad_weights, grad_bias), the bias
-    gradient (*grad_output* summed over rows) always returned."""
+    gradient (*grad_output* summed over rows) always returned. With
+    ``input_grad=False`` grad_x is None and ``g @ w.T`` is skipped."""
     x, w = _dense_setup(x, weights)
-    g = np.asarray(grad_output, dtype=np.float64)
-    if g.shape != (x.shape[0], w.shape[1]):
-        raise ValueError(f"grad_output shape {g.shape} does not match dense output")
-    return g @ w.T, x.T @ g, g.sum(axis=0)
+    g = _shaped(grad_output, (x.shape[0], w.shape[1]), "grad_output")
+    return g @ w.T if input_grad else None, x.T @ g, g.sum(axis=0)
 
 
 def softmax(logits):

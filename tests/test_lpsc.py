@@ -750,3 +750,8 @@ class TestProperties:
         assert _adjoint_gap(lhs, rhs_x, scale) < EQUIVALENCE_TOL
         assert _adjoint_gap(lhs, rhs_w, scale) < EQUIVALENCE_TOL
         assert grad_w.bias is None
+        # without the input gradient, the weight gradients are the same bytes
+        no_grad_x, kept = lpsc_backward(x, config, weights, g, input_grad=False)
+        assert no_grad_x is None and kept.bias is None
+        assert kept.center.tobytes() == grad_w.center.tobytes()
+        assert kept.regions.tobytes() == grad_w.regions.tobytes()

@@ -812,8 +812,17 @@ def test_backward_without_input_grad_keeps_every_weight_gradient(monkeypatch, ro
     below = []  # the param-free layers below the lowest with parameters do not run
     for layer in net.layers[:lowest]:
         monkeypatch.setattr(layer, "backward", lambda *args, **kwargs: below.append(args))
+    dense_kwargs, dense_backward = [], ops.dense_backward
+    if row == "edges_linear.cfg":  # the dense adjoint itself skips the input gradient
+
+        def spy(*args, **kwargs):
+            dense_kwargs.append(kwargs)
+            return dense_backward(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "dense_backward", spy)
     grad_input, got = net.backward(g, input_grad=False)
     assert grad_input is None and not below
+    assert dense_kwargs == ([{"input_grad": False}] if row == "edges_linear.cfg" else [])
     assert got[:lowest] == [{}] * lowest
     for layer_got, layer_want in zip(got[lowest:], want[lowest:], strict=True):
         assert list(layer_got) == list(layer_want)

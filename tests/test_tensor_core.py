@@ -435,12 +435,6 @@ class TestConvBackward:
         assert max_rel_error(gw, fw) < 1e-5
         assert max_rel_error(gb, fb) < 1e-5
 
-    def test_grad_shape_mismatch(self):
-        x = RNG.normal(size=(1, 5, 5, 1))
-        w = RNG.normal(size=(3, 3, 1, 1))
-        with pytest.raises(ValueError, match="grad_output"):
-            conv2d_raw_backward(x, w, np.zeros((1, 5, 5, 1)))
-
     @pytest.mark.parametrize("size, c_out, geometry", [
         ((1, 1), 4, {}),
         ((3, 3), 4, dict(padding=(1, 1))),
@@ -734,6 +728,36 @@ def test_operators_take_batches_only(name):
     _OPERATORS[name](x, g)  # a batch of one sample runs
     with pytest.raises(ValueError, match=re.escape("rank-4 (N, H, W, C) batch, got rank 3")):
         _OPERATORS[name](x[0], g[0])
+
+
+_X = np.ones((1, 6, 6, 2))
+# every argument that conv._shaped checks, with a 6x6x2 input where there is
+# one: (a call given the array, the argument's name, the shape it must have)
+_SHAPED = {
+    "conv2d_raw": (lambda a: conv2d_raw(_X, np.ones((3, 3, 2, 2)), bias=a), "bias", (2,)),
+    "dense": (lambda a: ops.dense(np.ones((3, 4)), np.ones((4, 2)), bias=a), "bias", (2,)),
+    "LpscWeights": (lambda a: LpscWeights(np.ones((2, 2)), np.ones((1, 4, 2, 2)), bias=a), "bias", (2,)),
+    "conv2d_raw_backward": (lambda a: conv2d_raw_backward(_X, np.ones((3, 3, 2, 2)), a, padding=1),
+                            "grad_output", (1, 6, 6, 2)),
+    "relu_backward": (lambda a: ops.relu_backward(_X, a), "grad_output", (1, 6, 6, 2)),
+    "max_pool_backward": (lambda a: ops.max_pool_backward(_X, a, 2), "grad_output", (1, 3, 3, 2)),
+    "mean_pool_backward": (lambda a: ops.mean_pool_backward(_X, a, 2), "grad_output", (1, 3, 3, 2)),
+    "dense_backward": (lambda a: ops.dense_backward(np.ones((3, 4)), np.ones((4, 2)), a),
+                       "grad_output", (3, 2)),
+    # the 4 regions and the center, 2 channels each
+    "lpsc_backward": (lambda a: lpsc_backward(_X, _LPSC, _LPSC_WEIGHTS, np.ones((1, 6, 6, 2)), pooled=a),
+                      "pooled", (1, 6, 6, 10)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPED))
+def test_array_shape_has_one_check(name):
+    # a shape that merely broadcasts would give wrong values silently
+    call, argument, shape = _SHAPED[name]
+    call(np.ones(shape))  # the right shape runs
+    for bad in ((*shape[:-1], shape[-1] + 1), (*shape, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"{argument} shape {bad} does not match {shape}")):
+            call(np.ones(bad))
 
 
 def _layer(kind, **options):
